@@ -7,6 +7,10 @@ power control, closed-form large-antenna SINR for every scheme including
 asynchronous pilot arrival, and a seeded finite-antenna Monte Carlo engine.
 """
 
+# The package's only version literal; set before the submodule imports so
+# that they can read it.  A change to any random stream bumps it.
+__version__ = "0.2.0"
+
 from .asymptotic import (
     UNBOUNDED,
     sinr_async,
@@ -39,8 +43,10 @@ from .config import SCHEMES, ConfigError, NetworkConfig, parse_config, serialize
 from .engine import (
     SinrReport,
     TrialResult,
+    asymptotic_report,
     downlink_sinr,
     empirical_cdf,
+    large_scale_batch,
     run_experiment,
     run_trial,
 )
@@ -68,8 +74,6 @@ from .pilots import (
 )
 from .scenarios import SCENARIOS, SweepTable, emit_csv, run_scenario
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AsyncProfile",
     "Beamformer",
@@ -89,6 +93,7 @@ __all__ = [
     "UserPositions",
     "assemble_channels",
     "async_kappas",
+    "asymptotic_report",
     "beamformer_from_estimate",
     "build_hex_layout",
     "combine_beamformer",
@@ -101,6 +106,7 @@ __all__ = [
     "estimate_composite",
     "estimate_individual",
     "hexagon_contains",
+    "large_scale_batch",
     "large_scale_gain",
     "large_scale_tensor",
     "make_orthogonal_pilots",

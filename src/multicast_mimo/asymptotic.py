@@ -6,7 +6,10 @@ different users become orthogonal and each user's SINR converges to a
 deterministic function of the large-scale gains.
 
 Everything is computed and returned in linear scale; conversion to dB happens
-only at reporting time.
+only at reporting time.  Each formula accepts leading batch axes (for example
+one per large-scale realization) on its gain and pilot-power arguments, so a
+whole experiment is evaluated without a Python loop; without batch axes a
+per-user formula asked for one user returns a float.
 """
 
 import numpy as np
@@ -18,16 +21,22 @@ _SIMPLEX_TOL = 1e-9
 UNBOUNDED = np.inf
 
 
+def _scalar_or_array(value):
+    """A 0-d result as a Python float, anything larger as an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def sinr_perfect_csi(lambdas, betas_own, bs_power: float, sigma2: float) -> np.ndarray:
     """Per-user limit SINR with perfect CSI: lambda_k * E * beta_k / sigma^2.
 
     ``lambdas`` must be a point on the probability simplex (the normalized
     per-user shares of the beam).  With the max-min-optimal shares all K
-    values are equal to E / (sigma^2 * sum_k 1/beta_k).
+    values are equal to E / (sigma^2 * sum_k 1/beta_k).  Leading axes of
+    ``lambdas`` and ``betas_own`` are batch axes; the last one is the user.
     """
     lam = np.asarray(lambdas, dtype=float)
     betas = np.asarray(betas_own, dtype=float)
-    if np.any(lam < 0) or abs(lam.sum() - 1.0) > _SIMPLEX_TOL:
+    if np.any(lam < 0) or np.any(np.abs(lam.sum(axis=-1) - 1.0) > _SIMPLEX_TOL):
         raise ValueError("lambdas must be nonnegative and sum to 1")
     return lam * bs_power * betas / sigma2
 
@@ -35,12 +44,19 @@ def sinr_perfect_csi(lambdas, betas_own, bs_power: float, sigma2: float) -> np.n
 def _gamma_inf_sq(betas, xis, pilot_power: float, pilot_len: int, sigma_p2: float):
     """Limit of the squared normalizer of a beam built from contaminated
     per-user estimates, for every cell: sum_k xi^2 * p * tau * sum_l beta[j,l,k]
-    plus the noise term."""
-    xi2 = np.asarray(xis, dtype=float) ** 2  # (N, K)
-    beta_sum = betas.sum(axis=1)  # (N, K): sum over transmitting cells l
-    return pilot_power * pilot_len * (xi2 * beta_sum).sum(axis=1) + sigma_p2 * xi2.sum(
-        axis=1
+    plus the noise term.  Shape (..., N)."""
+    xi2 = np.asarray(xis, dtype=float) ** 2  # (..., N, K)
+    beta_sum = betas.sum(axis=-2)  # (..., N, K): sum over transmitting cells l
+    return pilot_power * pilot_len * (xi2 * beta_sum).sum(axis=-1) + sigma_p2 * xi2.sum(
+        axis=-1
     )
+
+
+def _signal_to_rest(terms, cell: int, noise):
+    """terms[..., cell, :] over the other cells' terms plus ``noise``, per user."""
+    signal = terms[..., cell, :]
+    interference = terms.sum(axis=-2) - signal
+    return signal / (interference + noise)
 
 
 def sinr_contaminated(
@@ -52,27 +68,26 @@ def sinr_contaminated(
     sigma_p2: float,
     sigma2: float,
     cell: int,
-    user: int,
-) -> float:
+    user,
+):
     """Limit SINR of user (cell, user) when beams use contaminated per-user
     channel estimates.
 
-    ``betas`` is the full (N, N, K) gain tensor and ``xis`` the (N, K)
-    combining weights of every cell.  Because all cells reuse the same pilot
-    set, the beam of each interfering cell j is partially aligned with the
-    victim's channel from BS j, which produces interference that scales with
-    the BS power and caps the SINR.
+    ``betas`` is the full (..., N, N, K) gain tensor and ``xis`` the (..., N,
+    K) combining weights of every cell; leading axes are batch axes.  ``user``
+    is any index into the user axis (``slice(None)`` for all users); an
+    integer user without batch axes gives a float.  Because all cells reuse
+    the same pilot set, the beam of each interfering cell j is partially
+    aligned with the victim's channel from BS j, which produces interference
+    that scales with the BS power and caps the SINR.
     """
     betas = np.asarray(betas, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    n = betas.shape[0]
-    e = np.broadcast_to(np.asarray(bs_power, dtype=float), (n,))
+    e = np.asarray(bs_power, dtype=float)
     gamma2 = _gamma_inf_sq(betas, xis, pilot_power, pilot_len, sigma_p2)
-    coupling = pilot_power * pilot_len * betas[:, cell, user] ** 2 * xis[:, user] ** 2
-    terms = e / gamma2 * coupling
-    signal = terms[cell]
-    interference = terms.sum() - signal
-    return float(signal / (interference + sigma2))
+    coupling = pilot_power * pilot_len * betas[..., :, cell, :] ** 2 * xis**2
+    terms = (e / gamma2)[..., :, None] * coupling  # (..., N, K)
+    return _scalar_or_array(_signal_to_rest(terms, cell, sigma2)[..., user])
 
 
 def sinr_contamination_ceiling(
@@ -82,21 +97,21 @@ def sinr_contamination_ceiling(
     pilot_len: int,
     sigma_p2: float,
     cell: int,
-    user: int,
-) -> float:
+    user,
+):
     """Large-power limit of ``sinr_contaminated`` with equal BS powers.
 
-    Returns ``UNBOUNDED`` when there is no interfering cell.
+    Shapes and ``user`` as in ``sinr_contaminated``.  Returns ``UNBOUNDED``
+    when there is no interfering cell.
     """
     betas = np.asarray(betas, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    if betas.shape[0] == 1:
-        return UNBOUNDED
+    if betas.shape[-3] == 1:
+        unbounded = np.full(betas.shape[:-3] + betas.shape[-1:], UNBOUNDED)[..., user]
+        return UNBOUNDED if np.ndim(unbounded) == 0 else unbounded
     gamma2 = _gamma_inf_sq(betas, xis, pilot_power, pilot_len, sigma_p2)
-    coupling = betas[:, cell, user] ** 2 * xis[:, user] ** 2 / gamma2
-    signal = coupling[cell]
-    interference = coupling.sum() - signal
-    return float(signal / interference)
+    coupling = betas[..., :, cell, :] ** 2 * xis**2 / gamma2[..., :, None]
+    return _scalar_or_array(_signal_to_rest(coupling, cell, 0.0)[..., user])
 
 
 def sinr_composite(
@@ -111,11 +126,11 @@ def sinr_composite(
 
     Only the serving cell's own gains appear: the composite estimate carries
     no other-cell component, so there is no contamination term and the SINR
-    keeps growing linearly with the BS power.
+    keeps growing linearly with the BS power.  Leading axes are batch axes.
     """
     betas = np.asarray(betas_own, dtype=float)
     p = np.asarray(pilot_powers, dtype=float)
-    denom = betas @ p + sigma_p2 / pilot_len
+    denom = (betas * p).sum(axis=-1, keepdims=True) + sigma_p2 / pilot_len
     return bs_power / sigma2 * betas**2 * p / denom
 
 
@@ -126,41 +141,50 @@ def sinr_composite_optimal(
     pilot_len: int,
     sigma_p2: float,
     sigma2: float,
-) -> float:
+):
     """Common limit SINR of the composite scheme under optimal pilot powers.
 
     E/sigma^2 / (sum_k 1/beta_k + sigma_p^2 / (omega * beta_min^2 * p_peak));
-    every user achieves this same value.
+    every user achieves this same value.  Leading axes of ``betas_own`` are
+    batch axes; without them the result is a float.
     """
     betas = np.asarray(betas_own, dtype=float)
     if np.any(betas <= 0):
         raise ValueError("all gains must be positive")
-    noise_term = sigma_p2 / (pilot_len * betas.min() ** 2 * peak_power)
-    return float(bs_power / sigma2 / ((1.0 / betas).sum() + noise_term))
+    noise_term = sigma_p2 / (pilot_len * betas.min(axis=-1) ** 2 * peak_power)
+    return _scalar_or_array(
+        bs_power / sigma2 / ((1.0 / betas).sum(axis=-1) + noise_term)
+    )
 
 
-def sinr_gap_db(betas_own, peak_power: float, pilot_len: int, sigma_p2: float) -> float:
+def sinr_gap_db(betas_own, peak_power: float, pilot_len: int, sigma_p2: float):
     """dB gap between the perfect-CSI optimum and the power-controlled
     composite scheme.
 
     10*log10(1 + sigma_p^2 / (omega * p_peak * beta_min^2 * sum_k 1/beta_k));
     nonnegative, independent of the BS power, and shrinking as the peak pilot
-    power or the pilot length grows.
+    power or the pilot length grows.  Batch axes as in
+    ``sinr_composite_optimal``.
     """
     betas = np.asarray(betas_own, dtype=float)
     if np.any(betas <= 0):
         raise ValueError("all gains must be positive")
-    ratio = sigma_p2 / (pilot_len * peak_power * betas.min() ** 2 * (1.0 / betas).sum())
-    return float(10.0 * np.log10(1.0 + ratio))
+    ratio = sigma_p2 / (
+        pilot_len
+        * peak_power
+        * betas.min(axis=-1) ** 2
+        * (1.0 / betas).sum(axis=-1)
+    )
+    return _scalar_or_array(10.0 * np.log10(1.0 + ratio))
 
 
 def _mu_inf_sq(betas, pilot_powers, kappas, pilot_len: int, sigma_p2: float):
     """Limit of the squared norm (per antenna) of the delay-polluted composite
     estimate at every BS: sum over all arrivals of omega * beta * p * |kappa|^2
-    plus the estimation noise power."""
+    plus the estimation noise power.  Shape (..., N)."""
     k2 = np.abs(np.asarray(kappas)) ** 2  # (N, N, K)
-    p = np.asarray(pilot_powers, dtype=float)  # (N, K)
-    return pilot_len * (betas * p[None, :, :] * k2).sum(axis=(1, 2)) + sigma_p2
+    p = np.asarray(pilot_powers, dtype=float)  # (..., N, K)
+    return pilot_len * (betas * p[..., None, :, :] * k2).sum(axis=(-2, -1)) + sigma_p2
 
 
 def sinr_async(
@@ -172,23 +196,22 @@ def sinr_async(
     sigma_p2: float,
     sigma2: float,
     cell: int,
-    user: int,
-) -> float:
+    user,
+):
     """Limit SINR of the composite scheme under asynchronous pilot arrival.
 
     ``kappas[j, l, k]`` is the correlation at receiving BS j between the
     polluted pilot of user (l, k) and BS j's own pilot.  In-cell |kappa| < 1
     is a pure scaling loss; nonzero cross-cell kappas act exactly like pilot
-    contamination and reintroduce a power ceiling.
+    contamination and reintroduce a power ceiling.  ``betas`` (..., N, N, K)
+    and ``pilot_powers`` (..., N, K) may carry batch axes; ``user`` is as in
+    ``sinr_contaminated``.
     """
     betas = np.asarray(betas, dtype=float)
     p = np.asarray(pilot_powers, dtype=float)
     k2 = np.abs(np.asarray(kappas)) ** 2
-    n = betas.shape[0]
-    e = np.broadcast_to(np.asarray(bs_power, dtype=float), (n,))
+    e = np.asarray(bs_power, dtype=float)
     mu2 = _mu_inf_sq(betas, p, kappas, pilot_len, sigma_p2)
-    terms = e / mu2 * betas[:, cell, user] ** 2 * k2[:, cell, user]
-    signal = terms[cell]
-    interference = terms.sum() - signal
-    noise = sigma2 / (pilot_len * p[cell, user])
-    return float(signal / (interference + noise))
+    terms = (e / mu2)[..., :, None] * betas[..., :, cell, :] ** 2 * k2[:, cell, :]
+    noise = sigma2 / (pilot_len * p[..., cell, :])
+    return _scalar_or_array(_signal_to_rest(terms, cell, noise)[..., user])

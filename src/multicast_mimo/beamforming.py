@@ -46,11 +46,13 @@ class CombiningWeights:
 
     @classmethod
     def from_xi(cls, xi, betas) -> "CombiningWeights":
+        """Shares xi_k^2 beta_k / sum_k' xi_k'^2 beta_k' over the last axis;
+        leading axes are batch axes."""
         xi = np.asarray(xi, dtype=float)
         betas = np.asarray(betas, dtype=float)
         products = xi**2 * betas
-        total = products.sum()
-        if total <= 0:
+        total = products.sum(axis=-1, keepdims=True)
+        if np.any(total <= 0):
             raise ValueError("combining weights produce a zero beam")
         return cls(xi=xi, lambdas=products / total)
 
@@ -60,13 +62,13 @@ def optimal_lambdas(betas) -> np.ndarray:
 
     lambda_k = (1/beta_k) / sum_k' (1/beta_k'); the shares sum to one and make
     every product lambda_k * beta_k identical, so all users see the same
-    asymptotic SINR.
+    asymptotic SINR.  The last axis is the user; leading axes are batch axes.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas <= 0):
         raise ValueError("all gains must be positive")
     inv = 1.0 / betas
-    return inv / inv.sum()
+    return inv / inv.sum(axis=-1, keepdims=True)
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CellLayout, UserPositions, distance_m
-from .seeding import child_seed, make_rng
+from .seeding import make_rng
 from .units import dbm_to_watts
 
 
@@ -58,6 +58,21 @@ def pilot_noise_power(fading: FadingConfig) -> float:
     return fading.pilot_noise_ratio * noise_power(fading)
 
 
+def _gain_from_loss(dist_m, fading: FadingConfig, shadow_db):
+    """Linear gain 10^(-loss/10) with
+    loss = intercept + slope*log10(d_km) + shadow + penetration (all dB)."""
+    d = np.asarray(dist_m, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("distances must be positive")
+    loss_db = (
+        fading.pathloss_intercept_db
+        + fading.pathloss_slope * np.log10(d / 1000.0)
+        + shadow_db
+        + fading.penetration_loss_db
+    )
+    return 10.0 ** (-loss_db / 10.0)
+
+
 def large_scale_gain(dist_m, fading: FadingConfig, rng_seed):
     """Linear power gain beta for one link (or one shadowing realization
     shared by an array of co-located links).
@@ -67,17 +82,8 @@ def large_scale_gain(dist_m, fading: FadingConfig, rng_seed):
     drawn per call and applied to every distance passed in; links that need
     independent shadowing must use distinct seeds.
     """
-    d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
     shadow_db = make_rng(rng_seed).normal(0.0, fading.shadow_sigma_db)
-    loss_db = (
-        fading.pathloss_intercept_db
-        + fading.pathloss_slope * np.log10(d / 1000.0)
-        + shadow_db
-        + fading.penetration_loss_db
-    )
-    beta = 10.0 ** (-loss_db / 10.0)
+    beta = _gain_from_loss(dist_m, fading, shadow_db)
     return float(beta) if beta.ndim == 0 else beta
 
 
@@ -127,10 +133,6 @@ class ChannelState:
         return np.sqrt(self.beta)[..., None] * self.h
 
 
-# Tag for deriving independent shadowing streams from a large-scale seed.
-_SHADOW_STREAM = 101
-
-
 def large_scale_tensor(
     layout: CellLayout,
     positions: UserPositions,
@@ -140,22 +142,17 @@ def large_scale_tensor(
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair.
 
     Shadowing is drawn once per (BS, cell) pair and shared by that cell's
-    users; distances stay per-user.
+    users; distances stay per-user.  All N x N shadowing values come from one
+    generator seeded with ``large_seed``, in row-major (BS, cell) order.
     """
     n = layout.num_cells
-    k = positions.pos.shape[1]
     if positions.pos.shape[0] != n:
         raise ValueError(
             f"positions cover {positions.pos.shape[0]} cells, layout has {n}"
         )
-    beta = np.empty((n, n, k))
-    for i in range(n):
-        for j in range(n):
-            d = distance_m(layout.centers[i], positions.pos[j])
-            beta[i, j] = large_scale_gain(
-                d, fading, child_seed(large_seed, _SHADOW_STREAM, i, j)
-            )
-    return beta
+    d = distance_m(layout.centers[:, None, None, :], positions.pos[None])
+    shadow_db = make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (n, n))
+    return _gain_from_loss(d, fading, shadow_db[..., None])
 
 
 def assemble_channels(

@@ -6,8 +6,11 @@ scheme, builds every cell's beamformer from its estimate (or from true CSI),
 and evaluates the actual downlink SINR of the evaluated cell's users.
 
 An experiment aggregates many trials.  With ``antennas = None`` the engine
-skips fast fading entirely and evaluates the closed-form large-antenna SINR
-per realization instead.
+skips fast fading entirely: it stacks the large-scale realizations into one
+(T, N, N, K) batch and evaluates the closed-form large-antenna SINRs on the
+whole batch at once.  Curves that share a geometry (same cells, users,
+propagation constants, realization count and master seed) can share one
+batch; the result is the same as drawing it per curve.
 
 Randomness is derived from a single master seed via counter-based seed paths,
 so any trial is reproducible in isolation and results do not depend on
@@ -17,7 +20,7 @@ cell order.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,6 +144,12 @@ def _single_bs_power(config: NetworkConfig) -> float:
     return config.bs_power_w[0]
 
 
+def _check_scheme(config: NetworkConfig, scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError("scheme", f"unknown scheme {scheme!r}")
+    validate_scheme_requirements(config, scheme)
+
+
 def _large_scale_for_trial(config: NetworkConfig, large_seed: int):
     layout = build_hex_layout(config.cells, config.radius_m)
     positions = drop_users(
@@ -170,11 +179,11 @@ def _async_setup(config: NetworkConfig):
 
 
 def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
-    """(N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
+    """(..., N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
     p_u = config.peak_pilot_power_w
     if not controlled:
         return np.full(own.shape, p_u)
-    return np.stack([optimal_pilot_powers(own[j], p_u) for j in range(own.shape[0])])
+    return optimal_pilot_powers(own, p_u)
 
 
 def _build_trial_context(
@@ -183,11 +192,9 @@ def _build_trial_context(
     large_seed: int,
     kappas: np.ndarray | None = None,
 ) -> _TrialContext:
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"unknown scheme {scheme!r}")
+    _check_scheme(config, scheme)
     if config.antennas is None:
         raise ConfigError("antennas", "finite-antenna trials need an antenna count")
-    validate_scheme_requirements(config, scheme)
     _, _, beta = _large_scale_for_trial(config, large_seed)
     n, k = config.cells, config.users_per_cell
     length = config.pilot_length
@@ -278,61 +285,118 @@ def run_trial(
 
 
 def asymptotic_user_sinrs(
-    config: NetworkConfig,
-    scheme: str,
-    beta: np.ndarray,
-    kappas: np.ndarray | None = None,
+    config: NetworkConfig, scheme: str, beta: np.ndarray
 ) -> np.ndarray:
-    """Large-antenna per-user SINRs of the evaluated cell for one realization."""
-    own = beta[0, 0]
+    """Large-antenna per-user SINRs of the evaluated cell.
+
+    ``beta`` is one (N, N, K) realization or a (..., N, N, K) batch of them;
+    the result has shape (..., K).
+    """
+    own = beta[..., 0, 0, :]
     e = _single_bs_power(config)
     sigma2 = noise_power(config.fading)
     sigma_p2 = pilot_noise_power(config.fading)
     length = config.pilot_length
     p_u = config.peak_pilot_power_w
-    k = own.shape[0]
+    every_user = slice(None)
     if scheme == "perfect-optimal":
         return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
     if scheme == "perfect-equal":
-        lam = CombiningWeights.from_xi(np.ones(k), own).lambdas
+        lam = CombiningWeights.from_xi(np.ones(own.shape), own).lambdas
         return asymptotic.sinr_perfect_csi(lam, own, e, sigma2)
     if scheme == "individual-pilot":
-        xis = np.ones((config.cells, k))
-        return np.array(
-            [
-                asymptotic.sinr_contaminated(
-                    beta, xis, e, p_u, length, sigma_p2, sigma2, 0, u
-                )
-                for u in range(k)
-            ]
+        xis = np.ones(beta.shape[-2:])
+        return asymptotic.sinr_contaminated(
+            beta, xis, e, p_u, length, sigma_p2, sigma2, 0, every_user
         )
     if scheme == "composite":
         return asymptotic.sinr_composite(
-            own, np.full(k, p_u), e, length, sigma_p2, sigma2
+            own, np.full(own.shape, p_u), e, length, sigma_p2, sigma2
         )
     if scheme == "composite-power-controlled":
         value = asymptotic.sinr_composite_optimal(own, p_u, e, length, sigma_p2, sigma2)
-        return np.full(k, value)
+        return np.full(own.shape, np.expand_dims(value, -1))
     if scheme == "composite-async":
-        if kappas is None:
-            _, _, kappas = _async_setup(config)
+        _, _, kappas = _async_setup(config)
         powers = _scheme_pilot_powers(
-            config, np.einsum("jjk->jk", beta), config.async_power_control
+            config, np.einsum("...jjk->...jk", beta), config.async_power_control
         )
-        return np.array(
-            [
-                asymptotic.sinr_async(
-                    beta, powers, kappas, e, length, sigma_p2, sigma2, 0, u
-                )
-                for u in range(k)
-            ]
+        return asymptotic.sinr_async(
+            beta, powers, kappas, e, length, sigma_p2, sigma2, 0, every_user
         )
     raise ConfigError("scheme", f"unknown scheme {scheme!r}")
 
 
 def _fingerprint(config: NetworkConfig, scheme, num_large, num_small, master_seed):
+    if config.antennas is None:
+        # No fast fading is drawn, so the draw count cannot change the result.
+        config, num_small = replace(config, num_small=1), None
     text = serialize_config(config) + f"\n{scheme}|{num_large}|{num_small}|{master_seed}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _report(config, scheme, samples, num_small, master_seed) -> SinrReport:
+    return SinrReport(
+        samples_db=samples,
+        cdf=empirical_cdf(samples),
+        mean_min_sinr_db=float(samples.mean()),
+        scheme=scheme,
+        fingerprint=_fingerprint(config, scheme, samples.size, num_small, master_seed),
+    )
+
+
+def _non_finite(t: int, large_seed: int, small_seed: int | None = None):
+    where = f"realization {t} (large seed {large_seed}"
+    if small_seed is not None:
+        where += f", small seed {small_seed}"
+    return ArithmeticError(f"non-finite SINR in {where})")
+
+
+def large_scale_batch(
+    config: NetworkConfig, num_large: int | None = None, master_seed: int | None = None
+) -> np.ndarray:
+    """Gains of realizations 0..T-1 stacked into a (T, N, N, K) batch.
+
+    Row t is the realization keyed by ``child_seed(master_seed, LARGE, t)``,
+    drawn exactly as a single trial draws it, so no row depends on another.
+    ``num_large`` and ``master_seed`` default to the config's values.
+    """
+    num_large = num_large if num_large is not None else config.num_large
+    master_seed = master_seed if master_seed is not None else config.master_seed
+    if num_large < 1:
+        raise ConfigError("num_large", "trial counts must be at least 1")
+    return np.stack(
+        [
+            _large_scale_for_trial(config, child_seed(master_seed, _LARGE_STREAM, t))[2]
+            for t in range(num_large)
+        ]
+    )
+
+
+def asymptotic_report(
+    config: NetworkConfig,
+    scheme: str,
+    beta: np.ndarray,
+    master_seed: int | None = None,
+) -> SinrReport:
+    """Closed-form min-SINR statistics of one scheme on a large-scale batch.
+
+    ``beta`` must be ``large_scale_batch(config, T, master_seed)``; any
+    config that differs from it only in powers, pilot settings or scheme
+    shares that batch.  The report is the one ``run_experiment`` returns in
+    asymptotic mode for the same arguments.
+    """
+    master_seed = master_seed if master_seed is not None else config.master_seed
+    _check_scheme(config, scheme)
+    n, k = config.cells, config.users_per_cell
+    if beta.ndim != 4 or beta.shape[1:] != (n, n, k):
+        raise ValueError(f"beta batch {beta.shape} does not match {n} cells of {k} users")
+    per_user = asymptotic_user_sinrs(config, scheme, beta)
+    bad = np.flatnonzero(~np.all(np.isfinite(per_user), axis=-1))
+    if bad.size:
+        t = int(bad[0])
+        raise _non_finite(t, child_seed(master_seed, _LARGE_STREAM, t))
+    return _report(config, scheme, linear_to_db(per_user.min(axis=-1)), None, master_seed)
 
 
 def run_experiment(
@@ -347,44 +411,38 @@ def run_experiment(
     With finite antennas each realization's minimum SINR is averaged over
     ``num_small`` fast-fading draws in linear scale before conversion to dB;
     in asymptotic mode (``config.antennas is None``) the closed forms need no
-    fast fading and ``num_small`` is ignored.  Seeds for trial (t, s) depend
-    only on the master seed and the indices, never on execution order.
+    fast fading and ``num_small`` is ignored: the experiment is
+    ``asymptotic_report`` on ``large_scale_batch``.  Seeds for trial (t, s)
+    depend only on the master seed and the indices, never on execution
+    order.  A non-finite SINR raises ``ArithmeticError`` naming the
+    realization and its seeds.
     """
     scheme = scheme if scheme is not None else config.scheme
     num_large = num_large if num_large is not None else config.num_large
     num_small = num_small if num_small is not None else config.num_small
     master_seed = master_seed if master_seed is not None else config.master_seed
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"unknown scheme {scheme!r}")
+    _check_scheme(config, scheme)
     if num_large < 1 or (config.antennas is not None and num_small < 1):
         raise ConfigError("num_large", "trial counts must be at least 1")
-    validate_scheme_requirements(config, scheme)
 
-    is_asymptotic = config.antennas is None
+    if config.antennas is None:
+        beta = large_scale_batch(config, num_large, master_seed)
+        return asymptotic_report(config, scheme, beta, master_seed)
+
     kappas = None
     if scheme == "composite-async":
         _, _, kappas = _async_setup(config)
-    kern = None if is_asymptotic else get_kernels()
-
+    kern = get_kernels()
     samples = np.empty(num_large)
     for t in range(num_large):
         large_seed = child_seed(master_seed, _LARGE_STREAM, t)
-        if is_asymptotic:
-            _, _, beta = _large_scale_for_trial(config, large_seed)
-            per_user = asymptotic_user_sinrs(config, scheme, beta, kappas)
-            samples[t] = linear_to_db(per_user.min())
-        else:
-            ctx = _build_trial_context(config, scheme, large_seed, kappas)
-            acc = 0.0
-            for s in range(num_small):
-                small_seed = child_seed(master_seed, _SMALL_STREAM, t, s)
-                acc += _eval_draw(ctx, small_seed, kern).min()
-            samples[t] = linear_to_db(acc / num_small)
-
-    return SinrReport(
-        samples_db=samples,
-        cdf=empirical_cdf(samples),
-        mean_min_sinr_db=float(samples.mean()),
-        scheme=scheme,
-        fingerprint=_fingerprint(config, scheme, num_large, num_small, master_seed),
-    )
+        ctx = _build_trial_context(config, scheme, large_seed, kappas)
+        acc = 0.0
+        for s in range(num_small):
+            small_seed = child_seed(master_seed, _SMALL_STREAM, t, s)
+            sinr = _eval_draw(ctx, small_seed, kern)
+            if not np.all(np.isfinite(sinr)):
+                raise _non_finite(t, large_seed, small_seed)
+            acc += sinr.min()
+        samples[t] = linear_to_db(acc / num_small)
+    return _report(config, scheme, samples, num_small, master_seed)

@@ -80,7 +80,9 @@ def drop_users(
 ) -> UserPositions:
     """Drop users uniformly over each hexagon minus the inner exclusion disk.
 
-    Rejection sampling from the hexagon bounding box; acceptance probability is
+    One rejection loop over the hexagon bounding box serves all cells: it
+    draws the N*K offsets from a cell centre, which then fill the cells in
+    order and are shifted onto their centres.  The acceptance probability is
     about 0.75, so the expected number of draws per accepted user is below 2.
     """
     if users_per_cell < 1:
@@ -93,20 +95,19 @@ def drop_users(
     rng = make_rng(rng_seed)
     r = layout.radius_m
     apothem = SQRT3 / 2.0 * r
-    pos = np.empty((layout.num_cells, users_per_cell, 2))
-    for i, center in enumerate(layout.centers):
-        accepted = 0
-        while accepted < users_per_cell:
-            n = 2 * (users_per_cell - accepted) + 8
-            xy = np.column_stack(
-                [rng.uniform(-r, r, n), rng.uniform(-apothem, apothem, n)]
-            )
-            keep = hexagon_contains(xy, (0.0, 0.0), r) & (
-                np.hypot(xy[:, 0], xy[:, 1]) >= exclusion_radius_m
-            )
-            xy = xy[keep][: users_per_cell - accepted]
-            pos[i, accepted : accepted + len(xy)] = xy + center
-            accepted += len(xy)
+    total = layout.num_cells * users_per_cell
+    offsets = np.empty((total, 2))
+    accepted = 0
+    while accepted < total:
+        n = 2 * (total - accepted) + 8
+        xy = rng.uniform((-r, -apothem), (r, apothem), (n, 2))
+        keep = hexagon_contains(xy, (0.0, 0.0), r) & (
+            np.hypot(xy[:, 0], xy[:, 1]) >= exclusion_radius_m
+        )
+        xy = xy[keep][: total - accepted]
+        offsets[accepted : accepted + len(xy)] = xy
+        accepted += len(xy)
+    pos = offsets.reshape(layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
     return UserPositions(pos=pos, exclusion_radius_m=float(exclusion_radius_m))
 
 

@@ -245,12 +245,13 @@ def optimal_pilot_powers(betas, peak_power: float) -> np.ndarray:
 
     The weakest user transmits at exactly the peak power and every product
     beta_k^2 * p_k comes out equal, which equalizes the per-user SINRs of the
-    composite scheme.
+    composite scheme.  The last axis is the user; leading axes (cells,
+    realizations) are batch axes, each with its own weakest user.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas <= 0) or peak_power <= 0:
         raise ValueError("gains and peak_power must be positive")
-    b_min = betas.min()
+    b_min = betas.min(axis=-1, keepdims=True)
     return (b_min / betas) ** 2 * peak_power
 
 

@@ -50,6 +50,75 @@ class TestLargeScaleGain:
             large_scale_gain(0.0, NO_SHADOW, 0)
 
 
+class TestShadowing:
+    """The N x N shadowing draw of ``large_scale_tensor``.
+
+    Thresholds were fixed before the first run.  With T = 2000 realizations
+    of 7 x 7 pairs (n = 98000 samples) the sample standard deviation has a
+    relative standard error of about 1/sqrt(2n) = 0.23%, so the 2% band is
+    about 9 standard errors wide; the mean band is 5 standard errors.  Each
+    pairwise correlation over T realizations has a standard error of about
+    1/sqrt(T); the 5/sqrt(T) bound gives a two-sided p of 6e-7 per pair, and
+    below 1e-3 over all 1176 pairs.
+    """
+
+    T = 2000
+    SD_BAND = 0.02
+    MEAN_Z = 5.0
+    CORR_Z = 5.0
+
+    def shadow_db(self, fading):
+        layout = build_hex_layout(7, 1000.0)
+        users = drop_users(layout, 3, 100.0, 5)
+        d = np.linalg.norm(users.pos[None] - layout.centers[:, None, None], axis=-1)
+        path_db = (
+            fading.pathloss_intercept_db
+            + fading.pathloss_slope * np.log10(d / 1000.0)
+            + fading.penetration_loss_db
+        )
+        return np.stack(
+            [
+                -10 * np.log10(large_scale_tensor(layout, users, fading, seed)) - path_db
+                for seed in range(self.T)
+            ]
+        )  # (T, N, N, K)
+
+    def test_shared_by_a_cells_users(self):
+        shadow = self.shadow_db(FadingConfig())
+        assert np.allclose(shadow, shadow[..., :1], rtol=0, atol=1e-9)
+
+    def test_spread_matches_sigma_and_pairs_are_uncorrelated(self):
+        sigma = FadingConfig().shadow_sigma_db
+        pairs = self.shadow_db(FadingConfig())[..., 0].reshape(self.T, -1)
+        n = pairs.size
+        assert abs(pairs.mean()) < self.MEAN_Z * sigma / np.sqrt(n)
+        assert abs(pairs.std(ddof=1) / sigma - 1.0) < self.SD_BAND
+        corr = np.corrcoef(pairs, rowvar=False)
+        off_diagonal = corr[~np.eye(corr.shape[0], dtype=bool)]
+        assert np.max(np.abs(off_diagonal)) < self.CORR_Z / np.sqrt(self.T)
+
+    def test_follows_the_configured_sigma(self):
+        fading = FadingConfig(shadow_sigma_db=3.0)
+        pairs = self.shadow_db(fading)[..., 0]
+        assert abs(pairs.std(ddof=1) / 3.0 - 1.0) < self.SD_BAND
+
+    def test_without_shadowing_matches_the_single_link_gain(self):
+        layout = build_hex_layout(3, 1000.0)
+        users = drop_users(layout, 2, 100.0, 1)
+        beta = large_scale_tensor(layout, users, NO_SHADOW, 2)
+        for i in range(3):
+            for j in range(3):
+                d = np.linalg.norm(users.pos[j] - layout.centers[i], axis=-1)
+                assert np.allclose(beta[i, j], large_scale_gain(d, NO_SHADOW, 0), rtol=1e-12)
+
+    def test_rejects_a_user_on_a_base_station(self):
+        layout = build_hex_layout(1, 1000.0)
+        users = drop_users(layout, 2, 100.0, 1)
+        users.pos[0, 1] = layout.centers[0]
+        with pytest.raises(ValueError, match="distances must be positive"):
+            large_scale_tensor(layout, users, FadingConfig(), 3)
+
+
 class TestSmallScale:
     def test_norm_concentrates(self):
         h = draw_small_scale(100_000, 1)

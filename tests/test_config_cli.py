@@ -1,6 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import multicast_mimo
 from multicast_mimo.cli import main
 from multicast_mimo.config import (
     ConfigError,
@@ -10,7 +14,16 @@ from multicast_mimo.config import (
     serialize_config,
 )
 from multicast_mimo.engine import run_experiment
-from multicast_mimo.scenarios import SCENARIOS, SweepTable, emit_csv, run_scenario
+from multicast_mimo.scenarios import (
+    DEFAULT_E_SWEEP_DBW,
+    PILOT_POWER_LEVELS_DBW,
+    SCENARIOS,
+    SweepTable,
+    emit_csv,
+    run_scenario,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParseConfig:
@@ -167,6 +180,97 @@ class TestScenarios:
         assert len(rows) == 7  # illustrative default sweep
         means = [float(r.split(",")[1]) for r in rows]
         assert all(b > a for a, b in zip(means, means[1:]))  # grows with power
+
+    def test_manifest_names_the_package_version(self, tmp_path):
+        config = apply_overrides(NetworkConfig(), {"num_large": "2"})
+        manifest = run_scenario("fig3/4-cdf-schemes", config, out_dir=tmp_path)[0]
+        lines = manifest.read_text().splitlines()
+        assert f"# generator: multicast-mimo {multicast_mimo.__version__}" in lines
+
+    def test_version_has_one_source(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "multicast_mimo.__version__"}
+
+
+def _cdf_csv(config, scheme, path, prefix, label):
+    report = run_experiment(config, scheme=scheme)
+    return emit_csv(
+        report,
+        path / f"{prefix}_{label}.csv",
+        description=f"{prefix} curve: {label} (fingerprint {report.fingerprint})",
+    )
+
+
+class TestSharedBatchPresets:
+    """Presets draw one large-scale batch per geometry; every CSV must equal
+    the one built from ``run_experiment`` for that curve alone."""
+
+    CONFIG = NetworkConfig(num_large=6, master_seed=21)
+
+    def assert_same_files(self, got, expected):
+        assert sorted(p.name for p in got) == sorted(p.name for p in expected)
+        by_name = {p.name: p for p in expected}
+        for p in got:
+            assert p.read_bytes() == by_name[p.name].read_bytes(), p.name
+
+    def test_perfect_csi_cdf(self, tmp_path):
+        got = run_scenario("fig2-cdf-perfect", self.CONFIG, out_dir=tmp_path / "a")[1:]
+        ref = tmp_path / "b"
+        ref.mkdir()
+        expected = [
+            _cdf_csv(
+                replace(self.CONFIG, users_per_cell=k),
+                scheme,
+                ref,
+                "fig2_cdf",
+                f"{scheme}_K{k}",
+            )
+            for k in (3, 10)
+            for scheme in ("perfect-optimal", "perfect-equal")
+        ]
+        self.assert_same_files(got, expected)
+
+    def test_bs_power_sweep(self, tmp_path):
+        got = run_scenario("fig5/6-sweep-E", self.CONFIG, out_dir=tmp_path / "a")[1:]
+        ref = tmp_path / "b"
+        ref.mkdir()
+        expected = []
+        schemes = ("perfect-optimal", "individual-pilot", "composite")
+        for scheme in schemes + ("composite-power-controlled",):
+            rows = tuple(
+                (e, run_experiment(replace(self.CONFIG, E_dbw=(e,)), scheme=scheme))
+                for e in DEFAULT_E_SWEEP_DBW
+            )
+            rows = tuple((e, report.mean_min_sinr_db) for e, report in rows)
+            expected.append(
+                emit_csv(
+                    SweepTable(x_name="E_dbw", rows=rows),
+                    ref / f"fig56_sweep_E_{scheme}_K3.csv",
+                    description=f"fig56 sweep: {scheme}, K=3",
+                )
+            )
+        self.assert_same_files(got, expected)
+
+    def test_pilot_power_sweep(self, tmp_path):
+        got = run_scenario("fig7-sweep-pu", self.CONFIG, out_dir=tmp_path / "a")[1:]
+        ref = tmp_path / "b"
+        ref.mkdir()
+        expected = [_cdf_csv(self.CONFIG, "perfect-optimal", ref, "fig7_cdf", "perfect-optimal")]
+        for pu in PILOT_POWER_LEVELS_DBW:
+            expected.append(
+                _cdf_csv(
+                    replace(self.CONFIG, p_u_dbw=pu),
+                    "composite-power-controlled",
+                    ref,
+                    "fig7_cdf",
+                    f"composite-power-controlled_pu{pu:g}dbw",
+                )
+            )
+        self.assert_same_files(got, expected)
 
 
 class TestCli:

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import multicast_mimo.engine as engine
+from multicast_mimo import asymptotic
 from multicast_mimo.beamforming import (
+    CombiningWeights,
     beamformer_from_estimate,
     combine_beamformer,
     optimal_beamformer_perfect,
+    optimal_lambdas,
 )
 from multicast_mimo.channel import (
     ChannelState,
@@ -15,10 +20,13 @@ from multicast_mimo.channel import (
     noise_power,
     pilot_noise_power,
 )
-from multicast_mimo.config import ConfigError, NetworkConfig
+from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
+    asymptotic_report,
+    asymptotic_user_sinrs,
     downlink_sinr,
     empirical_cdf,
+    large_scale_batch,
     run_experiment,
     run_trial,
 )
@@ -234,7 +242,10 @@ class TestRunExperiment:
         config = NetworkConfig(antennas=None, num_large=10)
         a = run_experiment(config, scheme="perfect-optimal", num_small=1)
         b = run_experiment(config, scheme="perfect-optimal", num_small=50)
+        c = run_experiment(replace(config, num_small=7), scheme="perfect-optimal")
         assert np.array_equal(a.samples_db, b.samples_db)
+        assert np.array_equal(a.samples_db, c.samples_db)
+        assert a.fingerprint == b.fingerprint == c.fingerprint
 
     def test_fewer_users_stochastically_dominate(self):
         report3 = run_experiment(
@@ -273,6 +284,124 @@ class TestRunExperiment:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(NetworkConfig(antennas=None), scheme="zero-forcing")
+
+
+def async_config(**overrides):
+    rng = np.random.default_rng(0)
+    offsets = tuple(float(x) for x in rng.uniform(0, 1e-6, 21))
+    return NetworkConfig(async_offsets_s=offsets, pilot_symbol_s=1e-6, **overrides)
+
+
+def scalar_closed_forms(config, scheme, beta, kappas):
+    """Per-user limit SINRs of one (N, N, K) realization from the scalar
+    closed forms, one user at a time where a formula takes a user index."""
+    n, _, k = beta.shape
+    own = beta[0, 0]
+    e = config.bs_power_w[0]
+    sigma2 = noise_power(config.fading)
+    sigma_p2 = pilot_noise_power(config.fading)
+    length, p_u = config.pilot_length, config.peak_pilot_power_w
+    if scheme == "perfect-optimal":
+        return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
+    if scheme == "perfect-equal":
+        lam = CombiningWeights.from_xi(np.ones(k), own).lambdas
+        return asymptotic.sinr_perfect_csi(lam, own, e, sigma2)
+    if scheme == "individual-pilot":
+        xis = np.ones((n, k))
+        return np.array(
+            [
+                asymptotic.sinr_contaminated(beta, xis, e, p_u, length, sigma_p2, sigma2, 0, u)
+                for u in range(k)
+            ]
+        )
+    if scheme == "composite":
+        return asymptotic.sinr_composite(own, np.full(k, p_u), e, length, sigma_p2, sigma2)
+    if scheme == "composite-power-controlled":
+        value = asymptotic.sinr_composite_optimal(own, p_u, e, length, sigma_p2, sigma2)
+        assert isinstance(value, float)
+        return np.full(k, value)
+    powers = np.stack([optimal_pilot_powers(beta[j, j], p_u) for j in range(n)])
+    return np.array(
+        [
+            asymptotic.sinr_async(beta, powers, kappas, e, length, sigma_p2, sigma2, 0, u)
+            for u in range(k)
+        ]
+    )
+
+
+class TestAsymptoticBatch:
+    def test_rows_are_the_per_trial_realizations(self):
+        config = NetworkConfig(cells=7, users_per_cell=4, num_large=6, master_seed=9)
+        beta = large_scale_batch(config)
+        assert beta.shape == (6, 7, 7, 4)
+        for t in range(6):
+            seed = engine.child_seed(9, engine._LARGE_STREAM, t)
+            _, _, row = engine._large_scale_for_trial(config, seed)
+            assert np.allclose(beta[t], row, rtol=1e-12, atol=0)
+
+    def test_prefix_of_a_longer_batch(self):
+        config = NetworkConfig(num_large=3)
+        assert np.array_equal(large_scale_batch(config), large_scale_batch(config, 8)[:3])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_batched_sinrs_equal_scalar_closed_forms(self, scheme):
+        config = async_config(num_large=5, master_seed=4)
+        beta = large_scale_batch(config)
+        _, _, kappas = engine._async_setup(config)
+        batched = asymptotic_user_sinrs(config, scheme, beta)
+        assert batched.shape == (5, config.users_per_cell)
+        for t in range(5):
+            expected = scalar_closed_forms(config, scheme, beta[t], kappas)
+            assert np.allclose(batched[t], expected, rtol=1e-12, atol=0)
+            single = asymptotic_user_sinrs(config, scheme, beta[t])
+            assert np.allclose(single, expected, rtol=1e-12, atol=0)
+
+    def test_report_equals_run_experiment(self):
+        config = async_config(num_large=7, master_seed=3)
+        beta = large_scale_batch(config)
+        for scheme in SCHEMES:
+            shared = asymptotic_report(config, scheme, beta)
+            alone = run_experiment(config, scheme=scheme)
+            assert np.array_equal(shared.samples_db, alone.samples_db)
+            assert shared.fingerprint == alone.fingerprint
+
+    def test_report_rejects_a_batch_of_another_geometry(self):
+        beta = large_scale_batch(NetworkConfig(users_per_cell=2, num_large=2))
+        with pytest.raises(ValueError):
+            asymptotic_report(NetworkConfig(users_per_cell=3), "perfect-optimal", beta)
+
+
+class TestNonFiniteSinr:
+    def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
+        original = asymptotic.sinr_composite
+
+        def nan_in_row_2(*args, **kwargs):
+            out = original(*args, **kwargs).copy()
+            out[2, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(asymptotic, "sinr_composite", nan_in_row_2)
+        config = NetworkConfig(num_large=4, master_seed=5)
+        seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
+        with pytest.raises(ArithmeticError, match=rf"realization 2 \(large seed {seed}\)"):
+            run_experiment(config, scheme="composite")
+
+    def test_finite_mode_names_realization_and_seeds(self, monkeypatch):
+        config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
+        large = engine.child_seed(6, engine._LARGE_STREAM, 1)
+        small = engine.child_seed(6, engine._SMALL_STREAM, 1, 1)
+        original = engine._eval_draw
+
+        def nan_in_draw(ctx, small_seed, kern):
+            out = original(ctx, small_seed, kern)
+            return out * np.nan if small_seed == small else out
+
+        monkeypatch.setattr(engine, "_eval_draw", nan_in_draw)
+        with pytest.raises(
+            ArithmeticError,
+            match=rf"realization 1 \(large seed {large}, small seed {small}\)",
+        ):
+            run_experiment(config, scheme="composite")
 
 
 class TestConvergenceProperties:

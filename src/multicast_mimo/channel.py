@@ -101,6 +101,31 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def sample_gram(rng: np.random.Generator, m: int, p: int, shape=()) -> np.ndarray:
+    """``(*shape, p, p)`` independent draws of the complex Wishart CW_p(m, I).
+
+    Each draw is distributed as ``X^H X`` for an m x p matrix ``X`` of i.i.d.
+    CN(0, 1) entries: the Gram matrix of p independent m-antenna fading
+    vectors.  For m >= p it is built from the Bartlett decomposition
+    ``A = L L^H`` (Goodman 1963): ``L`` is lower triangular with CN(0, 1)
+    entries below the diagonal, drawn first, and real diagonal entries with
+    ``L_ii^2 ~ Gamma(m - i, 1)``, drawn second, so the cost does not grow
+    with m.  For m < p the Gram matrix is singular and ``X`` itself is drawn.
+    """
+    if m < 1 or p < 1:
+        raise ValueError(f"need m >= 1 and p >= 1, got m={m}, p={p}")
+    shape = tuple(shape)
+    if m < p:
+        x = complex_gaussian(rng, shape + (m, p))
+        return x.conj().swapaxes(-1, -2) @ x
+    rows, cols = np.tril_indices(p, -1)
+    lower = np.zeros(shape + (p, p), dtype=np.complex128)
+    lower[..., rows, cols] = complex_gaussian(rng, shape + (rows.size,))
+    diag = np.arange(p)
+    lower[..., diag, diag] = np.sqrt(rng.standard_gamma(m - diag, shape + (p,)))
+    return lower @ lower.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class ChannelState:
     """One realization of all BS-to-user channels.

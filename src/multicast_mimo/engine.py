@@ -5,7 +5,17 @@ small-scale realization (fast fading, pilot noise), runs the selected pilot
 scheme, builds every cell's beamformer from its estimate (or from true CSI),
 and evaluates the actual downlink SINR of the evaluated cell's users.
 
-An experiment aggregates many trials.  With ``antennas = None`` the engine
+``run_trial`` is the explicit reference route: it draws every fading vector
+and pilot noise block, in a fixed stream order (first the full fading tensor,
+then one pilot noise block per base station in cell order).
+
+An experiment aggregates many trials.  With finite antennas the evaluated
+cell's SINRs depend on the fading only through inner products: for each BS j,
+the Gram matrix of its K channels to the evaluated cell plus one independent
+residual (other-cell channels and pilot noise).  That (K+1) x (K+1) matrix is
+complex Wishart, so ``run_experiment`` samples it directly
+(``channel.sample_gram``) and evaluates ``sinr_from_gram``, at a cost that
+does not grow with the antenna count.  With ``antennas = None`` the engine
 skips fast fading entirely: it stacks the large-scale realizations into one
 (T, N, N, K) batch and evaluates the closed-form large-antenna SINRs on the
 whole batch at once.  Curves that share a geometry (same cells, users,
@@ -13,10 +23,8 @@ propagation constants, realization count and master seed) can share one
 batch; the result is the same as drawing it per curve.
 
 Randomness is derived from a single master seed via counter-based seed paths,
-so any trial is reproducible in isolation and results do not depend on
-execution order.  Within one small-scale draw the stream order is fixed:
-first the full fading tensor, then one pilot noise block per base station in
-cell order.
+so any realization is reproducible in isolation and results do not depend on
+execution order.
 """
 
 import hashlib
@@ -24,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import asymptotic
+from . import __version__, asymptotic
 from .beamforming import CombiningWeights, optimal_lambdas
 from .channel import (
     ChannelState,
@@ -32,6 +40,7 @@ from .channel import (
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
+    sample_gram,
 )
 from .config import (
     SCHEMES,
@@ -41,7 +50,6 @@ from .config import (
     validate_scheme_requirements,
 )
 from .geometry import build_hex_layout, drop_users
-from .kernels import get_kernels
 from .pilots import (
     AsyncProfile,
     async_kappas,
@@ -105,8 +113,8 @@ def downlink_sinr(
     other-cell beam powers plus noise.
 
     ``beamformers`` holds one unit-norm beam per cell, ``powers`` the per-cell
-    transmit powers in Watts.  This is the direct reference evaluation; the
-    trial loop uses the vectorized kernels, which must agree with it.
+    transmit powers in Watts.  This is the direct per-user evaluation;
+    ``_eval_draw`` vectorizes it over users and cells and must agree with it.
     """
     n = channels.num_cells
     if len(beamformers) != n or len(powers) != n:
@@ -246,8 +254,9 @@ def _build_trial_context(
     )
 
 
-def _eval_draw(ctx: _TrialContext, small_seed: int, kern) -> np.ndarray:
-    """Per-user linear SINRs of the evaluated cell for one fast-fading draw."""
+def _fading_draw(ctx: _TrialContext, small_seed: int):
+    """Explicit fast fading of one draw: the (N, N, K, M) small-scale tensor
+    and the (N, M) combined pilot noise per BS (None for perfect CSI)."""
     n, _, k = ctx.beta.shape
     m = ctx.antennas
     rng = make_rng(small_seed)
@@ -259,19 +268,75 @@ def _eval_draw(ctx: _TrialContext, small_seed: int, kern) -> np.ndarray:
         for i in range(n):
             z = complex_gaussian(rng, (m, length), ctx.sigma_p2)
             noise[i] = z @ ctx.noise_combiner[i]
-    beams = kern.combine(h, ctx.weights, noise)
-    powers = np.full(n, ctx.bs_power_w / m)
-    return kern.downlink(
-        h[:, ctx.eval_cell], ctx.eval_amp, beams, powers, ctx.sigma2, ctx.eval_cell
-    )
+    return h, noise
+
+
+def _user_sinrs(ctx: _TrialContext, received: np.ndarray) -> np.ndarray:
+    """(..., K) SINRs from the (..., N, K) powers each BS delivers to the
+    evaluated cell's users: serving-cell power over other-cell power plus noise."""
+    signal = received[..., ctx.eval_cell, :]
+    interference = received.sum(axis=-2) - signal
+    return signal / (interference + ctx.sigma2)
+
+
+def _eval_draw(ctx: _TrialContext, small_seed: int) -> np.ndarray:
+    """Per-user linear SINRs of the evaluated cell for one explicit draw.
+
+    Row j of the beam matrix is BS j's weighted channel sum plus its pilot
+    noise, normalized to unit length.
+    """
+    h, noise = _fading_draw(ctx, small_seed)
+    beams = np.einsum("jlk,jlkm->jm", ctx.weights, h)
+    if noise is not None:
+        beams = beams + noise
+    beams = beams / np.linalg.norm(beams, axis=1, keepdims=True)
+    dots = np.einsum("jkm,jm->jk", h[:, ctx.eval_cell].conj(), beams) * ctx.eval_amp
+    return _user_sinrs(ctx, ctx.bs_power_w / ctx.antennas * np.abs(dots) ** 2)
+
+
+def _gram_coefficients(ctx: _TrialContext) -> np.ndarray:
+    """(N, K+1) coefficients of each BS's beam in its Gram basis.
+
+    Row j is ``[weights[j, e, :], s_j]`` for the evaluated cell e, where
+    ``s_j^2 = sum_{l != e, k} |weights[j, l, k]|^2 + sigma_p^2 ||noise_combiner_j||^2``
+    is the variance per antenna of BS j's residual: its other-cell channel
+    terms plus pilot noise, independent of the evaluated cell's channels.
+    """
+    n = ctx.weights.shape[0]
+    others = np.arange(n) != ctx.eval_cell
+    residual = np.sum(np.abs(ctx.weights[:, others]) ** 2, axis=(1, 2))
+    if ctx.noise_combiner is not None:
+        residual = residual + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=1)
+    return np.concatenate([ctx.weights[:, ctx.eval_cell], np.sqrt(residual)[:, None]], axis=1)
+
+
+def sinr_from_gram(ctx: _TrialContext, gram: np.ndarray) -> np.ndarray:
+    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1, K+1) Grams.
+
+    ``gram[..., j, :, :]`` is ``X_j^H X_j`` for ``X_j = [h_j0, ..., h_j(K-1), r_j / s_j]``:
+    BS j's small-scale channels to the evaluated cell's users and its
+    normalized residual (see ``_gram_coefficients``).  BS j's beam is then
+    ``X_j c_j``, so user k receives ``|(A c)_k|^2 / (c^H A c)`` times
+    ``beta_jk E / M``.  Exact for every scheme, whatever ``gram`` holds.
+    """
+    c = _gram_coefficients(ctx)
+    k = c.shape[1] - 1
+    ac = (gram @ c[:, :, None])[..., 0]  # (..., N, K+1)
+    norm = np.sum(c.conj() * ac, axis=-1).real  # (..., N) squared beam norms
+    gains = np.abs(ac[..., :k]) ** 2 / norm[..., None]
+    return _user_sinrs(ctx, ctx.bs_power_w / ctx.antennas * ctx.eval_amp**2 * gains)
 
 
 def run_trial(
     config: NetworkConfig, scheme: str, large_seed: int, small_seed: int
 ) -> TrialResult:
-    """One finite-antenna realization: channels, pilots, beams, downlink SINR."""
+    """One finite-antenna realization: channels, pilots, beams, downlink SINR.
+
+    This is the explicit vector route that ``run_experiment``'s Gram sampler
+    is tested against.
+    """
     ctx = _build_trial_context(config, scheme, large_seed)
-    sinr = _eval_draw(ctx, small_seed, get_kernels())
+    sinr = _eval_draw(ctx, small_seed)
     if not np.all(np.isfinite(sinr)):
         raise ArithmeticError("non-finite SINR in trial")
     db = linear_to_db(sinr)
@@ -331,7 +396,11 @@ def _fingerprint(config: NetworkConfig, scheme, num_large, num_small, master_see
     if config.antennas is None:
         # No fast fading is drawn, so the draw count cannot change the result.
         config, num_small = replace(config, num_small=1), None
-    text = serialize_config(config) + f"\n{scheme}|{num_large}|{num_small}|{master_seed}"
+    text = (
+        f"{__version__}\n"
+        + serialize_config(config)
+        + f"\n{scheme}|{num_large}|{num_small}|{master_seed}"
+    )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -345,10 +414,12 @@ def _report(config, scheme, samples, num_small, master_seed) -> SinrReport:
     )
 
 
-def _non_finite(t: int, large_seed: int, small_seed: int | None = None):
+def _non_finite(
+    t: int, large_seed: int, small_seed: int | None = None, draw: int | None = None
+):
     where = f"realization {t} (large seed {large_seed}"
     if small_seed is not None:
-        where += f", small seed {small_seed}"
+        where += f", small seed {small_seed}, draw {draw}"
     return ArithmeticError(f"non-finite SINR in {where})")
 
 
@@ -409,13 +480,16 @@ def run_experiment(
     """Aggregate min-SINR statistics over independent large-scale realizations.
 
     With finite antennas each realization's minimum SINR is averaged over
-    ``num_small`` fast-fading draws in linear scale before conversion to dB;
+    ``num_small`` fast-fading draws in linear scale before conversion to dB.
+    Realization t takes all of them from one generator keyed by
+    ``child_seed(master_seed, SMALL, t)``: a ``(num_small, N, K+1, K+1)``
+    batch of Gram matrices (``channel.sample_gram``), row s being draw s;
     in asymptotic mode (``config.antennas is None``) the closed forms need no
     fast fading and ``num_small`` is ignored: the experiment is
-    ``asymptotic_report`` on ``large_scale_batch``.  Seeds for trial (t, s)
-    depend only on the master seed and the indices, never on execution
-    order.  A non-finite SINR raises ``ArithmeticError`` naming the
-    realization and its seeds.
+    ``asymptotic_report`` on ``large_scale_batch``.  Seeds for realization t
+    depend only on the master seed and t, never on execution order.  A
+    non-finite SINR raises ``ArithmeticError`` naming the realization, its
+    seeds and the draw.
     """
     scheme = scheme if scheme is not None else config.scheme
     num_large = num_large if num_large is not None else config.num_large
@@ -432,17 +506,16 @@ def run_experiment(
     kappas = None
     if scheme == "composite-async":
         _, _, kappas = _async_setup(config)
-    kern = get_kernels()
+    n, k = config.cells, config.users_per_cell
     samples = np.empty(num_large)
     for t in range(num_large):
         large_seed = child_seed(master_seed, _LARGE_STREAM, t)
         ctx = _build_trial_context(config, scheme, large_seed, kappas)
-        acc = 0.0
-        for s in range(num_small):
-            small_seed = child_seed(master_seed, _SMALL_STREAM, t, s)
-            sinr = _eval_draw(ctx, small_seed, kern)
-            if not np.all(np.isfinite(sinr)):
-                raise _non_finite(t, large_seed, small_seed)
-            acc += sinr.min()
-        samples[t] = linear_to_db(acc / num_small)
+        small_seed = child_seed(master_seed, _SMALL_STREAM, t)
+        grams = sample_gram(make_rng(small_seed), config.antennas, k + 1, (num_small, n))
+        sinr = sinr_from_gram(ctx, grams)
+        bad = np.flatnonzero(~np.all(np.isfinite(sinr), axis=-1))
+        if bad.size:
+            raise _non_finite(t, large_seed, small_seed, int(bad[0]))
+        samples[t] = linear_to_db(sinr.min(axis=-1).mean())
     return _report(config, scheme, samples, num_small, master_seed)

@@ -3,7 +3,7 @@
 Each preset reproduces one family of result curves at desk scale and writes
 one CSV per curve plus a ``manifest.cfg`` recording the fully resolved
 configuration; re-running a scenario from its manifest reproduces every CSV
-byte for byte (given the same kernel backend).
+byte for byte.
 
 The closed-form presets draw one large-scale batch per distinct geometry and
 evaluate every curve on it.  Each CSV is byte-identical to the one built from
@@ -16,7 +16,6 @@ from pathlib import Path
 from . import __version__
 from .config import NetworkConfig, serialize_config
 from .engine import SinrReport, asymptotic_report, large_scale_batch, run_experiment
-from .kernels import active_backend
 
 #: Illustrative BS power sweep used when the config carries a single value.
 DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -65,8 +64,7 @@ def emit_csv(report, path, description: str = "") -> Path:
 def _write_manifest(name: str, config: NetworkConfig, out_dir: Path) -> Path:
     body = (
         f"# scenario: {name}\n"
-        f"# generator: multicast-mimo {__version__}\n"
-        f"# kernel backend: {active_backend()}\n" + serialize_config(config)
+        f"# generator: multicast-mimo {__version__}\n" + serialize_config(config)
     )
     path = out_dir / "manifest.cfg"
     path.write_text(body, encoding="utf-8", newline="\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from multicast_mimo.channel import (
     ChannelState,
@@ -11,6 +12,7 @@ from multicast_mimo.channel import (
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
+    sample_gram,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 
@@ -140,6 +142,72 @@ class TestSmallScale:
     def test_rejects_bad_antenna_count(self):
         with pytest.raises(ValueError):
             draw_small_scale(0, 1)
+
+
+# Gram-sampler checks: significance and bands fixed before the first run.
+KS_ALPHA = 1e-3  # per two-sample KS test
+MOMENT_SE = 5.0  # standard errors allowed per moment
+GRAM_DRAWS = 20_000
+GRAM_USERS = 3  # p = K + 1 = 4
+
+
+def explicit_grams(rng, m, p, count, chunk=2_000):
+    """``count`` Gram matrices X^H X of explicit m x p CN(0, 1) matrices."""
+    out = []
+    for start in range(0, count, chunk):
+        x = complex_gaussian(rng, (min(chunk, count - start), m, p))
+        out.append(x.conj().swapaxes(-1, -2) @ x)
+    return np.concatenate(out)
+
+
+def beam_gains(grams, c):
+    """Per-user gains |(A c)_k|^2 / (c^H A c) of a beam with coefficients c:
+    the per-user SINR of one BS without interference, up to its scale."""
+    ac = grams @ c
+    return np.abs(ac[..., :-1]) ** 2 / np.sum(c.conj() * ac, axis=-1).real[..., None]
+
+
+class TestSampleGram:
+    def test_shape_hermitian_and_deterministic(self):
+        a = sample_gram(np.random.default_rng(1), 16, 4, (2, 3))
+        assert a.shape == (2, 3, 4, 4)
+        assert np.allclose(a, a.conj().swapaxes(-1, -2), rtol=1e-12, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(a) > 0)
+        b = sample_gram(np.random.default_rng(1), 16, 4, (2, 3))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_below_the_dimension(self, m):
+        a = sample_gram(np.random.default_rng(m), m, 4, (50,))
+        assert np.all(np.linalg.matrix_rank(a, hermitian=True) == m)
+
+    def test_rejects_empty_dimensions(self):
+        with pytest.raises(ValueError):
+            sample_gram(np.random.default_rng(0), 0, 3)
+        with pytest.raises(ValueError):
+            sample_gram(np.random.default_rng(0), 3, 0)
+
+    @pytest.mark.parametrize("m", [1, 2, GRAM_USERS + 1, 16, 300])
+    def test_moments(self, m):
+        p = GRAM_USERS + 1
+        a = sample_gram(np.random.default_rng(100 + m), m, p, (GRAM_DRAWS,)) / m
+        parts = np.concatenate([a.real, a.imag], axis=-1).reshape(GRAM_DRAWS, -1)
+        target = np.concatenate([np.eye(p), np.zeros((p, p))], axis=-1).ravel()
+        se = parts.std(axis=0) / np.sqrt(GRAM_DRAWS)
+        # E[A] / M = I, entry by entry (the imaginary diagonal is exactly 0)
+        assert np.all(np.abs(parts.mean(axis=0) - target) <= MOMENT_SE * se + 1e-12)
+        # E|A_01|^2 / M = 1
+        cross = np.abs(a[:, 0, 1]) ** 2 * m
+        assert abs(cross.mean() - 1.0) <= MOMENT_SE * cross.std() / np.sqrt(GRAM_DRAWS)
+
+    @pytest.mark.parametrize("m", [GRAM_USERS + 1, 16, 300])
+    def test_beam_gains_match_explicit_vectors(self, m):
+        p = GRAM_USERS + 1
+        c = complex_gaussian(np.random.default_rng(7), (p,))
+        sampled = beam_gains(sample_gram(np.random.default_rng(200 + m), m, p, (GRAM_DRAWS,)), c)
+        explicit = beam_gains(explicit_grams(np.random.default_rng(300 + m), m, p, GRAM_DRAWS), c)
+        for f in (lambda g: g[:, 0], lambda g: g.min(axis=-1)):
+            assert stats.ks_2samp(f(sampled), f(explicit)).pvalue > KS_ALPHA
 
 
 class TestNoisePower:

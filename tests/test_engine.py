@@ -1,7 +1,11 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 import multicast_mimo.engine as engine
 from multicast_mimo import asymptotic
@@ -19,6 +23,7 @@ from multicast_mimo.channel import (
     complex_gaussian,
     noise_power,
     pilot_noise_power,
+    sample_gram,
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
@@ -29,6 +34,7 @@ from multicast_mimo.engine import (
     large_scale_batch,
     run_experiment,
     run_trial,
+    sinr_from_gram,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import (
@@ -219,6 +225,81 @@ class TestRunTrial:
         assert got == pytest.approx(expected, rel=1e-9)
 
 
+def explicit_gram(ctx, small_seed):
+    """(N, K+1, K+1) Gram matrices of one explicit ``run_trial`` draw: per BS,
+    its channels to the evaluated cell's users and its residual over s_j."""
+    h, noise = engine._fading_draw(ctx, small_seed)
+    n = h.shape[0]
+    others = np.arange(n) != ctx.eval_cell
+    residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
+    if noise is not None:
+        residual = residual + noise
+    s = engine._gram_coefficients(ctx)[:, -1:].real
+    column = np.divide(residual, s, out=np.zeros_like(residual), where=s > 0)
+    x = np.concatenate([h[:, ctx.eval_cell], column[:, None]], axis=1)  # (N, K+1, M)
+    return x.conj() @ x.swapaxes(-1, -2)
+
+
+def gram_route_config(antennas):
+    rng = np.random.default_rng(0)
+    offsets = tuple(float(x) for x in rng.uniform(0, 1e-6, 12))
+    return NetworkConfig(
+        antennas=antennas,
+        cells=3,
+        users_per_cell=4,
+        async_offsets_s=offsets,
+        pilot_symbol_s=1e-6,
+    )
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("antennas", [1, 4, 5, 16, 100])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reproduces_the_explicit_route_on_its_vectors(self, scheme, antennas):
+        ctx = engine._build_trial_context(gram_route_config(antennas), scheme, 11)
+        for small_seed in (21, 22, 23):
+            expected = engine._eval_draw(ctx, small_seed)
+            got = sinr_from_gram(ctx, explicit_gram(ctx, small_seed))
+            assert np.allclose(got, expected, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_residual_column_has_unit_variance(self, scheme):
+        # s_j must be the residual's standard deviation, or the sampled
+        # Gram matrices would not have the explicit draws' distribution
+        m = 20_000
+        ctx = engine._build_trial_context(gram_route_config(m), scheme, 11)
+        gram = explicit_gram(ctx, 31)
+        has_residual = engine._gram_coefficients(ctx)[:, -1].real > 0
+        power = gram[has_residual, -1, -1].real / m
+        assert np.all(np.abs(power - 1.0) <= 5.0 / np.sqrt(m))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sampled_draws_match_explicit_draws_in_distribution(self, scheme):
+        draws = 3_000
+        ctx = engine._build_trial_context(gram_route_config(16), scheme, 11)
+        explicit = [engine._eval_draw(ctx, 40_000 + s).min() for s in range(draws)]
+        sampled = sinr_from_gram(ctx, sample_gram(make_rng(41), 16, 5, (draws, 3)))
+        assert stats.ks_2samp(sampled.min(axis=-1), explicit).pvalue > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        bs=st.integers(0, 2),
+        modulus=st.floats(1e-3, 1e3),
+        phase=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beam_scale_does_not_change_the_sinrs(self, scheme, bs, modulus, phase, seed):
+        ctx = engine._build_trial_context(gram_route_config(16), scheme, 7)
+        grams = sample_gram(make_rng(seed), 16, 5, (3,))
+        expected = sinr_from_gram(ctx, grams)
+        scaled = engine._gram_coefficients(ctx)
+        scaled[bs] *= modulus * np.exp(1j * phase)
+        with mock.patch.object(engine, "_gram_coefficients", return_value=scaled):
+            got = sinr_from_gram(ctx, grams)
+        assert np.allclose(got, expected, rtol=1e-9, atol=0)
+
+
 class TestRunExperiment:
     def test_reproducible_and_seed_sensitive(self):
         config = NetworkConfig(antennas=None, num_large=20)
@@ -229,6 +310,14 @@ class TestRunExperiment:
         assert a.fingerprint == b.fingerprint
         assert not np.array_equal(a.samples_db, c.samples_db)
         assert a.fingerprint != c.fingerprint
+
+    def test_fingerprint_hashes_the_version(self, monkeypatch):
+        config = NetworkConfig(antennas=None, num_large=3)
+        before = run_experiment(config, scheme="perfect-optimal")
+        monkeypatch.setattr(engine, "__version__", "0.0.0-other-streams")
+        after = run_experiment(config, scheme="perfect-optimal")
+        assert np.array_equal(before.samples_db, after.samples_db)
+        assert before.fingerprint != after.fingerprint
 
     def test_cdf_endpoints(self):
         config = NetworkConfig(antennas=None, num_large=40)
@@ -264,18 +353,30 @@ class TestRunExperiment:
     def test_finite_mode_averages_linear_minimum_over_draws(self):
         config = NetworkConfig(antennas=16, cells=3, num_large=2, num_small=3)
         report = run_experiment(config, scheme="composite")
+        p = config.users_per_cell + 1
         for t in range(2):
             large_seed = engine.child_seed(config.master_seed, engine._LARGE_STREAM, t)
-            acc = 0.0
-            for s in range(3):
-                small_seed = engine.child_seed(
-                    config.master_seed, engine._SMALL_STREAM, t, s
-                )
-                result = run_trial(config, "composite", large_seed, small_seed)
-                acc += 10 ** (result.min_sinr_db / 10)
+            small_seed = engine.child_seed(config.master_seed, engine._SMALL_STREAM, t)
+            ctx = engine._build_trial_context(config, "composite", large_seed)
+            grams = sample_gram(make_rng(small_seed), 16, p, (3, config.cells))
+            acc = sum(sinr_from_gram(ctx, grams[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
             )
+
+    def test_finite_realizations_do_not_depend_on_the_count(self):
+        config = NetworkConfig(antennas=16, cells=3, num_small=4)
+        short = run_experiment(config, scheme="composite", num_large=2)
+        longer = run_experiment(config, scheme="composite", num_large=4)
+        assert np.array_equal(short.samples_db, longer.samples_db[:2])
+
+    @pytest.mark.parametrize("antennas", [1, 3, 4])
+    def test_finite_mode_runs_below_and_at_the_wishart_boundary(self, antennas):
+        # K = 3: the Gram matrices are singular for M <= K
+        config = NetworkConfig(antennas=antennas, cells=3, num_large=3, num_small=5)
+        for scheme in ("perfect-optimal", "composite", "individual-pilot"):
+            report = run_experiment(config, scheme=scheme)
+            assert np.all(np.isfinite(report.samples_db))
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError):
@@ -389,17 +490,21 @@ class TestNonFiniteSinr:
     def test_finite_mode_names_realization_and_seeds(self, monkeypatch):
         config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
         large = engine.child_seed(6, engine._LARGE_STREAM, 1)
-        small = engine.child_seed(6, engine._SMALL_STREAM, 1, 1)
-        original = engine._eval_draw
+        small = engine.child_seed(6, engine._SMALL_STREAM, 1)
+        original = engine.sinr_from_gram
+        calls = []
 
-        def nan_in_draw(ctx, small_seed, kern):
-            out = original(ctx, small_seed, kern)
-            return out * np.nan if small_seed == small else out
+        def nan_in_draw_1_of_realization_1(ctx, gram):
+            out = original(ctx, gram)
+            calls.append(gram)
+            if len(calls) == 2:
+                out[1, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(engine, "_eval_draw", nan_in_draw)
+        monkeypatch.setattr(engine, "sinr_from_gram", nan_in_draw_1_of_realization_1)
         with pytest.raises(
             ArithmeticError,
-            match=rf"realization 1 \(large seed {large}, small seed {small}\)",
+            match=rf"realization 1 \(large seed {large}, small seed {small}, draw 1\)",
         ):
             run_experiment(config, scheme="composite")
 

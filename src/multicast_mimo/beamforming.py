@@ -11,31 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEME_TAGS = (
-    "perfect-optimal",
-    "perfect-equal",
-    "estimated-individual",
-    "estimated-composite",
-)
-
-_UNIT_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """A unit-norm transmit vector plus the scheme that produced it."""
-
-    w: np.ndarray
-    scheme: str
-    cell: int = 0
-
-    def __post_init__(self):
-        if self.scheme not in SCHEME_TAGS:
-            raise ValueError(f"unknown scheme tag {self.scheme!r}")
-        norm = np.linalg.norm(self.w)
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"beamformer norm {norm} deviates from 1 beyond tolerance")
-
 
 @dataclass(frozen=True)
 class CombiningWeights:
@@ -78,7 +53,7 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def optimal_beamformer_perfect(channels, betas, cell: int = 0) -> Beamformer:
+def optimal_beamformer_perfect(channels, betas) -> np.ndarray:
     """Asymptotically optimal beam from perfect CSI: sum of g_k / beta_k.
 
     ``channels`` is (K, M) with row k the channel vector of served user k.
@@ -91,24 +66,9 @@ def optimal_beamformer_perfect(channels, betas, cell: int = 0) -> Beamformer:
         raise ValueError("channels and betas disagree on user count")
     if np.any(betas <= 0):
         raise ValueError("all gains must be positive")
-    w = _normalize((g / betas[:, None]).sum(axis=0))
-    return Beamformer(w=w, scheme="perfect-optimal", cell=cell)
+    return _normalize((g / betas[:, None]).sum(axis=0))
 
 
-def combine_beamformer(channels, xi, cell: int = 0, scheme: str = "perfect-equal") -> Beamformer:
-    """Normalized linear combination sum_k xi_k * g_k of served-user channels.
-
-    With all-ones weights this is the equal-combining baseline.  Scaling the
-    weights by a common positive factor leaves the beam unchanged.
-    """
-    g = np.asarray(channels)
-    xi = np.asarray(xi, dtype=float)
-    if not np.any(xi != 0):
-        raise ValueError("at least one combining weight must be nonzero")
-    w = _normalize((xi[:, None] * g).sum(axis=0))
-    return Beamformer(w=w, scheme=scheme, cell=cell)
-
-
-def beamformer_from_estimate(estimate, cell: int = 0, scheme: str = "estimated-composite") -> Beamformer:
+def beamformer_from_estimate(estimate) -> np.ndarray:
     """Unit-norm copy of an estimated (composite or combined) channel vector."""
-    return Beamformer(w=_normalize(np.asarray(estimate)), scheme=scheme, cell=cell)
+    return _normalize(np.asarray(estimate))

@@ -58,43 +58,6 @@ def pilot_noise_power(fading: FadingConfig) -> float:
     return fading.pilot_noise_ratio * noise_power(fading)
 
 
-def _gain_from_loss(dist_m, fading: FadingConfig, shadow_db):
-    """Linear gain 10^(-loss/10) with
-    loss = intercept + slope*log10(d_km) + shadow + penetration (all dB)."""
-    d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
-    loss_db = (
-        fading.pathloss_intercept_db
-        + fading.pathloss_slope * np.log10(d / 1000.0)
-        + shadow_db
-        + fading.penetration_loss_db
-    )
-    return 10.0 ** (-loss_db / 10.0)
-
-
-def large_scale_gain(dist_m, fading: FadingConfig, rng_seed):
-    """Linear power gain beta for one link (or one shadowing realization
-    shared by an array of co-located links).
-
-    beta = 10^(-(intercept + slope*log10(d_km) + shadow + penetration)/10),
-    with shadow ~ Normal(0, shadow_sigma_db^2).  A single shadowing value is
-    drawn per call and applied to every distance passed in; links that need
-    independent shadowing must use distinct seeds.
-    """
-    shadow_db = make_rng(rng_seed).normal(0.0, fading.shadow_sigma_db)
-    beta = _gain_from_loss(dist_m, fading, shadow_db)
-    return float(beta) if beta.ndim == 0 else beta
-
-
-def draw_small_scale(antennas: int, rng_seed) -> np.ndarray:
-    """One i.i.d. CN(0, 1) fading vector of length ``antennas``."""
-    if antennas < 1:
-        raise ValueError(f"antennas must be >= 1, got {antennas}")
-    rng = make_rng(rng_seed)
-    return complex_gaussian(rng, (antennas,))
-
-
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0):
     """Circularly symmetric complex Gaussian array, per-entry variance ``variance``."""
     scale = np.sqrt(variance / 2.0)
@@ -153,10 +116,6 @@ class ChannelState:
         """Channel vector g from BS i to user k of cell j."""
         return np.sqrt(self.beta[i, j, k]) * self.h[i, j, k]
 
-    def g(self) -> np.ndarray:
-        """Full channel tensor sqrt(beta) * h, shape (N, N, K, M)."""
-        return np.sqrt(self.beta)[..., None] * self.h
-
 
 def large_scale_tensor(
     layout: CellLayout,
@@ -166,6 +125,7 @@ def large_scale_tensor(
 ) -> np.ndarray:
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair.
 
+    beta = 10^(-(intercept + slope*log10(d_km) + shadow + penetration)/10).
     Shadowing is drawn once per (BS, cell) pair and shared by that cell's
     users; distances stay per-user.  All N x N shadowing values come from one
     generator seeded with ``large_seed``, in row-major (BS, cell) order.
@@ -176,24 +136,13 @@ def large_scale_tensor(
             f"positions cover {positions.pos.shape[0]} cells, layout has {n}"
         )
     d = distance_m(layout.centers[:, None, None, :], positions.pos[None])
+    if np.any(d <= 0):
+        raise ValueError("distances must be positive")
     shadow_db = make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (n, n))
-    return _gain_from_loss(d, fading, shadow_db[..., None])
-
-
-def assemble_channels(
-    layout: CellLayout,
-    positions: UserPositions,
-    fading: FadingConfig,
-    antennas: int,
-    large_seed: int,
-    small_seed: int,
-) -> ChannelState:
-    """Build a full ChannelState from geometry and independent seed streams.
-
-    The large-scale and small-scale streams are independent, so the fast
-    fading can be redrawn while holding ``beta`` fixed.
-    """
-    beta = large_scale_tensor(layout, positions, fading, large_seed)
-    rng = make_rng(small_seed)
-    h = complex_gaussian(rng, beta.shape + (antennas,))
-    return ChannelState(beta=beta, h=h)
+    loss_db = (
+        fading.pathloss_intercept_db
+        + fading.pathloss_slope * np.log10(d / 1000.0)
+        + shadow_db[..., None]
+        + fading.penetration_loss_db
+    )
+    return 10.0 ** (-loss_db / 10.0)

@@ -3,11 +3,10 @@
 A trial draws one large-scale realization (geometry, shadowing) and one
 small-scale realization (fast fading, pilot noise), runs the selected pilot
 scheme, builds every cell's beamformer from its estimate (or from true CSI),
-and evaluates the actual downlink SINR of the evaluated cell's users.
-
-``run_trial`` is the explicit reference route: it draws every fading vector
-and pilot noise block, in a fixed stream order (first the full fading tensor,
-then one pilot noise block per base station in cell order).
+and evaluates the actual downlink SINR of the evaluated cell's users.  The
+explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` -> estimator
+-> ``beamforming`` -> ``downlink_sinr``) is the reference that the
+finite-antenna fast path is tested against.
 
 An experiment aggregates many trials.  With finite antennas the evaluated
 cell's SINRs depend on the fading only through inner products: for each BS j,
@@ -36,7 +35,10 @@ from . import __version__, asymptotic
 from .beamforming import CombiningWeights, optimal_lambdas
 from .channel import (
     ChannelState,
-    complex_gaussian,
+    # Not used here.  perfbench/tests/test_harness.py::
+    # test_wrappers_are_installed_where_looked_up_and_restored checks that the
+    # tracer wraps this module's binding of it.
+    complex_gaussian,  # noqa: F401
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
@@ -63,17 +65,6 @@ from .units import linear_to_db
 _POSITIONS_STREAM = 1
 _LARGE_STREAM = 2
 _SMALL_STREAM = 3
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Downlink SINRs of the evaluated cell for one channel realization."""
-
-    per_user_sinr_db: np.ndarray
-    min_sinr_db: float
-    scheme: str
-    large_seed: int
-    small_seed: int
 
 
 @dataclass(frozen=True)
@@ -113,15 +104,14 @@ def downlink_sinr(
     other-cell beam powers plus noise.
 
     ``beamformers`` holds one unit-norm beam per cell, ``powers`` the per-cell
-    transmit powers in Watts.  This is the direct per-user evaluation;
-    ``_eval_draw`` vectorizes it over users and cells and must agree with it.
+    transmit powers in Watts.  This is the direct per-user evaluation that
+    ``sinr_from_gram`` must reproduce on the Gram matrices of the same vectors.
     """
     n = channels.num_cells
     if len(beamformers) != n or len(powers) != n:
         raise ValueError("need one beamformer and one power per cell")
     received = np.empty(n)
-    for j in range(n):
-        w = beamformers[j].w if hasattr(beamformers[j], "w") else beamformers[j]
+    for j, w in enumerate(beamformers):
         if w.shape[0] != channels.antennas:
             raise ValueError("beamformer length does not match antenna count")
         received[j] = powers[j] * np.abs(channels.vector(j, cell, user).conj() @ w) ** 2
@@ -133,7 +123,6 @@ def downlink_sinr(
 class _TrialContext:
     """Everything about one large-scale realization that the fast loop needs."""
 
-    beta: np.ndarray  # (N, N, K)
     weights: np.ndarray  # (N, N, K) complex: estimate recipe incl. sqrt(beta)
     noise_combiner: np.ndarray | None  # (N, L) complex, None for perfect CSI
     eval_amp: np.ndarray  # (N, K) sqrt(beta) toward the evaluated cell
@@ -242,7 +231,6 @@ def _build_trial_context(
         noise_combiner = book.sequences[:n].conj()
 
     return _TrialContext(
-        beta=beta,
         weights=weights,
         noise_combiner=noise_combiner,
         eval_amp=sqrt_beta[:, 0, :],
@@ -254,44 +242,12 @@ def _build_trial_context(
     )
 
 
-def _fading_draw(ctx: _TrialContext, small_seed: int):
-    """Explicit fast fading of one draw: the (N, N, K, M) small-scale tensor
-    and the (N, M) combined pilot noise per BS (None for perfect CSI)."""
-    n, _, k = ctx.beta.shape
-    m = ctx.antennas
-    rng = make_rng(small_seed)
-    h = complex_gaussian(rng, (n, n, k, m))
-    noise = None
-    if ctx.noise_combiner is not None:
-        length = ctx.noise_combiner.shape[1]
-        noise = np.empty((n, m), dtype=np.complex128)
-        for i in range(n):
-            z = complex_gaussian(rng, (m, length), ctx.sigma_p2)
-            noise[i] = z @ ctx.noise_combiner[i]
-    return h, noise
-
-
 def _user_sinrs(ctx: _TrialContext, received: np.ndarray) -> np.ndarray:
     """(..., K) SINRs from the (..., N, K) powers each BS delivers to the
     evaluated cell's users: serving-cell power over other-cell power plus noise."""
     signal = received[..., ctx.eval_cell, :]
     interference = received.sum(axis=-2) - signal
     return signal / (interference + ctx.sigma2)
-
-
-def _eval_draw(ctx: _TrialContext, small_seed: int) -> np.ndarray:
-    """Per-user linear SINRs of the evaluated cell for one explicit draw.
-
-    Row j of the beam matrix is BS j's weighted channel sum plus its pilot
-    noise, normalized to unit length.
-    """
-    h, noise = _fading_draw(ctx, small_seed)
-    beams = np.einsum("jlk,jlkm->jm", ctx.weights, h)
-    if noise is not None:
-        beams = beams + noise
-    beams = beams / np.linalg.norm(beams, axis=1, keepdims=True)
-    dots = np.einsum("jkm,jm->jk", h[:, ctx.eval_cell].conj(), beams) * ctx.eval_amp
-    return _user_sinrs(ctx, ctx.bs_power_w / ctx.antennas * np.abs(dots) ** 2)
 
 
 def _gram_coefficients(ctx: _TrialContext) -> np.ndarray:
@@ -325,28 +281,6 @@ def sinr_from_gram(ctx: _TrialContext, gram: np.ndarray) -> np.ndarray:
     norm = np.sum(c.conj() * ac, axis=-1).real  # (..., N) squared beam norms
     gains = np.abs(ac[..., :k]) ** 2 / norm[..., None]
     return _user_sinrs(ctx, ctx.bs_power_w / ctx.antennas * ctx.eval_amp**2 * gains)
-
-
-def run_trial(
-    config: NetworkConfig, scheme: str, large_seed: int, small_seed: int
-) -> TrialResult:
-    """One finite-antenna realization: channels, pilots, beams, downlink SINR.
-
-    This is the explicit vector route that ``run_experiment``'s Gram sampler
-    is tested against.
-    """
-    ctx = _build_trial_context(config, scheme, large_seed)
-    sinr = _eval_draw(ctx, small_seed)
-    if not np.all(np.isfinite(sinr)):
-        raise ArithmeticError("non-finite SINR in trial")
-    db = linear_to_db(sinr)
-    return TrialResult(
-        per_user_sinr_db=db,
-        min_sinr_db=float(db.min()),
-        scheme=scheme,
-        large_seed=int(large_seed),
-        small_seed=int(small_seed),
-    )
 
 
 def asymptotic_user_sinrs(

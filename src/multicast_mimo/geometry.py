@@ -24,7 +24,6 @@ class CellLayout:
     num_cells: int
     radius_m: float
     centers: np.ndarray  # (num_cells, 2), meters; cell 0 at the origin
-    evaluated_cell: int = 0
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class UserPositions:
     """Per-cell user coordinates, shape (num_cells, users_per_cell, 2)."""
 
     pos: np.ndarray
-    exclusion_radius_m: float
 
 
 def build_hex_layout(num_cells: int, radius_m: float) -> CellLayout:
@@ -108,7 +106,7 @@ def drop_users(
         offsets[accepted : accepted + len(xy)] = xy
         accepted += len(xy)
     pos = offsets.reshape(layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
-    return UserPositions(pos=pos, exclusion_radius_m=float(exclusion_radius_m))
+    return UserPositions(pos=pos)
 
 
 def distance_m(a, b):

@@ -255,40 +255,6 @@ def optimal_pilot_powers(betas, peak_power: float) -> np.ndarray:
     return (b_min / betas) ** 2 * peak_power
 
 
-def maxmin_pilot_powers_oracle(
-    betas,
-    peak_power: float,
-    sigma_p2: float,
-    omega: int,
-    grid_step: float,
-) -> np.ndarray:
-    """Brute-force reference solver for the max-min pilot power problem.
-
-    Exhaustive search over a multiplicative grid on [grid_step, peak_power]
-    per user (12 points per decade, so consecutive candidates differ by about
-    21%), maximizing min_k beta_k^2 p_k / (sum_k' beta_k' p_k' + sigma_p2 /
-    omega).  The closed-form candidate powers are injected into each axis so
-    the comparison against the analytic rule is not limited by grid
-    resolution.  Exponential cost limits this to K <= 4.
-    """
-    betas = np.asarray(betas, dtype=float)
-    k = betas.shape[0]
-    if k > 4:
-        raise ValueError("oracle grid search supports at most 4 users")
-    if grid_step <= 0 or grid_step > peak_power:
-        raise ValueError("grid_step must lie in (0, peak_power]")
-    decades = np.log10(peak_power / grid_step)
-    n_points = max(2, int(np.ceil(12 * decades)) + 1)
-    base = np.geomspace(grid_step, peak_power, n_points)
-    analytic = optimal_pilot_powers(betas, peak_power)
-    axes = [np.unique(np.append(base, analytic[j])) for j in range(k)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    p = np.stack([m.ravel() for m in mesh], axis=-1)  # (grid, K)
-    denom = p @ betas + sigma_p2 / omega
-    objective = np.min(betas**2 * p, axis=1) / denom
-    return p[np.argmax(objective)]
-
-
 def async_kappas(book: PilotBook, profile: AsyncProfile, cell: int) -> np.ndarray:
     """Correlations of each delay-polluted pilot with the receiver's own pilot.
 

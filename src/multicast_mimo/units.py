@@ -15,9 +15,5 @@ def dbw_to_watts(value_dbw):
     return db_to_linear(value_dbw)
 
 
-def watts_to_dbw(value_w):
-    return linear_to_db(value_w)
-
-
 def dbm_to_watts(value_dbm):
     return 10.0 ** ((np.asarray(value_dbm, dtype=float) - 30.0) / 10.0)

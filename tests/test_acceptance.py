@@ -27,25 +27,15 @@ from multicast_mimo.pilots import (
     async_kappas,
     estimate_composite,
     make_pilot_book,
-    maxmin_pilot_powers_oracle,
     optimal_pilot_powers,
     uplink_rx,
 )
-
-
-def _simplex_grids(step=1e-3):
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    grid2 = np.column_stack([ticks, 1.0 - ticks])
-    a, b = np.meshgrid(ticks, ticks, indexing="ij")
-    keep = a + b <= 1.0 + 1e-12
-    grid3 = np.column_stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]])
-    return {2: grid2, 3: grid3}
+from oracles import maxmin_pilot_powers_oracle, simplex_grid_best
 
 
 def test_criterion_01_equal_sinr_shares_optimal():
     """Closed-form shares equalize per-user SINRs and win the simplex search."""
     rng = np.random.default_rng(101)
-    grids = _simplex_grids(step=1e-3)
     for _ in range(1000):
         k = int(rng.integers(1, 9))
         betas = rng.lognormal(0.0, 1.5, k)
@@ -56,7 +46,7 @@ def test_criterion_01_equal_sinr_shares_optimal():
             assert lam[0] == 1.0
         elif k <= 3:
             closed = np.min(lam * betas)
-            grid_best = np.min(grids[k] * betas, axis=1).max()
+            grid_best = simplex_grid_best(betas, step=1e-3)
             assert grid_best <= closed * (1 + 1e-3)
 
 

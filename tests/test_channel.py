@@ -5,51 +5,46 @@ from scipy import stats
 from multicast_mimo.channel import (
     ChannelState,
     FadingConfig,
-    assemble_channels,
     complex_gaussian,
-    draw_small_scale,
-    large_scale_gain,
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
     sample_gram,
 )
-from multicast_mimo.geometry import build_hex_layout, drop_users
+from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
+from multicast_mimo.seeding import make_rng
 
 NO_SHADOW = FadingConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
 
 
-class TestLargeScaleGain:
+def single_link_gain(distance_m, fading=NO_SHADOW):
+    """Gain from a one-cell layout's BS to one user ``distance_m`` away."""
+    user = UserPositions(pos=np.array([[[distance_m, 0.0]]]))
+    return large_scale_tensor(build_hex_layout(1, 1000.0), user, fading, 0)[0, 0, 0]
+
+
+def path_gain(distance_m, fading=NO_SHADOW):
+    """Closed-form path gain without shadowing."""
+    loss_db = (
+        fading.pathloss_intercept_db
+        + fading.pathloss_slope * np.log10(distance_m / 1000.0)
+        + fading.penetration_loss_db
+    )
+    return 10.0 ** (-loss_db / 10.0)
+
+
+class TestPathLoss:
     def test_reference_distance_one_km(self):
         # 128.1 dB loss at 1 km with shadowing and penetration disabled
-        assert large_scale_gain(1000.0, NO_SHADOW, 0) == pytest.approx(
-            10 ** (-12.81), rel=1e-12
-        )
+        assert single_link_gain(1000.0) == pytest.approx(10 ** (-12.81), rel=1e-12)
 
     def test_one_decade_adds_slope(self):
         # 10 km -> 128.1 + 37.6 dB
-        assert large_scale_gain(10_000.0, NO_SHADOW, 0) == pytest.approx(
-            10 ** (-16.57), rel=1e-12
-        )
-
-    def test_shadowing_mean_over_seeds(self):
-        fading = FadingConfig()
-        samples = np.array(
-            [10 * np.log10(large_scale_gain(500.0, fading, seed)) for seed in range(100_000)]
-        )
-        expected = -(128.1 + 37.6 * np.log10(0.5) + 20.0)
-        assert samples.mean() == pytest.approx(expected, abs=0.1)
-        assert samples.std() == pytest.approx(8.0, rel=0.02)
-
-    def test_shared_shadow_across_distances_in_one_call(self):
-        fading = FadingConfig()
-        betas = large_scale_gain(np.array([300.0, 600.0]), fading, 7)
-        singles = [large_scale_gain(d, fading, 7) for d in (300.0, 600.0)]
-        assert np.allclose(betas, singles)
+        assert single_link_gain(10_000.0) == pytest.approx(10 ** (-16.57), rel=1e-12)
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            large_scale_gain(0.0, NO_SHADOW, 0)
+        with pytest.raises(ValueError, match="distances must be positive"):
+            single_link_gain(0.0)
 
 
 class TestShadowing:
@@ -111,7 +106,7 @@ class TestShadowing:
         for i in range(3):
             for j in range(3):
                 d = np.linalg.norm(users.pos[j] - layout.centers[i], axis=-1)
-                assert np.allclose(beta[i, j], large_scale_gain(d, NO_SHADOW, 0), rtol=1e-12)
+                assert np.allclose(beta[i, j], path_gain(d), rtol=1e-12)
 
     def test_rejects_a_user_on_a_base_station(self):
         layout = build_hex_layout(1, 1000.0)
@@ -121,27 +116,27 @@ class TestShadowing:
             large_scale_tensor(layout, users, FadingConfig(), 3)
 
 
+def fading_vector(antennas, seed):
+    return complex_gaussian(make_rng(seed), (antennas,))
+
+
 class TestSmallScale:
     def test_norm_concentrates(self):
-        h = draw_small_scale(100_000, 1)
+        h = fading_vector(100_000, 1)
         assert np.vdot(h, h).real / 100_000 == pytest.approx(1.0, abs=0.02)
 
     def test_independent_draws_nearly_orthogonal(self):
-        x = draw_small_scale(100_000, 2)
-        y = draw_small_scale(100_000, 3)
+        x = fading_vector(100_000, 2)
+        y = fading_vector(100_000, 3)
         assert abs(np.vdot(x, y)) / 100_000 < 0.02
 
     def test_deterministic_per_seed(self):
-        assert np.array_equal(draw_small_scale(64, 9), draw_small_scale(64, 9))
+        assert np.array_equal(fading_vector(64, 9), fading_vector(64, 9))
 
     def test_component_variances(self):
-        h = draw_small_scale(200_000, 4)
+        h = fading_vector(200_000, 4)
         assert h.real.var() == pytest.approx(0.5, rel=0.02)
         assert h.imag.var() == pytest.approx(0.5, rel=0.02)
-
-    def test_rejects_bad_antenna_count(self):
-        with pytest.raises(ValueError):
-            draw_small_scale(0, 1)
 
 
 # Gram-sampler checks: significance and bands fixed before the first run.
@@ -241,26 +236,20 @@ class TestFadingConfigValidation:
             FadingConfig(shadow_sigma_db=float("nan"))
 
 
-class TestAssembleChannels:
+class TestChannelState:
+    def channel_state(self, cells, users, antennas, drop_seed, large_seed, small_seed):
+        layout = build_hex_layout(cells, 1000.0)
+        positions = drop_users(layout, users, 100.0, drop_seed)
+        beta = large_scale_tensor(layout, positions, FadingConfig(), large_seed)
+        h = complex_gaussian(make_rng(small_seed), beta.shape + (antennas,))
+        return ChannelState(beta=beta, h=h)
+
     def test_single_cell_single_user_shapes(self):
-        layout = build_hex_layout(1, 1000.0)
-        users = drop_users(layout, 1, 100.0, 0)
-        state = assemble_channels(layout, users, FadingConfig(), 16, 1, 2)
+        state = self.channel_state(1, 1, 16, 0, 1, 2)
         assert state.beta.shape == (1, 1, 1)
         assert state.h.shape == (1, 1, 1, 16)
+        assert (state.num_cells, state.users_per_cell, state.antennas) == (1, 1, 16)
         assert np.allclose(state.vector(0, 0, 0), np.sqrt(state.beta[0, 0, 0]) * state.h[0, 0, 0])
-
-    def test_seed_separation(self):
-        layout = build_hex_layout(3, 1000.0)
-        users = drop_users(layout, 2, 100.0, 0)
-        fading = FadingConfig()
-        base = assemble_channels(layout, users, fading, 8, large_seed=1, small_seed=2)
-        refast = assemble_channels(layout, users, fading, 8, large_seed=1, small_seed=3)
-        reslow = assemble_channels(layout, users, fading, 8, large_seed=4, small_seed=2)
-        assert np.array_equal(base.beta, refast.beta)
-        assert not np.array_equal(base.h, refast.h)
-        assert np.array_equal(base.h, reslow.h)
-        assert not np.array_equal(base.beta, reslow.beta)
 
     def test_gains_positive_and_finite(self):
         layout = build_hex_layout(7, 1000.0)
@@ -270,9 +259,7 @@ class TestAssembleChannels:
         assert np.all(np.isfinite(beta))
 
     def test_channel_energy_matches_gain(self):
-        layout = build_hex_layout(1, 1000.0)
-        users = drop_users(layout, 1, 100.0, 3)
-        state = assemble_channels(layout, users, FadingConfig(), 10_000, 5, 6)
+        state = self.channel_state(1, 1, 10_000, 3, 5, 6)
         g = state.vector(0, 0, 0)
         assert np.vdot(g, g).real / 10_000 == pytest.approx(
             state.beta[0, 0, 0], rel=0.02

@@ -1,3 +1,6 @@
+import ast
+import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,3 +336,41 @@ class TestCli:
         manifest = (out / "manifest.cfg").read_text()
         assert "users_per_cell = 4" in manifest
         assert "num_large = 4" in manifest
+
+
+class TestPackage:
+    # the names the benchmark harness reads from the package namespace
+    HARNESS_NAMES = ("NetworkConfig", "SCHEMES", "run_experiment", "run_scenario", "__version__")
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(multicast_mimo.__all__)) == len(multicast_mimo.__all__)
+        for name in multicast_mimo.__all__:
+            assert getattr(multicast_mimo, name) is not None, name
+
+    def test_star_import_binds_exactly_the_exported_names(self):
+        namespace = {}
+        exec("from multicast_mimo import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(multicast_mimo.__all__)
+
+    def test_names_the_harness_reads_are_present(self):
+        for name in self.HARNESS_NAMES:
+            assert hasattr(multicast_mimo, name), name
+
+    def test_test_extras_cover_the_suite_imports(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        declared = {
+            re.split(r"[<>=!~ \[]", requirement)[0]
+            for requirement in project["dependencies"] + project["optional-dependencies"]["test"]
+        }
+        local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"multicast_mimo"}
+        imported = set()
+        for path in (ROOT / "tests").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert third_party <= declared

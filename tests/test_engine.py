@@ -12,15 +12,14 @@ from multicast_mimo import asymptotic
 from multicast_mimo.beamforming import (
     CombiningWeights,
     beamformer_from_estimate,
-    combine_beamformer,
     optimal_beamformer_perfect,
     optimal_lambdas,
 )
 from multicast_mimo.channel import (
     ChannelState,
     FadingConfig,
-    assemble_channels,
     complex_gaussian,
+    large_scale_tensor,
     noise_power,
     pilot_noise_power,
     sample_gram,
@@ -33,11 +32,11 @@ from multicast_mimo.engine import (
     empirical_cdf,
     large_scale_batch,
     run_experiment,
-    run_trial,
     sinr_from_gram,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import (
+    AsyncProfile,
     estimate_composite,
     estimate_individual,
     make_pilot_book,
@@ -80,7 +79,7 @@ class TestDownlinkSinr:
         )
         sigma2 = 1e-13
         value = downlink_sinr(cs, [bf], [0.5], sigma2, 0, 1)
-        expect = 0.5 * abs(np.vdot(cs.vector(0, 0, 1), bf.w)) ** 2 / sigma2
+        expect = 0.5 * abs(np.vdot(cs.vector(0, 0, 1), bf)) ** 2 / sigma2
         assert value == pytest.approx(expect, rel=1e-12)
 
     def test_orthogonal_beam_gives_zero(self):
@@ -97,8 +96,8 @@ class TestDownlinkSinr:
         rng = np.random.default_rng(2)
         cs = self.make_state(rng)
         beams = [
-            combine_beamformer(
-                np.stack([cs.vector(j, j, k) for k in range(2)]), rng.uniform(0.1, 1, 2), cell=j
+            beamformer_from_estimate(
+                rng.uniform(0.1, 1, 2) @ np.stack([cs.vector(j, j, k) for k in range(2)])
             )
             for j in range(3)
         ]
@@ -111,7 +110,7 @@ class TestDownlinkSinr:
             for j in range(3):
                 dot = 0.0 + 0.0j
                 for t in range(cs.antennas):
-                    dot += np.conj(cs.vector(j, 0, user)[t]) * beams[j].w[t]
+                    dot += np.conj(cs.vector(j, 0, user)[t]) * beams[j][t]
                 term = powers[j] * abs(dot) ** 2
                 if j == 0:
                     num = term
@@ -120,68 +119,121 @@ class TestDownlinkSinr:
             assert value == pytest.approx(num / den, rel=1e-12)
 
 
-def explicit_trial_minimum(config, scheme, large_seed, small_seed):
-    """Re-run one trial through the public pilot/beamforming ops only."""
-    layout, positions, beta = engine._large_scale_for_trial(config, large_seed)
-    n, k, m = config.cells, config.users_per_cell, config.antennas
-    rng = make_rng(small_seed)
-    h = complex_gaussian(rng, (n, n, k, m))
-    cs = ChannelState(beta=beta, h=h)
-    sigma2 = noise_power(config.fading)
-    sigma_p2 = pilot_noise_power(config.fading)
+def pilot_setup(config, scheme, beta):
+    """Pilot book and delay profile of a pilot scheme, from the public API."""
+    n, k, length = config.cells, config.users_per_cell, config.pilot_length
     p_u = config.peak_pilot_power_w
-    own = np.einsum("jjk->jk", beta)
-    profile = None
     if scheme == "individual-pilot":
-        book = make_pilot_book("per-user", n, k, config.pilot_length, p_u)
-    elif scheme == "composite":
-        book = make_pilot_book("per-cell", n, k, config.pilot_length, p_u)
-    elif scheme == "composite-power-controlled":
-        powers = np.stack([optimal_pilot_powers(own[j], p_u) for j in range(n)])
-        book = make_pilot_book("per-cell", n, k, config.pilot_length, p_u, powers=powers)
-    elif scheme == "composite-async":
-        from multicast_mimo.pilots import AsyncProfile
-
+        return make_pilot_book("per-user", n, k, length, p_u), None
+    profile = None
+    controlled = scheme == "composite-power-controlled"
+    if scheme == "composite-async":
         offsets = np.asarray(config.async_offsets_s).reshape(n, k)
         profile = AsyncProfile.from_user_offsets(offsets, config.pilot_symbol_s)
-        if config.async_power_control:
-            powers = np.stack([optimal_pilot_powers(own[j], p_u) for j in range(n)])
-        else:
-            powers = np.full((n, k), p_u)
-        book = make_pilot_book("per-cell", n, k, config.pilot_length, p_u, powers=powers)
-    else:
-        raise ValueError(scheme)
+        controlled = config.async_power_control
+    powers = optimal_pilot_powers(np.einsum("jjk->jk", beta), p_u) if controlled else None
+    return make_pilot_book("per-cell", n, k, length, p_u, powers=powers), profile
 
-    beams = []
+
+def route_directions(config, scheme, cs, sigma_p2, rng):
+    """Every BS's beam direction before normalization on the public route:
+    its pilot estimate, or with perfect CSI the combination of its own users'
+    channels.  Pilot noise comes from ``rng``, one block per BS in cell order;
+    ``sigma_p2 = 0`` sends noiseless pilots."""
+    n, k = cs.num_cells, cs.users_per_cell
+    if scheme == "perfect-optimal":
+        return [sum(cs.vector(j, j, u) / cs.beta[j, j, u] for u in range(k)) for j in range(n)]
+    if scheme == "perfect-equal":
+        return [sum(cs.vector(j, j, u) for u in range(k)) for j in range(n)]
+    book, profile = pilot_setup(config, scheme, cs.beta)
+    estimates = []
     for j in range(n):
         y = uplink_rx(cs, book, j, sigma_p2, rng, async_profile=profile)
         if scheme == "individual-pilot":
-            est = sum(estimate_individual(y, book, kk) for kk in range(k))
+            estimates.append(sum(estimate_individual(y, book, u) for u in range(k)))
         else:
-            est = estimate_composite(y, book, j)
-        beams.append(beamformer_from_estimate(est, cell=j))
-    p = np.full(n, config.bs_power_w[0] / m)
-    values = [downlink_sinr(cs, beams, p, sigma2, 0, kk) for kk in range(k)]
-    return 10 * np.log10(min(values))
+            estimates.append(estimate_composite(y, book, j))
+    return estimates
 
 
-class TestRunTrial:
-    def test_deterministic(self):
-        config = NetworkConfig(antennas=32)
-        a = run_trial(config, "composite", 5, 6)
-        b = run_trial(config, "composite", 5, 6)
-        assert np.array_equal(a.per_user_sinr_db, b.per_user_sinr_db)
-        assert a.min_sinr_db == b.min_sinr_db
+def public_route(config, scheme, large_seed, small_seed):
+    """Per-user linear SINRs of cell 0 on the public vector route
+    (ChannelState -> uplink_rx -> estimator -> beam -> downlink_sinr).
 
-    def test_min_is_minimum_and_finite(self):
-        config = NetworkConfig(antennas=32)
-        result = run_trial(config, "perfect-optimal", 1, 2)
-        assert result.min_sinr_db == result.per_user_sinr_db.min()
-        assert np.all(np.isfinite(result.per_user_sinr_db))
+    ``make_rng(small_seed)`` draws the (N, N, K, M) fading tensor and then
+    each BS's pilot noise, in the order of ``fading_draw``.  Also returns the
+    channels and the beam directions before normalization.
+    """
+    _, _, beta = engine._large_scale_for_trial(config, large_seed)
+    n, k, m = config.cells, config.users_per_cell, config.antennas
+    rng = make_rng(small_seed)
+    cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
+    directions = route_directions(config, scheme, cs, pilot_noise_power(config.fading), rng)
+    if scheme == "perfect-optimal":
+        beams = [
+            optimal_beamformer_perfect(np.stack([cs.vector(j, j, u) for u in range(k)]), beta[j, j])
+            for j in range(n)
+        ]
+    else:
+        beams = [beamformer_from_estimate(d) for d in directions]
+    powers = np.full(n, config.bs_power_w[0] / m)
+    sigma2 = noise_power(config.fading)
+    sinrs = np.array([downlink_sinr(cs, beams, powers, sigma2, 0, u) for u in range(k)])
+    return sinrs, cs, directions
 
+
+def gram_of(ctx, channels, residual):
+    """(N, K+1, K+1) Gram matrices of ``X_j = [channels[j], residual[j] / s_j]``:
+    per BS, its (K, M) small-scale channels to the evaluated cell's users and
+    its (M,) residual over s_j (a zero column where s_j = 0)."""
+    s = engine._gram_coefficients(ctx)[:, -1:].real
+    column = np.divide(residual, s, out=np.zeros_like(residual), where=s > 0)
+    x = np.concatenate([channels, column[:, None]], axis=1)  # (N, K+1, M)
+    return x.conj() @ x.swapaxes(-1, -2)
+
+
+def route_gram(config, scheme, ctx, cs, directions):
+    """(N, K+1, K+1) Gram matrices of the public route's vectors: per BS, its
+    small-scale channels to cell 0's users and the rest of its beam direction
+    over s_j.  The rest is what the same route gives minus what it gives with
+    noiseless pilots and every other cell's channels set to zero."""
+    own = cs.h.copy()
+    own[:, 1:] = 0
+    evaluated = route_directions(config, scheme, ChannelState(beta=cs.beta, h=own), 0.0, None)
+    return gram_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
+
+
+def fading_draw(ctx, small_seed):
+    """Explicit fast fading of one draw: the (N, N, K, M) small-scale tensor,
+    then each BS's (M, L) pilot noise block in cell order, combined by its
+    estimator into an (N, M) array (None for perfect CSI)."""
+    n, _, k = ctx.weights.shape
+    m = ctx.antennas
+    rng = make_rng(small_seed)
+    h = complex_gaussian(rng, (n, n, k, m))
+    if ctx.noise_combiner is None:
+        return h, None
+    length = ctx.noise_combiner.shape[1]
+    noise = [complex_gaussian(rng, (m, length), ctx.sigma_p2) @ ctx.noise_combiner[i] for i in range(n)]
+    return h, np.stack(noise)
+
+
+def explicit_gram(ctx, small_seed):
+    """(N, K+1, K+1) Gram matrices of one explicit ``fading_draw``: per BS,
+    its channels to the evaluated cell's users and its residual over s_j."""
+    h, noise = fading_draw(ctx, small_seed)
+    n = h.shape[0]
+    others = np.arange(n) != ctx.eval_cell
+    residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
+    if noise is not None:
+        residual = residual + noise
+    return gram_of(ctx, h[:, ctx.eval_cell], residual)
+
+
+class TestReferenceRoute:
     def test_requires_finite_antennas(self):
         with pytest.raises(ConfigError):
-            run_trial(NetworkConfig(antennas=None), "perfect-optimal", 1, 2)
+            engine._build_trial_context(NetworkConfig(antennas=None), "perfect-optimal", 1)
 
     def test_single_user_single_cell_near_asymptote(self):
         config = NetworkConfig(cells=1, users_per_cell=1, antennas=10_000, E_dbw=(10.0,))
@@ -189,55 +241,18 @@ class TestRunTrial:
         asym_db = 10 * np.log10(
             config.bs_power_w[0] * beta[0, 0, 0] / noise_power(config.fading)
         )
-        result = run_trial(config, "perfect-optimal", 3, 4)
-        assert result.min_sinr_db == pytest.approx(asym_db, abs=0.5)
+        sinrs, _, _ = public_route(config, "perfect-optimal", 3, 4)
+        assert 10 * np.log10(sinrs.min()) == pytest.approx(asym_db, abs=0.5)
 
     def test_clean_composite_matches_perfect_on_same_seeds(self):
         # near-noiseless pilots at high peak power reproduce the perfect-CSI beam
         fading = FadingConfig(pilot_noise_ratio=1e-12)
         config = NetworkConfig(antennas=10_000, fading=fading, p_u_dbw=40.0, cells=3)
-        perfect = run_trial(config, "perfect-optimal", 7, 8)
-        composite = run_trial(config, "composite-power-controlled", 7, 8)
-        assert composite.min_sinr_db == pytest.approx(perfect.min_sinr_db, abs=0.5)
-
-    @pytest.mark.parametrize(
-        "scheme", ["individual-pilot", "composite", "composite-power-controlled"]
-    )
-    def test_engine_matches_explicit_pilot_route(self, scheme):
-        config = NetworkConfig(antennas=48, cells=3, users_per_cell=2)
-        got = run_trial(config, scheme, 11, 22).min_sinr_db
-        expected = explicit_trial_minimum(config, scheme, 11, 22)
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_engine_matches_explicit_pilot_route_async(self):
-        rng = np.random.default_rng(0)
-        offsets = tuple(float(x) for x in rng.uniform(0, 1e-6, 6))
-        config = NetworkConfig(
-            antennas=48,
-            cells=3,
-            users_per_cell=2,
-            scheme="composite-async",
-            async_offsets_s=offsets,
-            pilot_symbol_s=1e-6,
+        perfect, _, _ = public_route(config, "perfect-optimal", 7, 8)
+        composite, _, _ = public_route(config, "composite-power-controlled", 7, 8)
+        assert 10 * np.log10(composite.min()) == pytest.approx(
+            10 * np.log10(perfect.min()), abs=0.5
         )
-        got = run_trial(config, "composite-async", 13, 24).min_sinr_db
-        expected = explicit_trial_minimum(config, "composite-async", 13, 24)
-        assert got == pytest.approx(expected, rel=1e-9)
-
-
-def explicit_gram(ctx, small_seed):
-    """(N, K+1, K+1) Gram matrices of one explicit ``run_trial`` draw: per BS,
-    its channels to the evaluated cell's users and its residual over s_j."""
-    h, noise = engine._fading_draw(ctx, small_seed)
-    n = h.shape[0]
-    others = np.arange(n) != ctx.eval_cell
-    residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
-    if noise is not None:
-        residual = residual + noise
-    s = engine._gram_coefficients(ctx)[:, -1:].real
-    column = np.divide(residual, s, out=np.zeros_like(residual), where=s > 0)
-    x = np.concatenate([h[:, ctx.eval_cell], column[:, None]], axis=1)  # (N, K+1, M)
-    return x.conj() @ x.swapaxes(-1, -2)
 
 
 def gram_route_config(antennas):
@@ -255,11 +270,12 @@ def gram_route_config(antennas):
 class TestGramRoute:
     @pytest.mark.parametrize("antennas", [1, 4, 5, 16, 100])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_reproduces_the_explicit_route_on_its_vectors(self, scheme, antennas):
-        ctx = engine._build_trial_context(gram_route_config(antennas), scheme, 11)
+    def test_reproduces_the_public_route_on_its_vectors(self, scheme, antennas):
+        config = gram_route_config(antennas)
+        ctx = engine._build_trial_context(config, scheme, 11)
         for small_seed in (21, 22, 23):
-            expected = engine._eval_draw(ctx, small_seed)
-            got = sinr_from_gram(ctx, explicit_gram(ctx, small_seed))
+            expected, cs, directions = public_route(config, scheme, 11, small_seed)
+            got = sinr_from_gram(ctx, route_gram(config, scheme, ctx, cs, directions))
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -277,10 +293,10 @@ class TestGramRoute:
     def test_sampled_draws_match_explicit_draws_in_distribution(self, scheme):
         draws = 3_000
         ctx = engine._build_trial_context(gram_route_config(16), scheme, 11)
-        explicit = [engine._eval_draw(ctx, 40_000 + s).min() for s in range(draws)]
+        grams = np.stack([explicit_gram(ctx, 40_000 + s) for s in range(draws)])
+        explicit = sinr_from_gram(ctx, grams)
         sampled = sinr_from_gram(ctx, sample_gram(make_rng(41), 16, 5, (draws, 3)))
-        assert stats.ks_2samp(sampled.min(axis=-1), explicit).pvalue > 1e-3
-
+        assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
     @settings(max_examples=60, deadline=None)
     @given(
         scheme=st.sampled_from(SCHEMES),
@@ -310,6 +326,15 @@ class TestRunExperiment:
         assert a.fingerprint == b.fingerprint
         assert not np.array_equal(a.samples_db, c.samples_db)
         assert a.fingerprint != c.fingerprint
+
+    def test_finite_mode_reproducible_and_seed_sensitive(self):
+        config = NetworkConfig(antennas=16, cells=3, num_large=4, num_small=3)
+        a = run_experiment(config, scheme="composite-power-controlled")
+        b = run_experiment(config, scheme="composite-power-controlled")
+        c = run_experiment(config, scheme="composite-power-controlled", master_seed=2)
+        assert np.array_equal(a.samples_db, b.samples_db)
+        assert np.all(np.isfinite(a.samples_db))
+        assert not np.any(np.isin(a.samples_db, c.samples_db))
 
     def test_fingerprint_hashes_the_version(self, monkeypatch):
         config = NetworkConfig(antennas=None, num_large=3)
@@ -532,18 +557,18 @@ class TestConvergenceProperties:
             ratios = []
             for trial in range(30):
                 users = drop_users(layout, 2, 100.0, 1000 + trial)
-                cs = assemble_channels(layout, users, fading, m, 2000 + trial, 3000 + trial)
+                beta = large_scale_tensor(layout, users, fading, 2000 + trial)
+                h = complex_gaussian(make_rng(3000 + trial), beta.shape + (m,))
+                cs = ChannelState(beta=beta, h=h)
                 beams = [
                     optimal_beamformer_perfect(
-                        np.stack([cs.vector(j, j, k) for k in range(2)]),
-                        cs.beta[j, j],
-                        cell=j,
+                        np.stack([cs.vector(j, j, k) for k in range(2)]), cs.beta[j, j]
                     )
                     for j in range(3)
                 ]
-                desired = abs(np.vdot(cs.vector(0, 0, 0), beams[0].w)) ** 2
+                desired = abs(np.vdot(cs.vector(0, 0, 0), beams[0])) ** 2
                 interference = sum(
-                    abs(np.vdot(cs.vector(j, 0, 0), beams[j].w)) ** 2 for j in (1, 2)
+                    abs(np.vdot(cs.vector(j, 0, 0), beams[j])) ** 2 for j in (1, 2)
                 )
                 ratios.append(interference / desired)
             medians.append(np.median(ratios))

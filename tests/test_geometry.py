@@ -17,7 +17,6 @@ class TestBuildHexLayout:
         layout = build_hex_layout(1, 1000.0)
         assert layout.num_cells == 1
         assert np.allclose(layout.centers, [[0.0, 0.0]])
-        assert layout.evaluated_cell == 0
 
     def test_seven_cell_hand_computed_coordinates(self):
         # hand-derived: neighbors at sqrt(3)*1000 on angles 30, 90, ..., 330

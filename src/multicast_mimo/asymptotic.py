@@ -1,5 +1,9 @@
 """Closed-form SINR in the large-antenna limit, for every CSI scheme.
 
+These are the paper's closed forms.  The engine does not call them: it reads
+the limit off each scheme's beam coefficients, and the tests hold that limit
+to these expressions, which the acceptance criteria test in turn.
+
 All expressions assume the per-BS transmit power is scaled down with the
 antenna count (p = E / M with E fixed), under which channel vectors of
 different users become orthogonal and each user's SINR converges to a

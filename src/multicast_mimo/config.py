@@ -106,6 +106,9 @@ def _parse_antennas(text: str):
 
 
 def _parse_str(text: str) -> str:
+    # A '#' or a line break would not survive a serialize -> parse round trip.
+    if "#" in text or len(text.splitlines()) > 1:
+        raise ValueError("must not contain '#' or a line break")
     return text
 
 
@@ -211,7 +214,10 @@ def serialize_config(config: NetworkConfig) -> str:
 
 
 def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
-    """Check the pilot-length and asynchrony prerequisites of one scheme."""
+    """Check that a scheme is known and meets its pilot-length and asynchrony
+    prerequisites."""
+    if scheme not in SCHEMES:
+        raise ConfigError("scheme", f"must be one of {SCHEMES}")
     if scheme == "individual-pilot" and config.pilot_length < config.users_per_cell:
         raise ConfigError(
             "pilot_length",
@@ -250,8 +256,6 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("E_dbw", "needs at least one value")
     if config.pilot_length < 1:
         raise ConfigError("pilot_length", "must be at least 1")
-    if config.scheme not in SCHEMES:
-        raise ConfigError("scheme", f"must be one of {SCHEMES}")
     validate_scheme_requirements(config, config.scheme)
     for m in config.antennas_sweep:
         if m < 1:

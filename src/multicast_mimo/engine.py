@@ -1,25 +1,25 @@
-"""Monte Carlo engine: finite-antenna trials and asymptotic experiments.
+"""Monte Carlo engine: finite-antenna and large-antenna experiments.
 
-A trial draws one large-scale realization (geometry, shadowing) and one
-small-scale realization (fast fading, pilot noise), runs the selected pilot
-scheme, builds every cell's beamformer from its estimate (or from true CSI),
-and evaluates the actual downlink SINR of the evaluated cell's users.  The
-explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` -> estimator
--> ``beamforming`` -> ``downlink_sinr``) is the reference that the
-finite-antenna fast path is tested against.
-
-An experiment aggregates many trials.  With finite antennas the evaluated
-cell's SINRs depend on the fading only through inner products: for each BS j,
-the Gram matrix of its K channels to the evaluated cell plus one independent
-residual (other-cell channels and pilot noise).  That (K+1) x (K+1) matrix is
-complex Wishart, so ``run_experiment`` samples it directly
-(``channel.sample_gram``) and evaluates ``sinr_from_gram``, at a cost that
-does not grow with the antenna count.  With ``antennas = None`` the engine
-skips fast fading entirely: it stacks the large-scale realizations into one
-(T, N, N, K) batch and evaluates the closed-form large-antenna SINRs on the
-whole batch at once.  Curves that share a geometry (same cells, users,
+Every scheme's beam at BS j is a linear combination of BS j's channels with
+coefficients that depend only on the large-scale gains.  Both evaluation
+modes share one context holding them (``_build_trial_context``), built once
+per experiment on the (T, N, N, K) batch of large-scale realizations.  With
+finite antennas the evaluated cell's SINRs depend on the fading only through
+inner products: for each BS j, the Gram matrix of its K channels to the
+evaluated cell plus one independent residual (other-cell channels and pilot
+noise).  That (K+1) x (K+1) matrix is complex Wishart, so ``run_experiment``
+samples it directly (``channel.sample_gram``) and evaluates
+``sinr_from_gram``, at a cost that does not grow with the antenna count.
+With ``antennas = None`` no fast fading is drawn: the Gram matrix over M
+tends to the identity, and the large-antenna SINRs are read off the
+coefficients (``_limit_sinrs``), which the tests hold to the closed forms of
+``asymptotic``.  Curves that share a geometry (same cells, users,
 propagation constants, realization count and master seed) can share one
 batch; the result is the same as drawing it per curve.
+
+The explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` ->
+estimator -> ``beamforming`` -> ``downlink_sinr``) is the reference that
+the finite-antenna fast path is tested against.
 
 Randomness is derived from a single master seed via counter-based seed paths,
 so any realization is reproducible in isolation and results do not depend on
@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, asymptotic
-from .beamforming import CombiningWeights, optimal_lambdas
+from . import __version__
 from .channel import (
     ChannelState,
     # Not used here.  perfbench/tests/test_harness.py::
@@ -45,7 +44,6 @@ from .channel import (
     sample_gram,
 )
 from .config import (
-    SCHEMES,
     ConfigError,
     NetworkConfig,
     serialize_config,
@@ -55,6 +53,7 @@ from .geometry import build_hex_layout, drop_users
 from .pilots import (
     AsyncProfile,
     async_kappas,
+    make_orthogonal_pilots,
     make_pilot_book,
     optimal_pilot_powers,
 )
@@ -121,16 +120,25 @@ def downlink_sinr(
 
 @dataclass(frozen=True)
 class _TrialContext:
-    """Everything about one large-scale realization that the fast loop needs."""
+    """One scheme's beam recipe on a large-scale realization or a batch of them.
 
-    weights: np.ndarray  # (N, N, K) complex: estimate recipe incl. sqrt(beta)
+    BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise
+    combined by ``noise_combiner[j]``, where h_jlk is the small-scale channel
+    of user (l, k).  Leading axes of ``weights`` and ``eval_amp`` are
+    realization axes.  Nothing here depends on the antenna count.
+    """
+
+    weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
     noise_combiner: np.ndarray | None  # (N, L) complex, None for perfect CSI
-    eval_amp: np.ndarray  # (N, K) sqrt(beta) toward the evaluated cell
+    eval_amp: np.ndarray  # (..., N, K) sqrt(beta) toward the evaluated cell
     bs_power_w: float
     sigma2: float
     sigma_p2: float
-    antennas: int
     eval_cell: int
+
+    def row(self, t: int) -> "_TrialContext":
+        """Realization t of a batched context."""
+        return replace(self, weights=self.weights[t], eval_amp=self.eval_amp[t])
 
 
 def _single_bs_power(config: NetworkConfig) -> float:
@@ -139,12 +147,6 @@ def _single_bs_power(config: NetworkConfig) -> float:
             "E_dbw", "experiments need a single BS power; sweep presets iterate"
         )
     return config.bs_power_w[0]
-
-
-def _check_scheme(config: NetworkConfig, scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"unknown scheme {scheme!r}")
-    validate_scheme_requirements(config, scheme)
 
 
 def _large_scale_for_trial(config: NetworkConfig, large_seed: int):
@@ -159,11 +161,11 @@ def _large_scale_for_trial(config: NetworkConfig, large_seed: int):
     return layout, positions, beta
 
 
-def _async_setup(config: NetworkConfig):
-    """Pilot book, delay profile and correlation tensor for the async scheme.
+def _async_kappas(config: NetworkConfig) -> np.ndarray:
+    """(N, N, K) pilot correlations of the async scheme, ``[j, l, k]`` at BS j.
 
-    The correlations depend only on the sequences and delays, not on the
-    channel realization, so they are computed once per experiment.
+    They depend only on the sequences and delays, not on the channel
+    realization, so one tensor serves every realization.
     """
     n, k = config.cells, config.users_per_cell
     offsets = np.asarray(config.async_offsets_s, dtype=float).reshape(n, k)
@@ -171,8 +173,7 @@ def _async_setup(config: NetworkConfig):
     book = make_pilot_book(
         "per-cell", n, k, config.pilot_length, config.peak_pilot_power_w
     )
-    kappas = np.stack([async_kappas(book, profile, j) for j in range(n)])
-    return book, profile, kappas
+    return np.stack([async_kappas(book, profile, j) for j in range(n)])
 
 
 def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
@@ -184,60 +185,49 @@ def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: boo
 
 
 def _build_trial_context(
-    config: NetworkConfig,
-    scheme: str,
-    large_seed: int,
-    kappas: np.ndarray | None = None,
+    config: NetworkConfig, scheme: str, beta: np.ndarray
 ) -> _TrialContext:
-    _check_scheme(config, scheme)
-    if config.antennas is None:
-        raise ConfigError("antennas", "finite-antenna trials need an antenna count")
-    _, _, beta = _large_scale_for_trial(config, large_seed)
+    """Beam recipe of ``scheme`` on ``beta``: one (N, N, K) realization or a
+    (..., N, N, K) batch such as ``large_scale_batch``; row t of a batch is
+    the context of ``beta[t]``."""
+    validate_scheme_requirements(config, scheme)
     n, k = config.cells, config.users_per_cell
     length = config.pilot_length
-    own = np.einsum("jjk->jk", beta)  # (N, K)
+    own = np.einsum("...jjk->...jk", beta)  # (..., N, K)
     sqrt_beta = np.sqrt(beta)
     p_u = config.peak_pilot_power_w
+    cells = np.arange(n)
 
-    weights = np.zeros((n, n, k), dtype=np.complex128)
+    weights = np.zeros(beta.shape)
     noise_combiner = None
     if scheme == "perfect-optimal":
-        for j in range(n):
-            weights[j, j] = 1.0 / np.sqrt(own[j])
+        weights[..., cells, cells, :] = 1.0 / np.sqrt(own)
     elif scheme == "perfect-equal":
-        for j in range(n):
-            weights[j, j] = np.sqrt(own[j])
+        weights[..., cells, cells, :] = np.sqrt(own)
     elif scheme == "individual-pilot":
-        weights = np.sqrt(p_u * length) * sqrt_beta.astype(np.complex128)
-        book = make_pilot_book("per-user", n, k, length, p_u)
-        combiner = book.sequences[:k].conj().sum(axis=0)
-        noise_combiner = np.broadcast_to(combiner, (n, length)).copy()
+        weights = np.sqrt(p_u * length) * sqrt_beta
+        combiner = make_orthogonal_pilots(k, length).conj().sum(axis=0)
+        noise_combiner = np.broadcast_to(combiner, (n, length))
     elif scheme in ("composite", "composite-power-controlled"):
         powers = _scheme_pilot_powers(
             config, own, controlled=(scheme == "composite-power-controlled")
         )
-        for j in range(n):
-            weights[j, j] = np.sqrt(powers[j] * length * own[j])
-        book = make_pilot_book("per-cell", n, k, length, p_u, powers=powers)
-        noise_combiner = book.sequences[:n].conj()
+        weights[..., cells, cells, :] = np.sqrt(powers * length * own)
+        noise_combiner = make_orthogonal_pilots(n, length).conj()
     elif scheme == "composite-async":
-        if kappas is None:
-            _, _, kappas = _async_setup(config)
         powers = _scheme_pilot_powers(config, own, config.async_power_control)
         weights = (
-            np.sqrt(powers * length)[None, :, :] * sqrt_beta * kappas
-        ).astype(np.complex128)
-        book = make_pilot_book("per-cell", n, k, length, p_u, powers=powers)
-        noise_combiner = book.sequences[:n].conj()
+            np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * _async_kappas(config)
+        )
+        noise_combiner = make_orthogonal_pilots(n, length).conj()
 
     return _TrialContext(
         weights=weights,
         noise_combiner=noise_combiner,
-        eval_amp=sqrt_beta[:, 0, :],
+        eval_amp=sqrt_beta[..., :, 0, :],
         bs_power_w=_single_bs_power(config),
         sigma2=noise_power(config.fading),
         sigma_p2=pilot_noise_power(config.fading),
-        antennas=config.antennas,
         eval_cell=0,
     )
 
@@ -250,80 +240,56 @@ def _user_sinrs(ctx: _TrialContext, received: np.ndarray) -> np.ndarray:
     return signal / (interference + ctx.sigma2)
 
 
-def _gram_coefficients(ctx: _TrialContext) -> np.ndarray:
-    """(N, K+1) coefficients of each BS's beam in its Gram basis.
-
-    Row j is ``[weights[j, e, :], s_j]`` for the evaluated cell e, where
-    ``s_j^2 = sum_{l != e, k} |weights[j, l, k]|^2 + sigma_p^2 ||noise_combiner_j||^2``
-    is the variance per antenna of BS j's residual: its other-cell channel
-    terms plus pilot noise, independent of the evaluated cell's channels.
-    """
-    n = ctx.weights.shape[0]
-    others = np.arange(n) != ctx.eval_cell
-    residual = np.sum(np.abs(ctx.weights[:, others]) ** 2, axis=(1, 2))
+def _coefficient_powers(ctx: _TrialContext):
+    """(..., N, K) powers ``|weights[j, e, k]|^2`` on the evaluated cell e's
+    users and (..., N) variances per antenna ``s_j^2 = sum_{l != e, k}
+    |weights[j, l, k]|^2 + sigma_p^2 ||noise_combiner_j||^2`` of each BS's
+    residual: its other-cell channel terms plus pilot noise, independent of
+    the evaluated cell's channels."""
+    power = np.abs(ctx.weights) ** 2  # (..., N, N, K)
+    n, k = power.shape[-2:]
+    others = np.repeat(np.arange(n) != ctx.eval_cell, k).astype(float)
+    residual = power.reshape(power.shape[:-2] + (n * k,)) @ others
     if ctx.noise_combiner is not None:
-        residual = residual + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=1)
-    return np.concatenate([ctx.weights[:, ctx.eval_cell], np.sqrt(residual)[:, None]], axis=1)
+        residual = residual + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=-1)
+    return power[..., ctx.eval_cell, :], residual
+
+
+def _gram_coefficients(ctx: _TrialContext) -> np.ndarray:
+    """(..., N, K+1) coefficients ``c_j = [weights[j, e, :], s_j]`` of each
+    BS's beam in its Gram basis (see ``_coefficient_powers``)."""
+    _, residual = _coefficient_powers(ctx)
+    return np.concatenate(
+        [ctx.weights[..., ctx.eval_cell, :], np.sqrt(residual)[..., None]], axis=-1
+    )
 
 
 def sinr_from_gram(ctx: _TrialContext, gram: np.ndarray) -> np.ndarray:
-    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1, K+1) Grams.
+    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1, K+1)
+    normalized Grams.
 
-    ``gram[..., j, :, :]`` is ``X_j^H X_j`` for ``X_j = [h_j0, ..., h_j(K-1), r_j / s_j]``:
-    BS j's small-scale channels to the evaluated cell's users and its
-    normalized residual (see ``_gram_coefficients``).  BS j's beam is then
-    ``X_j c_j``, so user k receives ``|(A c)_k|^2 / (c^H A c)`` times
-    ``beta_jk E / M``.  Exact for every scheme, whatever ``gram`` holds.
+    ``gram[..., j, :, :]`` is ``X_j^H X_j / M`` for ``X_j = [h_j0, ...,
+    h_j(K-1), r_j / s_j]``: BS j's small-scale channels to the evaluated
+    cell's users and its normalized residual (see ``_gram_coefficients``).
+    BS j's beam is then ``X_j c_j``, so user k receives ``|(A c)_k|^2 / (c^H A
+    c)`` times ``beta_jk E``.  Exact for every scheme, whatever ``gram``
+    holds; the identity matrix, the limit of ``A`` as M grows, gives the
+    large-antenna SINRs (``_limit_sinrs``).
     """
     c = _gram_coefficients(ctx)
-    k = c.shape[1] - 1
-    ac = (gram @ c[:, :, None])[..., 0]  # (..., N, K+1)
+    k = c.shape[-1] - 1
+    ac = (gram @ c[..., None])[..., 0]  # (..., N, K+1)
     norm = np.sum(c.conj() * ac, axis=-1).real  # (..., N) squared beam norms
     gains = np.abs(ac[..., :k]) ** 2 / norm[..., None]
-    return _user_sinrs(ctx, ctx.bs_power_w / ctx.antennas * ctx.eval_amp**2 * gains)
+    return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
 
 
-def asymptotic_user_sinrs(
-    config: NetworkConfig, scheme: str, beta: np.ndarray
-) -> np.ndarray:
-    """Large-antenna per-user SINRs of the evaluated cell.
-
-    ``beta`` is one (N, N, K) realization or a (..., N, N, K) batch of them;
-    the result has shape (..., K).
-    """
-    own = beta[..., 0, 0, :]
-    e = _single_bs_power(config)
-    sigma2 = noise_power(config.fading)
-    sigma_p2 = pilot_noise_power(config.fading)
-    length = config.pilot_length
-    p_u = config.peak_pilot_power_w
-    every_user = slice(None)
-    if scheme == "perfect-optimal":
-        return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
-    if scheme == "perfect-equal":
-        lam = CombiningWeights.from_xi(np.ones(own.shape), own).lambdas
-        return asymptotic.sinr_perfect_csi(lam, own, e, sigma2)
-    if scheme == "individual-pilot":
-        xis = np.ones(beta.shape[-2:])
-        return asymptotic.sinr_contaminated(
-            beta, xis, e, p_u, length, sigma_p2, sigma2, 0, every_user
-        )
-    if scheme == "composite":
-        return asymptotic.sinr_composite(
-            own, np.full(own.shape, p_u), e, length, sigma_p2, sigma2
-        )
-    if scheme == "composite-power-controlled":
-        value = asymptotic.sinr_composite_optimal(own, p_u, e, length, sigma_p2, sigma2)
-        return np.full(own.shape, np.expand_dims(value, -1))
-    if scheme == "composite-async":
-        _, _, kappas = _async_setup(config)
-        powers = _scheme_pilot_powers(
-            config, np.einsum("...jjk->...jk", beta), config.async_power_control
-        )
-        return asymptotic.sinr_async(
-            beta, powers, kappas, e, length, sigma_p2, sigma2, 0, every_user
-        )
-    raise ConfigError("scheme", f"unknown scheme {scheme!r}")
+def _limit_sinrs(ctx: _TrialContext) -> np.ndarray:
+    """(..., K) large-antenna SINRs: ``sinr_from_gram`` at ``A = I``, where
+    BS j gives user k the share ``|c_jk|^2 / ||c_j||^2`` of its power."""
+    own, residual = _coefficient_powers(ctx)
+    gains = own / (own.sum(axis=-1) + residual)[..., None]
+    return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
 
 
 def _fingerprint(config: NetworkConfig, scheme, num_large, num_small, master_seed):
@@ -384,19 +350,19 @@ def asymptotic_report(
     beta: np.ndarray,
     master_seed: int | None = None,
 ) -> SinrReport:
-    """Closed-form min-SINR statistics of one scheme on a large-scale batch.
+    """Large-antenna min-SINR statistics of one scheme on a large-scale batch.
 
+    The SINRs are the limit of the scheme's batched context (``_limit_sinrs``).
     ``beta`` must be ``large_scale_batch(config, T, master_seed)``; any
     config that differs from it only in powers, pilot settings or scheme
     shares that batch.  The report is the one ``run_experiment`` returns in
     asymptotic mode for the same arguments.
     """
     master_seed = master_seed if master_seed is not None else config.master_seed
-    _check_scheme(config, scheme)
     n, k = config.cells, config.users_per_cell
     if beta.ndim != 4 or beta.shape[1:] != (n, n, k):
         raise ValueError(f"beta batch {beta.shape} does not match {n} cells of {k} users")
-    per_user = asymptotic_user_sinrs(config, scheme, beta)
+    per_user = _limit_sinrs(_build_trial_context(config, scheme, beta))
     bad = np.flatnonzero(~np.all(np.isfinite(per_user), axis=-1))
     if bad.size:
         t = int(bad[0])
@@ -417,9 +383,10 @@ def run_experiment(
     ``num_small`` fast-fading draws in linear scale before conversion to dB.
     Realization t takes all of them from one generator keyed by
     ``child_seed(master_seed, SMALL, t)``: a ``(num_small, N, K+1, K+1)``
-    batch of Gram matrices (``channel.sample_gram``), row s being draw s;
-    in asymptotic mode (``config.antennas is None``) the closed forms need no
-    fast fading and ``num_small`` is ignored: the experiment is
+    batch of Gram matrices (``channel.sample_gram``), row s being draw s,
+    evaluated on row t of one context built on ``large_scale_batch``.  In
+    asymptotic mode (``config.antennas is None``) the limit needs no fast
+    fading and ``num_small`` is ignored: the experiment is
     ``asymptotic_report`` on ``large_scale_batch``.  Seeds for realization t
     depend only on the master seed and t, never on execution order.  A
     non-finite SINR raises ``ArithmeticError`` naming the realization, its
@@ -429,27 +396,23 @@ def run_experiment(
     num_large = num_large if num_large is not None else config.num_large
     num_small = num_small if num_small is not None else config.num_small
     master_seed = master_seed if master_seed is not None else config.master_seed
-    _check_scheme(config, scheme)
     if num_large < 1 or (config.antennas is not None and num_small < 1):
         raise ConfigError("num_large", "trial counts must be at least 1")
 
+    beta = large_scale_batch(config, num_large, master_seed)
     if config.antennas is None:
-        beta = large_scale_batch(config, num_large, master_seed)
         return asymptotic_report(config, scheme, beta, master_seed)
 
-    kappas = None
-    if scheme == "composite-async":
-        _, _, kappas = _async_setup(config)
-    n, k = config.cells, config.users_per_cell
+    ctx = _build_trial_context(config, scheme, beta)
+    m, n, k = config.antennas, config.cells, config.users_per_cell
     samples = np.empty(num_large)
     for t in range(num_large):
-        large_seed = child_seed(master_seed, _LARGE_STREAM, t)
-        ctx = _build_trial_context(config, scheme, large_seed, kappas)
         small_seed = child_seed(master_seed, _SMALL_STREAM, t)
-        grams = sample_gram(make_rng(small_seed), config.antennas, k + 1, (num_small, n))
-        sinr = sinr_from_gram(ctx, grams)
+        grams = sample_gram(make_rng(small_seed), m, k + 1, (num_small, n)) / m
+        sinr = sinr_from_gram(ctx.row(t), grams)
         bad = np.flatnonzero(~np.all(np.isfinite(sinr), axis=-1))
         if bad.size:
+            large_seed = child_seed(master_seed, _LARGE_STREAM, t)
             raise _non_finite(t, large_seed, small_seed, int(bad[0]))
         samples[t] = linear_to_db(sinr.min(axis=-1).mean())
     return _report(config, scheme, samples, num_small, master_seed)

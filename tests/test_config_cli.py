@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multicast_mimo
 from multicast_mimo.cli import main
@@ -119,6 +121,39 @@ class TestParseConfig:
         config = apply_overrides(NetworkConfig(), {"antennas": "asymptotic"})
         assert config.antennas is None
         assert "antennas = asymptotic" in serialize_config(config)
+
+    @pytest.mark.parametrize("key", ["output_dir", "scheme"])
+    @pytest.mark.parametrize("value", ["runs#2", "runs\n2", "runs\r2", "runs\u20282"])
+    def test_text_that_would_not_round_trip_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(NetworkConfig(), {key: value})
+        assert err.value.key == key
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        output_dir=st.one_of(st.text(), st.text(alphabet="r/ #=\t\n\r\u2028")),
+        e_dbw=st.lists(st.floats(-100, 100), min_size=1, max_size=3),
+        p_u_dbw=st.floats(allow_nan=False, allow_infinity=False),
+        shadow_sigma_db=st.floats(0, 20),
+        antennas=st.one_of(st.none(), st.integers(1, 10**6)),
+        master_seed=st.integers(0, 2**63),
+    )
+    def test_valid_configs_round_trip(
+        self, output_dir, e_dbw, p_u_dbw, shadow_sigma_db, antennas, master_seed
+    ):
+        pairs = {
+            "output_dir": output_dir,
+            "E_dbw": ",".join(repr(e) for e in e_dbw),
+            "p_u_dbw": repr(p_u_dbw),
+            "shadow_sigma_db": repr(shadow_sigma_db),
+            "antennas": "asymptotic" if antennas is None else str(antennas),
+            "master_seed": str(master_seed),
+        }
+        try:
+            config = apply_overrides(NetworkConfig(), pairs)
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(config)) == config
 
 
 class TestEmitCsv:

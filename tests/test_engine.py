@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +27,6 @@ from multicast_mimo.channel import (
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
     asymptotic_report,
-    asymptotic_user_sinrs,
     downlink_sinr,
     empirical_cdf,
     large_scale_batch,
@@ -203,12 +202,18 @@ def route_gram(config, scheme, ctx, cs, directions):
     return gram_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
 
 
-def fading_draw(ctx, small_seed):
-    """Explicit fast fading of one draw: the (N, N, K, M) small-scale tensor,
-    then each BS's (M, L) pilot noise block in cell order, combined by its
-    estimator into an (N, M) array (None for perfect CSI)."""
+def trial_context(config, scheme, large_seed):
+    """The engine's context of ``scheme`` on one large-scale realization."""
+    _, _, beta = engine._large_scale_for_trial(config, large_seed)
+    return engine._build_trial_context(config, scheme, beta)
+
+
+def fading_draw(ctx, m, small_seed):
+    """Explicit fast fading of one M-antenna draw: the (N, N, K, M)
+    small-scale tensor, then each BS's (M, L) pilot noise block in cell
+    order, combined by its estimator into an (N, M) array (None for perfect
+    CSI)."""
     n, _, k = ctx.weights.shape
-    m = ctx.antennas
     rng = make_rng(small_seed)
     h = complex_gaussian(rng, (n, n, k, m))
     if ctx.noise_combiner is None:
@@ -218,10 +223,10 @@ def fading_draw(ctx, small_seed):
     return h, np.stack(noise)
 
 
-def explicit_gram(ctx, small_seed):
+def explicit_gram(ctx, m, small_seed):
     """(N, K+1, K+1) Gram matrices of one explicit ``fading_draw``: per BS,
     its channels to the evaluated cell's users and its residual over s_j."""
-    h, noise = fading_draw(ctx, small_seed)
+    h, noise = fading_draw(ctx, m, small_seed)
     n = h.shape[0]
     others = np.arange(n) != ctx.eval_cell
     residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
@@ -231,10 +236,6 @@ def explicit_gram(ctx, small_seed):
 
 
 class TestReferenceRoute:
-    def test_requires_finite_antennas(self):
-        with pytest.raises(ConfigError):
-            engine._build_trial_context(NetworkConfig(antennas=None), "perfect-optimal", 1)
-
     def test_single_user_single_cell_near_asymptote(self):
         config = NetworkConfig(cells=1, users_per_cell=1, antennas=10_000, E_dbw=(10.0,))
         _, _, beta = engine._large_scale_for_trial(config, 3)
@@ -272,10 +273,11 @@ class TestGramRoute:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reproduces_the_public_route_on_its_vectors(self, scheme, antennas):
         config = gram_route_config(antennas)
-        ctx = engine._build_trial_context(config, scheme, 11)
+        ctx = trial_context(config, scheme, 11)
         for small_seed in (21, 22, 23):
             expected, cs, directions = public_route(config, scheme, 11, small_seed)
-            got = sinr_from_gram(ctx, route_gram(config, scheme, ctx, cs, directions))
+            gram = route_gram(config, scheme, ctx, cs, directions) / antennas
+            got = sinr_from_gram(ctx, gram)
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -283,8 +285,8 @@ class TestGramRoute:
         # s_j must be the residual's standard deviation, or the sampled
         # Gram matrices would not have the explicit draws' distribution
         m = 20_000
-        ctx = engine._build_trial_context(gram_route_config(m), scheme, 11)
-        gram = explicit_gram(ctx, 31)
+        ctx = trial_context(gram_route_config(m), scheme, 11)
+        gram = explicit_gram(ctx, m, 31)
         has_residual = engine._gram_coefficients(ctx)[:, -1].real > 0
         power = gram[has_residual, -1, -1].real / m
         assert np.all(np.abs(power - 1.0) <= 5.0 / np.sqrt(m))
@@ -292,11 +294,12 @@ class TestGramRoute:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_draws_match_explicit_draws_in_distribution(self, scheme):
         draws = 3_000
-        ctx = engine._build_trial_context(gram_route_config(16), scheme, 11)
-        grams = np.stack([explicit_gram(ctx, 40_000 + s) for s in range(draws)])
-        explicit = sinr_from_gram(ctx, grams)
-        sampled = sinr_from_gram(ctx, sample_gram(make_rng(41), 16, 5, (draws, 3)))
+        ctx = trial_context(gram_route_config(16), scheme, 11)
+        grams = np.stack([explicit_gram(ctx, 16, 40_000 + s) for s in range(draws)])
+        explicit = sinr_from_gram(ctx, grams / 16)
+        sampled = sinr_from_gram(ctx, sample_gram(make_rng(41), 16, 5, (draws, 3)) / 16)
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
+
     @settings(max_examples=60, deadline=None)
     @given(
         scheme=st.sampled_from(SCHEMES),
@@ -306,10 +309,10 @@ class TestGramRoute:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_beam_scale_does_not_change_the_sinrs(self, scheme, bs, modulus, phase, seed):
-        ctx = engine._build_trial_context(gram_route_config(16), scheme, 7)
-        grams = sample_gram(make_rng(seed), 16, 5, (3,))
+        ctx = trial_context(gram_route_config(16), scheme, 7)
+        grams = sample_gram(make_rng(seed), 16, 5, (3,)) / 16
         expected = sinr_from_gram(ctx, grams)
-        scaled = engine._gram_coefficients(ctx)
+        scaled = engine._gram_coefficients(ctx).astype(complex)
         scaled[bs] *= modulus * np.exp(1j * phase)
         with mock.patch.object(engine, "_gram_coefficients", return_value=scaled):
             got = sinr_from_gram(ctx, grams)
@@ -382,8 +385,8 @@ class TestRunExperiment:
         for t in range(2):
             large_seed = engine.child_seed(config.master_seed, engine._LARGE_STREAM, t)
             small_seed = engine.child_seed(config.master_seed, engine._SMALL_STREAM, t)
-            ctx = engine._build_trial_context(config, "composite", large_seed)
-            grams = sample_gram(make_rng(small_seed), 16, p, (3, config.cells))
+            ctx = trial_context(config, "composite", large_seed)
+            grams = sample_gram(make_rng(small_seed), 16, p, (3, config.cells)) / 16
             acc = sum(sinr_from_gram(ctx, grams[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
@@ -471,16 +474,39 @@ class TestAsymptoticBatch:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_batched_sinrs_equal_scalar_closed_forms(self, scheme):
+        # the engine's limit is held to the paper's closed forms, which the
+        # acceptance criteria test
         config = async_config(num_large=5, master_seed=4)
         beta = large_scale_batch(config)
-        _, _, kappas = engine._async_setup(config)
-        batched = asymptotic_user_sinrs(config, scheme, beta)
+        kappas = engine._async_kappas(config)
+        batched = engine._limit_sinrs(engine._build_trial_context(config, scheme, beta))
         assert batched.shape == (5, config.users_per_cell)
         for t in range(5):
             expected = scalar_closed_forms(config, scheme, beta[t], kappas)
             assert np.allclose(batched[t], expected, rtol=1e-12, atol=0)
-            single = asymptotic_user_sinrs(config, scheme, beta[t])
+            single = engine._limit_sinrs(engine._build_trial_context(config, scheme, beta[t]))
             assert np.allclose(single, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_context_rows_are_the_per_realization_contexts(self, scheme):
+        config = async_config(num_large=4, master_seed=8)
+        beta = large_scale_batch(config)
+        batched = engine._build_trial_context(config, scheme, beta)
+        for t in range(4):
+            row, single = batched.row(t), engine._build_trial_context(config, scheme, beta[t])
+            for field in fields(single):
+                got, want = getattr(row, field.name), getattr(single, field.name)
+                assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
+                assert np.array_equal(got, want), field.name
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_limit_is_the_gram_route_at_the_identity(self, scheme):
+        config = async_config(num_large=5, master_seed=4)
+        ctx = engine._build_trial_context(config, scheme, large_scale_batch(config))
+        identity = np.eye(config.users_per_cell + 1)
+        assert np.allclose(
+            engine._limit_sinrs(ctx), sinr_from_gram(ctx, identity), rtol=1e-12, atol=0
+        )
 
     def test_report_equals_run_experiment(self):
         config = async_config(num_large=7, master_seed=3)
@@ -499,14 +525,14 @@ class TestAsymptoticBatch:
 
 class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
-        original = asymptotic.sinr_composite
+        original = engine._limit_sinrs
 
-        def nan_in_row_2(*args, **kwargs):
-            out = original(*args, **kwargs).copy()
+        def nan_in_row_2(ctx):
+            out = original(ctx)
             out[2, 1] = np.nan
             return out
 
-        monkeypatch.setattr(asymptotic, "sinr_composite", nan_in_row_2)
+        monkeypatch.setattr(engine, "_limit_sinrs", nan_in_row_2)
         config = NetworkConfig(num_large=4, master_seed=5)
         seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
         with pytest.raises(ArithmeticError, match=rf"realization 2 \(large seed {seed}\)"):

@@ -9,7 +9,7 @@ asynchronous pilot arrival, and a seeded finite-antenna Monte Carlo engine.
 
 # The package's only version literal; set before the submodule imports so
 # that they can read it.  A change to any random stream bumps it.
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from .channel import ChannelState, FadingConfig

@@ -3,7 +3,10 @@
 The channel vector from base station i to user k of cell j is
 ``g[i,j,k] = sqrt(beta[i,j,k]) * h[i,j,k]`` with ``beta`` the slowly varying
 power gain (path loss, shadowing, penetration) and ``h`` an i.i.d. circularly
-symmetric complex Gaussian vector with unit per-entry variance.
+symmetric complex Gaussian vector with unit per-entry variance.  The
+finite-antenna fast path does not draw ``h``: per BS it draws the normalized
+amplitudes that its unit beam delivers along each channel
+(``sample_beam_amplitudes``).
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision.
@@ -64,29 +67,26 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def sample_gram(rng: np.random.Generator, m: int, p: int, shape=()) -> np.ndarray:
-    """``(*shape, p, p)`` independent draws of the complex Wishart CW_p(m, I).
+def sample_beam_amplitudes(
+    rng: np.random.Generator, m: int, u: np.ndarray, count: int
+) -> np.ndarray:
+    """``(count, *u.shape)`` normalized amplitudes of unit beams, one draw per row.
 
-    Each draw is distributed as ``X^H X`` for an m x p matrix ``X`` of i.i.d.
-    CN(0, 1) entries: the Gram matrix of p independent m-antenna fading
-    vectors.  For m >= p it is built from the Bartlett decomposition
-    ``A = L L^H`` (Goodman 1963): ``L`` is lower triangular with CN(0, 1)
-    entries below the diagonal, drawn first, and real diagonal entries with
-    ``L_ii^2 ~ Gamma(m - i, 1)``, drawn second, so the cost does not grow
-    with m.  For m < p the Gram matrix is singular and ``X`` itself is drawn.
+    For a unit vector ``u`` of length p on the last axis, a draw is ``t /
+    sqrt(m)`` with ``t = X^H X u / ||X u||`` for an m x p matrix ``X`` of
+    i.i.d. CN(0, 1) entries: entry k is what column k of ``X`` picks up from
+    the unit beam ``X u / ||X u||``.  Because ``X u ~ CN(0, I_m)`` is
+    independent of ``X (I - u u^H)`` (Goodman 1963), ``t = sqrt(g) u + (I - u
+    u^H) z`` with ``g ~ Gamma(m, 1)`` and ``z ~ CN(0, I_p)`` independent, so a
+    draw costs one gamma, drawn first, and p complex normals at any m.  Every
+    vector on the leading axes of ``u`` gets its own draws.
     """
-    if m < 1 or p < 1:
-        raise ValueError(f"need m >= 1 and p >= 1, got m={m}, p={p}")
-    shape = tuple(shape)
-    if m < p:
-        x = complex_gaussian(rng, shape + (m, p))
-        return x.conj().swapaxes(-1, -2) @ x
-    rows, cols = np.tril_indices(p, -1)
-    lower = np.zeros(shape + (p, p), dtype=np.complex128)
-    lower[..., rows, cols] = complex_gaussian(rng, shape + (rows.size,))
-    diag = np.arange(p)
-    lower[..., diag, diag] = np.sqrt(rng.standard_gamma(m - diag, shape + (p,)))
-    return lower @ lower.conj().swapaxes(-1, -2)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    g = rng.standard_gamma(m, (count,) + u.shape[:-1])
+    z = complex_gaussian(rng, (count,) + u.shape)
+    projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
+    return (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
 
 
 @dataclass(frozen=True)

@@ -250,8 +250,10 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("antennas", "must be at least 1 or 'asymptotic'")
     if config.radius_m <= 0:
         raise ConfigError("radius_m", "must be positive")
-    if not 0 <= config.exclusion_m < config.radius_m:
-        raise ConfigError("exclusion_m", "must lie in [0, radius_m)")
+    # A user at the BS has no finite path gain, and the log-distance model
+    # has no floor near it.
+    if not 0 < config.exclusion_m < config.radius_m:
+        raise ConfigError("exclusion_m", "must lie in (0, radius_m)")
     if not config.E_dbw:
         raise ConfigError("E_dbw", "needs at least one value")
     if config.pilot_length < 1:

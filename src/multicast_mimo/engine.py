@@ -3,19 +3,21 @@
 Every scheme's beam at BS j is a linear combination of BS j's channels with
 coefficients that depend only on the large-scale gains.  Both evaluation
 modes share one context holding them (``_build_trial_context``), built once
-per experiment on the (T, N, N, K) batch of large-scale realizations.  With
-finite antennas the evaluated cell's SINRs depend on the fading only through
-inner products: for each BS j, the Gram matrix of its K channels to the
-evaluated cell plus one independent residual (other-cell channels and pilot
-noise).  That (K+1) x (K+1) matrix is complex Wishart, so ``run_experiment``
-samples it directly (``channel.sample_gram``) and evaluates
-``sinr_from_gram``, at a cost that does not grow with the antenna count.
-With ``antennas = None`` no fast fading is drawn: the Gram matrix over M
-tends to the identity, and the large-antenna SINRs are read off the
-coefficients (``_limit_sinrs``), which the tests hold to the closed forms of
-``asymptotic``.  Curves that share a geometry (same cells, users,
-propagation constants, realization count and master seed) can share one
-batch; the result is the same as drawing it per curve.
+per experiment on the (T, N, N, K) batch of large-scale realizations.  In
+the basis of BS j's channels to the evaluated cell's users plus one
+independent residual (other-cell channels and pilot noise), the beam has a
+unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
+SINRs depend on the fast fading only through the beam's normalized
+amplitude along each of those channels.  With finite antennas
+``run_experiment`` draws these amplitudes directly
+(``channel.sample_beam_amplitudes``: one gamma and K+1 normals per BS, at
+any antenna count) and evaluates ``sinr_from_amplitudes``.  With ``antennas
+= None`` no fast fading is drawn: the amplitudes tend to ``u_j`` as M grows,
+and the same evaluator gives the large-antenna SINRs (``_limit_sinrs``),
+which the tests hold to the closed forms of ``asymptotic``.  Curves that
+share a geometry (same cells, users, propagation constants, realization
+count and master seed) can share one batch; the result is the same as
+drawing it per curve.
 
 The explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` ->
 estimator -> ``beamforming`` -> ``downlink_sinr``) is the reference that
@@ -41,7 +43,7 @@ from .channel import (
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_gram,
+    sample_beam_amplitudes,
 )
 from .config import (
     ConfigError,
@@ -104,7 +106,8 @@ def downlink_sinr(
 
     ``beamformers`` holds one unit-norm beam per cell, ``powers`` the per-cell
     transmit powers in Watts.  This is the direct per-user evaluation that
-    ``sinr_from_gram`` must reproduce on the Gram matrices of the same vectors.
+    ``sinr_from_amplitudes`` must reproduce on the amplitudes of the same
+    vectors.
     """
     n = channels.num_cells
     if len(beamformers) != n or len(powers) != n:
@@ -240,56 +243,50 @@ def _user_sinrs(ctx: _TrialContext, received: np.ndarray) -> np.ndarray:
     return signal / (interference + ctx.sigma2)
 
 
-def _coefficient_powers(ctx: _TrialContext):
-    """(..., N, K) powers ``|weights[j, e, k]|^2`` on the evaluated cell e's
-    users and (..., N) variances per antenna ``s_j^2 = sum_{l != e, k}
-    |weights[j, l, k]|^2 + sigma_p^2 ||noise_combiner_j||^2`` of each BS's
-    residual: its other-cell channel terms plus pilot noise, independent of
-    the evaluated cell's channels."""
+def _beam_directions(ctx: _TrialContext) -> np.ndarray:
+    """(..., N, K+1) unit directions ``u_j = c_j / ||c_j||`` of each BS's beam.
+
+    BS j's beam is ``X_j c_j`` for ``X_j = [h_j0, ..., h_j(K-1), r_j / s_j]``:
+    its small-scale channels to the evaluated cell e's users and its residual
+    ``r_j`` (other-cell channel terms plus pilot noise, independent of the
+    evaluated cell's channels) over its standard deviation per antenna ``s_j``.
+    So ``c_j = [weights[j, e, :], s_j]`` with ``s_j^2 = sum_{l != e, k}
+    |weights[j, l, k]|^2 + sigma_p^2 ||noise_combiner_j||^2``, and the columns
+    of ``X_j`` are i.i.d. CN(0, I_M).
+    """
     power = np.abs(ctx.weights) ** 2  # (..., N, N, K)
     n, k = power.shape[-2:]
     others = np.repeat(np.arange(n) != ctx.eval_cell, k).astype(float)
     residual = power.reshape(power.shape[:-2] + (n * k,)) @ others
     if ctx.noise_combiner is not None:
         residual = residual + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=-1)
-    return power[..., ctx.eval_cell, :], residual
-
-
-def _gram_coefficients(ctx: _TrialContext) -> np.ndarray:
-    """(..., N, K+1) coefficients ``c_j = [weights[j, e, :], s_j]`` of each
-    BS's beam in its Gram basis (see ``_coefficient_powers``)."""
-    _, residual = _coefficient_powers(ctx)
-    return np.concatenate(
+    c = np.concatenate(
         [ctx.weights[..., ctx.eval_cell, :], np.sqrt(residual)[..., None]], axis=-1
     )
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
-def sinr_from_gram(ctx: _TrialContext, gram: np.ndarray) -> np.ndarray:
-    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1, K+1)
-    normalized Grams.
+def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarray:
+    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1)
+    normalized beam amplitudes.
 
-    ``gram[..., j, :, :]`` is ``X_j^H X_j / M`` for ``X_j = [h_j0, ...,
-    h_j(K-1), r_j / s_j]``: BS j's small-scale channels to the evaluated
-    cell's users and its normalized residual (see ``_gram_coefficients``).
-    BS j's beam is then ``X_j c_j``, so user k receives ``|(A c)_k|^2 / (c^H A
-    c)`` times ``beta_jk E``.  Exact for every scheme, whatever ``gram``
-    holds; the identity matrix, the limit of ``A`` as M grows, gives the
-    large-antenna SINRs (``_limit_sinrs``).
+    ``amplitudes[..., j, k]`` is ``X_j^H b_j / sqrt(M)`` at entry k < K for
+    BS j's unit beam ``b_j = X_j u_j / ||X_j u_j||`` (see ``_beam_directions``),
+    so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j.
+    Exact for every scheme, whatever the amplitudes hold:
+    ``channel.sample_beam_amplitudes`` draws them at finite M, and their
+    limit as M grows, ``u_j`` itself, gives the large-antenna SINRs
+    (``_limit_sinrs``).
     """
-    c = _gram_coefficients(ctx)
-    k = c.shape[-1] - 1
-    ac = (gram @ c[..., None])[..., 0]  # (..., N, K+1)
-    norm = np.sum(c.conj() * ac, axis=-1).real  # (..., N) squared beam norms
-    gains = np.abs(ac[..., :k]) ** 2 / norm[..., None]
+    k = amplitudes.shape[-1] - 1
+    gains = np.abs(amplitudes[..., :k]) ** 2
     return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
 
 
 def _limit_sinrs(ctx: _TrialContext) -> np.ndarray:
-    """(..., K) large-antenna SINRs: ``sinr_from_gram`` at ``A = I``, where
-    BS j gives user k the share ``|c_jk|^2 / ||c_j||^2`` of its power."""
-    own, residual = _coefficient_powers(ctx)
-    gains = own / (own.sum(axis=-1) + residual)[..., None]
-    return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
+    """(..., K) large-antenna SINRs: BS j gives user k the share ``|u_jk|^2``
+    of its power."""
+    return sinr_from_amplitudes(ctx, _beam_directions(ctx))
 
 
 def _fingerprint(config: NetworkConfig, scheme, num_large, num_small, master_seed):
@@ -382,8 +379,8 @@ def run_experiment(
     With finite antennas each realization's minimum SINR is averaged over
     ``num_small`` fast-fading draws in linear scale before conversion to dB.
     Realization t takes all of them from one generator keyed by
-    ``child_seed(master_seed, SMALL, t)``: a ``(num_small, N, K+1, K+1)``
-    batch of Gram matrices (``channel.sample_gram``), row s being draw s,
+    ``child_seed(master_seed, SMALL, t)``: a ``(num_small, N, K+1)`` batch of
+    beam amplitudes (``channel.sample_beam_amplitudes``), row s being draw s,
     evaluated on row t of one context built on ``large_scale_batch``.  In
     asymptotic mode (``config.antennas is None``) the limit needs no fast
     fading and ``num_small`` is ignored: the experiment is
@@ -396,20 +393,23 @@ def run_experiment(
     num_large = num_large if num_large is not None else config.num_large
     num_small = num_small if num_small is not None else config.num_small
     master_seed = master_seed if master_seed is not None else config.master_seed
-    if num_large < 1 or (config.antennas is not None and num_small < 1):
+    if num_large < 1:
         raise ConfigError("num_large", "trial counts must be at least 1")
+    if config.antennas is not None and num_small < 1:
+        raise ConfigError("num_small", "trial counts must be at least 1")
 
     beta = large_scale_batch(config, num_large, master_seed)
     if config.antennas is None:
         return asymptotic_report(config, scheme, beta, master_seed)
 
     ctx = _build_trial_context(config, scheme, beta)
-    m, n, k = config.antennas, config.cells, config.users_per_cell
+    directions = _beam_directions(ctx)
     samples = np.empty(num_large)
     for t in range(num_large):
         small_seed = child_seed(master_seed, _SMALL_STREAM, t)
-        grams = sample_gram(make_rng(small_seed), m, k + 1, (num_small, n)) / m
-        sinr = sinr_from_gram(ctx.row(t), grams)
+        rng = make_rng(small_seed)
+        amplitudes = sample_beam_amplitudes(rng, config.antennas, directions[t], num_small)
+        sinr = sinr_from_amplitudes(ctx.row(t), amplitudes)
         bad = np.flatnonzero(~np.all(np.isfinite(sinr), axis=-1))
         if bad.size:
             large_seed = child_seed(master_seed, _LARGE_STREAM, t)

@@ -9,7 +9,7 @@ from multicast_mimo.channel import (
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_gram,
+    sample_beam_amplitudes,
 )
 from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
 from multicast_mimo.seeding import make_rng
@@ -139,70 +139,61 @@ class TestSmallScale:
         assert h.imag.var() == pytest.approx(0.5, rel=0.02)
 
 
-# Gram-sampler checks: significance and bands fixed before the first run.
+# Amplitude-sampler checks: significance and bands fixed before the first run.
 KS_ALPHA = 1e-3  # per two-sample KS test
 MOMENT_SE = 5.0  # standard errors allowed per moment
-GRAM_DRAWS = 20_000
-GRAM_USERS = 3  # p = K + 1 = 4
+AMPLITUDE_DRAWS = 20_000
+AMPLITUDE_USERS = 3  # p = K + 1 = 4
 
 
-def explicit_grams(rng, m, p, count, chunk=2_000):
-    """``count`` Gram matrices X^H X of explicit m x p CN(0, 1) matrices."""
+def unit_direction(p, seed=7):
+    u = complex_gaussian(np.random.default_rng(seed), (p,))
+    return u / np.linalg.norm(u)
+
+
+def explicit_amplitudes(rng, m, u, count, chunk=2_000):
+    """``count`` amplitudes ``X^H X u / ||X u|| / sqrt(m)`` of explicit m x p
+    CN(0, 1) matrices X."""
     out = []
     for start in range(0, count, chunk):
-        x = complex_gaussian(rng, (min(chunk, count - start), m, p))
-        out.append(x.conj().swapaxes(-1, -2) @ x)
+        x = complex_gaussian(rng, (min(chunk, count - start), m, u.size))
+        xu = x @ u
+        t = (x.conj().swapaxes(-1, -2) @ xu[..., None])[..., 0]
+        out.append(t / np.linalg.norm(xu, axis=-1, keepdims=True) / np.sqrt(m))
     return np.concatenate(out)
 
 
-def beam_gains(grams, c):
-    """Per-user gains |(A c)_k|^2 / (c^H A c) of a beam with coefficients c:
-    the per-user SINR of one BS without interference, up to its scale."""
-    ac = grams @ c
-    return np.abs(ac[..., :-1]) ** 2 / np.sum(c.conj() * ac, axis=-1).real[..., None]
+class TestSampleBeamAmplitudes:
+    def test_shape_and_deterministic(self):
+        u = complex_gaussian(np.random.default_rng(1), (2, 3, 4))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        a = sample_beam_amplitudes(np.random.default_rng(1), 16, u, 5)
+        assert a.shape == (5, 2, 3, 4)
+        assert np.array_equal(a, sample_beam_amplitudes(np.random.default_rng(1), 16, u, 5))
 
+    def test_rejects_fewer_than_one_antenna(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                sample_beam_amplitudes(np.random.default_rng(0), m, unit_direction(4), 1)
 
-class TestSampleGram:
-    def test_shape_hermitian_and_deterministic(self):
-        a = sample_gram(np.random.default_rng(1), 16, 4, (2, 3))
-        assert a.shape == (2, 3, 4, 4)
-        assert np.allclose(a, a.conj().swapaxes(-1, -2), rtol=1e-12, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(a) > 0)
-        b = sample_gram(np.random.default_rng(1), 16, 4, (2, 3))
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_rank_below_the_dimension(self, m):
-        a = sample_gram(np.random.default_rng(m), m, 4, (50,))
-        assert np.all(np.linalg.matrix_rank(a, hermitian=True) == m)
-
-    def test_rejects_empty_dimensions(self):
-        with pytest.raises(ValueError):
-            sample_gram(np.random.default_rng(0), 0, 3)
-        with pytest.raises(ValueError):
-            sample_gram(np.random.default_rng(0), 3, 0)
-
-    @pytest.mark.parametrize("m", [1, 2, GRAM_USERS + 1, 16, 300])
+    @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
     def test_moments(self, m):
-        p = GRAM_USERS + 1
-        a = sample_gram(np.random.default_rng(100 + m), m, p, (GRAM_DRAWS,)) / m
-        parts = np.concatenate([a.real, a.imag], axis=-1).reshape(GRAM_DRAWS, -1)
-        target = np.concatenate([np.eye(p), np.zeros((p, p))], axis=-1).ravel()
-        se = parts.std(axis=0) / np.sqrt(GRAM_DRAWS)
-        # E[A] / M = I, entry by entry (the imaginary diagonal is exactly 0)
-        assert np.all(np.abs(parts.mean(axis=0) - target) <= MOMENT_SE * se + 1e-12)
-        # E|A_01|^2 / M = 1
-        cross = np.abs(a[:, 0, 1]) ** 2 * m
-        assert abs(cross.mean() - 1.0) <= MOMENT_SE * cross.std() / np.sqrt(GRAM_DRAWS)
+        # E|t_k|^2 / M = |u_k|^2 + (1 - |u_k|^2) / M, entry by entry
+        u = unit_direction(AMPLITUDE_USERS + 1)
+        a = sample_beam_amplitudes(np.random.default_rng(100 + m), m, u, AMPLITUDE_DRAWS)
+        power = np.abs(a) ** 2
+        target = np.abs(u) ** 2 + (1.0 - np.abs(u) ** 2) / m
+        se = power.std(axis=0) / np.sqrt(AMPLITUDE_DRAWS)
+        assert np.all(np.abs(power.mean(axis=0) - target) <= MOMENT_SE * se)
 
-    @pytest.mark.parametrize("m", [GRAM_USERS + 1, 16, 300])
+    @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
     def test_beam_gains_match_explicit_vectors(self, m):
-        p = GRAM_USERS + 1
-        c = complex_gaussian(np.random.default_rng(7), (p,))
-        sampled = beam_gains(sample_gram(np.random.default_rng(200 + m), m, p, (GRAM_DRAWS,)), c)
-        explicit = beam_gains(explicit_grams(np.random.default_rng(300 + m), m, p, GRAM_DRAWS), c)
+        u = unit_direction(AMPLITUDE_USERS + 1)
+        sampled = sample_beam_amplitudes(np.random.default_rng(200 + m), m, u, AMPLITUDE_DRAWS)
+        explicit = explicit_amplitudes(np.random.default_rng(300 + m), m, u, AMPLITUDE_DRAWS)
+        gains = [np.abs(a[:, :-1]) ** 2 for a in (sampled, explicit)]
         for f in (lambda g: g[:, 0], lambda g: g.min(axis=-1)):
-            assert stats.ks_2samp(f(sampled), f(explicit)).pvalue > KS_ALPHA
+            assert stats.ks_2samp(*(f(g) for g in gains)).pvalue > KS_ALPHA
 
 
 class TestNoisePower:

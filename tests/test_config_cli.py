@@ -95,6 +95,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("cells = 4")
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_exclusion_disk_must_be_positive(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"exclusion_m = {value}")
+        assert err.value.key == "exclusion_m"
+        assert parse_config("exclusion_m = 0.5").exclusion_m == 0.5
+
     def test_round_trip_defaults(self):
         config = NetworkConfig()
         assert parse_config(serialize_config(config)) == config
@@ -322,6 +329,12 @@ class TestCli:
         assert code == 1
         assert "cells" in capsys.readouterr().err
 
+    def test_zero_exclusion_disk_returns_one(self, tmp_path, capsys):
+        code = main(["fig2-cdf-perfect", "--set", "exclusion_m=0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "'exclusion_m'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_end_to_end_run_and_rerun(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
         code = main(
@@ -393,19 +406,29 @@ class TestPackage:
             assert hasattr(multicast_mimo, name), name
 
     def test_test_extras_cover_the_suite_imports(self):
+        # and the package itself imports only its runtime dependencies, so a
+        # test-only package such as scipy cannot become one unnoticed
         tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
         project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-        declared = {
-            re.split(r"[<>=!~ \[]", requirement)[0]
-            for requirement in project["dependencies"] + project["optional-dependencies"]["test"]
-        }
-        local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"multicast_mimo"}
-        imported = set()
-        for path in (ROOT / "tests").glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    imported |= {alias.name.split(".")[0] for alias in node.names}
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module.split(".")[0])
-        third_party = imported - set(sys.stdlib_module_names) - local
-        assert third_party <= declared
+
+        def names(requirements):
+            return {re.split(r"[<>=!~ \[]", requirement)[0] for requirement in requirements}
+
+        def third_party(paths, local):
+            imported = set()
+            for path in paths:
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        imported |= {alias.name.split(".")[0] for alias in node.names}
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module.split(".")[0])
+            return imported - set(sys.stdlib_module_names) - local
+
+        runtime = names(project["dependencies"])
+        declared = runtime | names(project["optional-dependencies"]["test"])
+        tests = list((ROOT / "tests").glob("*.py"))
+        local = {path.stem for path in tests} | {"multicast_mimo"}
+        assert third_party(tests, local) <= declared
+        package = list((ROOT / "src" / "multicast_mimo").glob("*.py"))
+        assert package
+        assert third_party(package, {"multicast_mimo"}) <= runtime

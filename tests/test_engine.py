@@ -1,5 +1,4 @@
 from dataclasses import fields, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from multicast_mimo.channel import (
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_gram,
+    sample_beam_amplitudes,
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
@@ -31,7 +30,7 @@ from multicast_mimo.engine import (
     empirical_cdf,
     large_scale_batch,
     run_experiment,
-    sinr_from_gram,
+    sinr_from_amplitudes,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import (
@@ -181,25 +180,38 @@ def public_route(config, scheme, large_seed, small_seed):
     return sinrs, cs, directions
 
 
-def gram_of(ctx, channels, residual):
-    """(N, K+1, K+1) Gram matrices of ``X_j = [channels[j], residual[j] / s_j]``:
-    per BS, its (K, M) small-scale channels to the evaluated cell's users and
-    its (M,) residual over s_j (a zero column where s_j = 0)."""
-    s = engine._gram_coefficients(ctx)[:, -1:].real
+def residual_scale(ctx):
+    """(..., N) standard deviation per antenna s_j of each BS's residual: its
+    other-cell channel terms and its combined pilot noise."""
+    others = np.arange(ctx.weights.shape[-3]) != ctx.eval_cell
+    variance = np.sum(np.abs(ctx.weights[..., others, :]) ** 2, axis=(-2, -1))
+    if ctx.noise_combiner is not None:
+        variance = variance + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=-1)
+    return np.sqrt(variance)
+
+
+def amplitudes_of(ctx, channels, residual):
+    """(N, K+1) amplitudes ``X_j^H X_j u_j / ||X_j u_j|| / sqrt(M)`` of
+    ``X_j = [channels[j], residual[j] / s_j]``: per BS, its (K, M) small-scale
+    channels to the evaluated cell's users and its (M,) residual over s_j (a
+    zero column where s_j = 0), under the engine's beam direction u_j."""
+    s = residual_scale(ctx)[:, None]
     column = np.divide(residual, s, out=np.zeros_like(residual), where=s > 0)
     x = np.concatenate([channels, column[:, None]], axis=1)  # (N, K+1, M)
-    return x.conj() @ x.swapaxes(-1, -2)
+    xu = np.einsum("jpm,jp->jm", x, engine._beam_directions(ctx))
+    t = np.einsum("jpm,jm->jp", x.conj(), xu) / np.linalg.norm(xu, axis=-1, keepdims=True)
+    return t / np.sqrt(x.shape[-1])
 
 
-def route_gram(config, scheme, ctx, cs, directions):
-    """(N, K+1, K+1) Gram matrices of the public route's vectors: per BS, its
+def route_amplitudes(config, scheme, ctx, cs, directions):
+    """(N, K+1) amplitudes of the public route's vectors: per BS, its
     small-scale channels to cell 0's users and the rest of its beam direction
     over s_j.  The rest is what the same route gives minus what it gives with
     noiseless pilots and every other cell's channels set to zero."""
     own = cs.h.copy()
     own[:, 1:] = 0
     evaluated = route_directions(config, scheme, ChannelState(beta=cs.beta, h=own), 0.0, None)
-    return gram_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
+    return amplitudes_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
 
 
 def trial_context(config, scheme, large_seed):
@@ -223,16 +235,20 @@ def fading_draw(ctx, m, small_seed):
     return h, np.stack(noise)
 
 
-def explicit_gram(ctx, m, small_seed):
-    """(N, K+1, K+1) Gram matrices of one explicit ``fading_draw``: per BS,
-    its channels to the evaluated cell's users and its residual over s_j."""
+def explicit_residual(ctx, m, small_seed):
+    """One explicit ``fading_draw`` split per BS into its (N, K, M) channels
+    to the evaluated cell's users and its (N, M) residual."""
     h, noise = fading_draw(ctx, m, small_seed)
-    n = h.shape[0]
-    others = np.arange(n) != ctx.eval_cell
+    others = np.arange(h.shape[0]) != ctx.eval_cell
     residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
     if noise is not None:
         residual = residual + noise
-    return gram_of(ctx, h[:, ctx.eval_cell], residual)
+    return h[:, ctx.eval_cell], residual
+
+
+def explicit_amplitudes(ctx, m, small_seed):
+    """(N, K+1) amplitudes of one explicit ``fading_draw``."""
+    return amplitudes_of(ctx, *explicit_residual(ctx, m, small_seed))
 
 
 class TestReferenceRoute:
@@ -269,6 +285,10 @@ def gram_route_config(antennas):
 
 
 class TestGramRoute:
+    """The amplitude route against amplitudes built from explicit vectors X:
+    their Gram matrix applied to the beam direction, ``X^H X u / ||X u|| /
+    sqrt(M)``."""
+
     @pytest.mark.parametrize("antennas", [1, 4, 5, 16, 100])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reproduces_the_public_route_on_its_vectors(self, scheme, antennas):
@@ -276,28 +296,29 @@ class TestGramRoute:
         ctx = trial_context(config, scheme, 11)
         for small_seed in (21, 22, 23):
             expected, cs, directions = public_route(config, scheme, 11, small_seed)
-            gram = route_gram(config, scheme, ctx, cs, directions) / antennas
-            got = sinr_from_gram(ctx, gram)
+            got = sinr_from_amplitudes(ctx, route_amplitudes(config, scheme, ctx, cs, directions))
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_residual_column_has_unit_variance(self, scheme):
         # s_j must be the residual's standard deviation, or the sampled
-        # Gram matrices would not have the explicit draws' distribution
+        # amplitudes would not have the explicit draws' distribution
         m = 20_000
         ctx = trial_context(gram_route_config(m), scheme, 11)
-        gram = explicit_gram(ctx, m, 31)
-        has_residual = engine._gram_coefficients(ctx)[:, -1].real > 0
-        power = gram[has_residual, -1, -1].real / m
+        _, residual = explicit_residual(ctx, m, 31)
+        s = residual_scale(ctx)
+        has_residual = s > 0
+        power = np.sum(np.abs(residual[has_residual]) ** 2, axis=-1) / s[has_residual] ** 2 / m
         assert np.all(np.abs(power - 1.0) <= 5.0 / np.sqrt(m))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_draws_match_explicit_draws_in_distribution(self, scheme):
         draws = 3_000
         ctx = trial_context(gram_route_config(16), scheme, 11)
-        grams = np.stack([explicit_gram(ctx, 16, 40_000 + s) for s in range(draws)])
-        explicit = sinr_from_gram(ctx, grams / 16)
-        sampled = sinr_from_gram(ctx, sample_gram(make_rng(41), 16, 5, (draws, 3)) / 16)
+        amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
+        explicit = sinr_from_amplitudes(ctx, amplitudes)
+        directions = engine._beam_directions(ctx)
+        sampled = sinr_from_amplitudes(ctx, sample_beam_amplitudes(make_rng(41), 16, directions, draws))
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
     @settings(max_examples=60, deadline=None)
@@ -309,13 +330,19 @@ class TestGramRoute:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_beam_scale_does_not_change_the_sinrs(self, scheme, bs, modulus, phase, seed):
+        # scaling BS bs's whole beam (every channel term and its pilot noise)
+        # by a complex number scales its coefficients c_j, not its direction
         ctx = trial_context(gram_route_config(16), scheme, 7)
-        grams = sample_gram(make_rng(seed), 16, 5, (3,)) / 16
-        expected = sinr_from_gram(ctx, grams)
-        scaled = engine._gram_coefficients(ctx).astype(complex)
-        scaled[bs] *= modulus * np.exp(1j * phase)
-        with mock.patch.object(engine, "_gram_coefficients", return_value=scaled):
-            got = sinr_from_gram(ctx, grams)
+        weights = ctx.weights.astype(complex)
+        weights[bs] *= modulus * np.exp(1j * phase)
+        combiner = ctx.noise_combiner
+        if combiner is not None:
+            combiner = np.array(combiner)
+            combiner[bs] *= modulus * np.exp(1j * phase)
+        scaled = replace(ctx, weights=weights, noise_combiner=combiner)
+        assert np.allclose(engine._limit_sinrs(scaled), engine._limit_sinrs(ctx), rtol=1e-9, atol=0)
+        expected = sinr_from_amplitudes(ctx, explicit_amplitudes(ctx, 16, seed))
+        got = sinr_from_amplitudes(scaled, explicit_amplitudes(scaled, 16, seed))
         assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
 
@@ -381,13 +408,13 @@ class TestRunExperiment:
     def test_finite_mode_averages_linear_minimum_over_draws(self):
         config = NetworkConfig(antennas=16, cells=3, num_large=2, num_small=3)
         report = run_experiment(config, scheme="composite")
-        p = config.users_per_cell + 1
         for t in range(2):
             large_seed = engine.child_seed(config.master_seed, engine._LARGE_STREAM, t)
             small_seed = engine.child_seed(config.master_seed, engine._SMALL_STREAM, t)
             ctx = trial_context(config, "composite", large_seed)
-            grams = sample_gram(make_rng(small_seed), 16, p, (3, config.cells)) / 16
-            acc = sum(sinr_from_gram(ctx, grams[s]).min() for s in range(3))
+            directions = engine._beam_directions(ctx)
+            amplitudes = sample_beam_amplitudes(make_rng(small_seed), 16, directions, 3)
+            acc = sum(sinr_from_amplitudes(ctx, amplitudes[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
             )
@@ -399,8 +426,8 @@ class TestRunExperiment:
         assert np.array_equal(short.samples_db, longer.samples_db[:2])
 
     @pytest.mark.parametrize("antennas", [1, 3, 4])
-    def test_finite_mode_runs_below_and_at_the_wishart_boundary(self, antennas):
-        # K = 3: the Gram matrices are singular for M <= K
+    def test_finite_mode_runs_with_few_antennas(self, antennas):
+        # K = 3: fewer antennas than users, as many, and one more
         config = NetworkConfig(antennas=antennas, cells=3, num_large=3, num_small=5)
         for scheme in ("perfect-optimal", "composite", "individual-pilot"):
             report = run_experiment(config, scheme=scheme)
@@ -409,6 +436,12 @@ class TestRunExperiment:
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(NetworkConfig(antennas=None), num_large=0)
+
+    @pytest.mark.parametrize("key", ["num_large", "num_small"])
+    def test_zero_count_names_its_key(self, key):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(NetworkConfig(antennas=16), **{key: 0})
+        assert err.value.key == key
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
@@ -501,11 +534,18 @@ class TestAsymptoticBatch:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_limit_is_the_gram_route_at_the_identity(self, scheme):
+        # on vectors X whose Gram matrix X^H X / M is the identity, the
+        # amplitudes X^H X u / ||X u|| / sqrt(M) are u, the limit's
         config = async_config(num_large=5, master_seed=4)
         ctx = engine._build_trial_context(config, scheme, large_scale_batch(config))
-        identity = np.eye(config.users_per_cell + 1)
+        u = engine._beam_directions(ctx)
+        m = 8
+        q, _ = np.linalg.qr(complex_gaussian(make_rng(5), u.shape[:-1] + (m, u.shape[-1])))
+        xu = np.sqrt(m) * (q @ u[..., None])
+        amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
+        amplitudes /= np.linalg.norm(xu[..., 0], axis=-1, keepdims=True) * np.sqrt(m)
         assert np.allclose(
-            engine._limit_sinrs(ctx), sinr_from_gram(ctx, identity), rtol=1e-12, atol=0
+            engine._limit_sinrs(ctx), sinr_from_amplitudes(ctx, amplitudes), rtol=1e-12, atol=0
         )
 
     def test_report_equals_run_experiment(self):
@@ -542,17 +582,17 @@ class TestNonFiniteSinr:
         config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
         large = engine.child_seed(6, engine._LARGE_STREAM, 1)
         small = engine.child_seed(6, engine._SMALL_STREAM, 1)
-        original = engine.sinr_from_gram
+        original = engine.sinr_from_amplitudes
         calls = []
 
-        def nan_in_draw_1_of_realization_1(ctx, gram):
-            out = original(ctx, gram)
-            calls.append(gram)
+        def nan_in_draw_1_of_realization_1(ctx, amplitudes):
+            out = original(ctx, amplitudes)
+            calls.append(amplitudes)
             if len(calls) == 2:
                 out[1, 0] = np.nan
             return out
 
-        monkeypatch.setattr(engine, "sinr_from_gram", nan_in_draw_1_of_realization_1)
+        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_draw_1_of_realization_1)
         with pytest.raises(
             ArithmeticError,
             match=rf"realization 1 \(large seed {large}, small seed {small}, draw 1\)",

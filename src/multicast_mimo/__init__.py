@@ -16,7 +16,6 @@ from .channel import ChannelState, FadingConfig
 from .config import SCHEMES, ConfigError, NetworkConfig, parse_config, serialize_config
 from .engine import (
     SinrReport,
-    asymptotic_report,
     downlink_sinr,
     empirical_cdf,
     large_scale_batch,
@@ -44,7 +43,6 @@ __all__ = [
     "SCENARIOS",
     "SCHEMES",
     "SinrReport",
-    "asymptotic_report",
     "beamformer_from_estimate",
     "downlink_sinr",
     "empirical_cdf",

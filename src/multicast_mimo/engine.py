@@ -14,10 +14,17 @@ amplitude along each of those channels.  With finite antennas
 any antenna count) and evaluates ``sinr_from_amplitudes``.  With ``antennas
 = None`` no fast fading is drawn: the amplitudes tend to ``u_j`` as M grows,
 and the same evaluator gives the large-antenna SINRs (``_limit_sinrs``),
-which the tests hold to the closed forms of ``asymptotic``.  Curves that
-share a geometry (same cells, users, propagation constants, realization
-count and master seed) can share one batch; the result is the same as
-drawing it per curve.
+which the tests hold to the closed forms of ``asymptotic``.
+
+The large-scale batch depends only on the geometry: cells, radius, users per
+cell, exclusion radius, propagation constants, realization count and master
+seed.  ``large_scale_batch`` keeps the last few batches it built, read-only,
+so every experiment in a process that shares a geometry (curves of other
+schemes, powers, pilot settings or antenna counts) evaluates the same batch
+without drawing it again; the result is the same as drawing it per curve.
+At finite M the draws of a block of realizations are stacked and evaluated
+at once; each realization still draws from its own generator, so block
+edges change no result.
 
 The explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` ->
 estimator -> ``beamforming`` -> ``downlink_sinr``) is the reference that
@@ -28,6 +35,7 @@ so any realization is reproducible in isolation and results do not depend on
 execution order.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -49,6 +57,7 @@ from .config import (
     ConfigError,
     NetworkConfig,
     serialize_config,
+    validate_config,
     validate_scheme_requirements,
 )
 from .geometry import build_hex_layout, drop_users
@@ -66,6 +75,14 @@ from .units import linear_to_db
 _POSITIONS_STREAM = 1
 _LARGE_STREAM = 2
 _SMALL_STREAM = 3
+
+# Large-scale batches kept per process: the fig2 preset draws two geometries.
+_BATCH_CACHE_SIZE = 2
+
+# Complex beam amplitudes evaluated at once on the finite-M path: whole
+# realizations of ``num_small`` draws, at least one.  Bounds the working set
+# whatever the trial counts.
+_BLOCK_AMPLITUDES = 2**14
 
 
 @dataclass(frozen=True)
@@ -127,8 +144,9 @@ class _TrialContext:
 
     BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise
     combined by ``noise_combiner[j]``, where h_jlk is the small-scale channel
-    of user (l, k).  Leading axes of ``weights`` and ``eval_amp`` are
-    realization axes.  Nothing here depends on the antenna count.
+    of user (l, k).  Leading axes of ``weights`` and ``eval_amp`` are batch
+    axes: realizations, and a length-one draw axis when a block of finite-M
+    draws is evaluated.  Nothing here depends on the antenna count.
     """
 
     weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
@@ -138,10 +156,6 @@ class _TrialContext:
     sigma2: float
     sigma_p2: float
     eval_cell: int
-
-    def row(self, t: int) -> "_TrialContext":
-        """Realization t of a batched context."""
-        return replace(self, weights=self.weights[t], eval_amp=self.eval_amp[t])
 
 
 def _single_bs_power(config: NetworkConfig) -> float:
@@ -323,48 +337,56 @@ def _non_finite(
 def large_scale_batch(
     config: NetworkConfig, num_large: int | None = None, master_seed: int | None = None
 ) -> np.ndarray:
-    """Gains of realizations 0..T-1 stacked into a (T, N, N, K) batch.
+    """Gains of realizations 0..T-1 stacked into a read-only (T, N, N, K) batch.
 
     Row t is the realization keyed by ``child_seed(master_seed, LARGE, t)``,
     drawn exactly as a single trial draws it, so no row depends on another.
-    ``num_large`` and ``master_seed`` default to the config's values.
+    ``num_large`` and ``master_seed`` default to the config's values.  Only
+    the geometry fields of ``config`` enter, and the process keeps the last
+    ``_BATCH_CACHE_SIZE`` batches: a config that differs only in powers,
+    pilot settings, scheme or antennas gets the same array back.
     """
     num_large = num_large if num_large is not None else config.num_large
     master_seed = master_seed if master_seed is not None else config.master_seed
     if num_large < 1:
         raise ConfigError("num_large", "trial counts must be at least 1")
-    return np.stack(
-        [
-            _large_scale_for_trial(config, child_seed(master_seed, _LARGE_STREAM, t))[2]
-            for t in range(num_large)
-        ]
+    return _cached_batch(
+        config.cells,
+        config.radius_m,
+        config.users_per_cell,
+        config.exclusion_m,
+        config.fading,
+        num_large,
+        master_seed,
     )
 
 
-def asymptotic_report(
-    config: NetworkConfig,
-    scheme: str,
-    beta: np.ndarray,
-    master_seed: int | None = None,
-) -> SinrReport:
-    """Large-antenna min-SINR statistics of one scheme on a large-scale batch.
+@functools.lru_cache(maxsize=_BATCH_CACHE_SIZE)
+def _cached_batch(
+    cells, radius_m, users_per_cell, exclusion_m, fading, num_large, master_seed
+) -> np.ndarray:
+    geometry = NetworkConfig(
+        cells=cells,
+        radius_m=radius_m,
+        users_per_cell=users_per_cell,
+        exclusion_m=exclusion_m,
+        fading=fading,
+    )
+    beta = np.stack(
+        [
+            _large_scale_for_trial(geometry, child_seed(master_seed, _LARGE_STREAM, t))[2]
+            for t in range(num_large)
+        ]
+    )
+    beta.flags.writeable = False
+    return beta
 
-    The SINRs are the limit of the scheme's batched context (``_limit_sinrs``).
-    ``beta`` must be ``large_scale_batch(config, T, master_seed)``; any
-    config that differs from it only in powers, pilot settings or scheme
-    shares that batch.  The report is the one ``run_experiment`` returns in
-    asymptotic mode for the same arguments.
-    """
-    master_seed = master_seed if master_seed is not None else config.master_seed
-    n, k = config.cells, config.users_per_cell
-    if beta.ndim != 4 or beta.shape[1:] != (n, n, k):
-        raise ValueError(f"beta batch {beta.shape} does not match {n} cells of {k} users")
-    per_user = _limit_sinrs(_build_trial_context(config, scheme, beta))
-    bad = np.flatnonzero(~np.all(np.isfinite(per_user), axis=-1))
-    if bad.size:
-        t = int(bad[0])
-        raise _non_finite(t, child_seed(master_seed, _LARGE_STREAM, t))
-    return _report(config, scheme, linear_to_db(per_user.min(axis=-1)), None, master_seed)
+
+def _first_non_finite(sinr: np.ndarray):
+    """Index of the first user-SINR row holding a non-finite value, in C
+    order over the leading axes, or None."""
+    bad = np.argwhere(~np.all(np.isfinite(sinr), axis=-1))
+    return tuple(int(i) for i in bad[0]) if bad.size else None
 
 
 def run_experiment(
@@ -376,43 +398,76 @@ def run_experiment(
 ) -> SinrReport:
     """Aggregate min-SINR statistics over independent large-scale realizations.
 
-    With finite antennas each realization's minimum SINR is averaged over
-    ``num_small`` fast-fading draws in linear scale before conversion to dB.
-    Realization t takes all of them from one generator keyed by
-    ``child_seed(master_seed, SMALL, t)``: a ``(num_small, N, K+1)`` batch of
-    beam amplitudes (``channel.sample_beam_amplitudes``), row s being draw s,
-    evaluated on row t of one context built on ``large_scale_batch``.  In
-    asymptotic mode (``config.antennas is None``) the limit needs no fast
-    fading and ``num_small`` is ignored: the experiment is
-    ``asymptotic_report`` on ``large_scale_batch``.  Seeds for realization t
-    depend only on the master seed and t, never on execution order.  A
-    non-finite SINR raises ``ArithmeticError`` naming the realization, its
-    seeds and the draw.
+    The config, with the call's scheme, counts and seed applied, is validated
+    first.  Both modes evaluate one context built on ``large_scale_batch``.
+    In asymptotic mode (``config.antennas is None``) the SINRs are its limit
+    (``_limit_sinrs``): no fast fading is drawn and ``num_small`` only counts
+    towards validation.  With finite antennas each realization's minimum
+    SINR is averaged over ``num_small`` fast-fading draws in linear scale
+    before conversion to dB.  Realization t takes all of them from one
+    generator keyed by ``child_seed(master_seed, SMALL, t)``: a
+    ``(num_small, N, K+1)`` batch of beam amplitudes
+    (``channel.sample_beam_amplitudes``), row s being draw s.  The draws of
+    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations are stacked
+    and evaluated together.  Seeds for realization t depend only on the
+    master seed and t, never on execution order.  A non-finite SINR raises
+    ``ArithmeticError`` naming the first bad realization, its seeds and, at
+    finite M, the draw.
     """
     scheme = scheme if scheme is not None else config.scheme
     num_large = num_large if num_large is not None else config.num_large
     num_small = num_small if num_small is not None else config.num_small
     master_seed = master_seed if master_seed is not None else config.master_seed
-    if num_large < 1:
-        raise ConfigError("num_large", "trial counts must be at least 1")
-    if config.antennas is not None and num_small < 1:
-        raise ConfigError("num_small", "trial counts must be at least 1")
+    validate_config(
+        replace(
+            config,
+            scheme=scheme,
+            num_large=num_large,
+            num_small=num_small,
+            master_seed=master_seed,
+        )
+    )
 
-    beta = large_scale_batch(config, num_large, master_seed)
+    ctx = _build_trial_context(
+        config, scheme, large_scale_batch(config, num_large, master_seed)
+    )
     if config.antennas is None:
-        return asymptotic_report(config, scheme, beta, master_seed)
+        per_user = _limit_sinrs(ctx)
+        bad = _first_non_finite(per_user)
+        if bad is not None:
+            (t,) = bad
+            raise _non_finite(t, child_seed(master_seed, _LARGE_STREAM, t))
+        samples = linear_to_db(per_user.min(axis=-1))
+        return _report(config, scheme, samples, None, master_seed)
 
-    ctx = _build_trial_context(config, scheme, beta)
     directions = _beam_directions(ctx)
+    block = max(1, _BLOCK_AMPLITUDES // (num_small * directions[0].size))
     samples = np.empty(num_large)
-    for t in range(num_large):
-        small_seed = child_seed(master_seed, _SMALL_STREAM, t)
-        rng = make_rng(small_seed)
-        amplitudes = sample_beam_amplitudes(rng, config.antennas, directions[t], num_small)
-        sinr = sinr_from_amplitudes(ctx.row(t), amplitudes)
-        bad = np.flatnonzero(~np.all(np.isfinite(sinr), axis=-1))
-        if bad.size:
-            large_seed = child_seed(master_seed, _LARGE_STREAM, t)
-            raise _non_finite(t, large_seed, small_seed, int(bad[0]))
-        samples[t] = linear_to_db(sinr.min(axis=-1).mean())
+    for lo in range(0, num_large, block):
+        hi = min(lo + block, num_large)
+        amplitudes = np.stack(
+            [
+                sample_beam_amplitudes(
+                    make_rng(child_seed(master_seed, _SMALL_STREAM, t)),
+                    config.antennas,
+                    directions[t],
+                    num_small,
+                )
+                for t in range(lo, hi)
+            ]
+        )  # (hi - lo, num_small, N, K+1)
+        drawn = replace(
+            ctx, weights=ctx.weights[lo:hi, None], eval_amp=ctx.eval_amp[lo:hi, None]
+        )
+        sinr = sinr_from_amplitudes(drawn, amplitudes)
+        bad = _first_non_finite(sinr)
+        if bad is not None:
+            t, draw = lo + bad[0], bad[1]
+            raise _non_finite(
+                t,
+                child_seed(master_seed, _LARGE_STREAM, t),
+                child_seed(master_seed, _SMALL_STREAM, t),
+                draw,
+            )
+        samples[lo:hi] = linear_to_db(sinr.min(axis=-1).mean(axis=-1))
     return _report(config, scheme, samples, num_small, master_seed)

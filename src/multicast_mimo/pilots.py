@@ -259,21 +259,33 @@ def async_kappas(book: PilotBook, profile: AsyncProfile, cell: int) -> np.ndarra
     """Correlations of each delay-polluted pilot with the receiver's own pilot.
 
     Returns ``kappa[l, k]`` for receiving BS ``cell``: the inner product of
-    the polluted sequence of user (l, k) with the conjugated sequence of cell
-    ``cell``.  In-cell values below one mean scaling loss; nonzero out-of-cell
-    values mean the cross-cell contamination that synchronous orthogonality
-    would have removed.  |kappa| <= 1 always.
+    the polluted sequence of user (l, k) (``polluted_pilot``) with the
+    conjugated sequence of cell ``cell``.  In-cell values below one mean
+    scaling loss; nonzero out-of-cell values mean the cross-cell
+    contamination that synchronous orthogonality would have removed.
+    |kappa| <= 1 always.  All users are evaluated at once: each polluted
+    sequence is read from its cell's sequence padded with ``length`` zeros on
+    both sides, so a shift by ``length`` or more symbols reads only silence.
     """
     if book.assignment != "per-cell":
         raise ValueError("asynchrony analysis requires a per-cell pilot book")
-    n, k_users = profile.delays_s.shape[1], profile.delays_s.shape[2]
-    own = book.sequences[cell].conj()
-    kappa = np.empty((n, k_users), dtype=complex)
-    for l in range(n):
-        for k in range(k_users):
-            offset, shift = profile.offset_and_shift(cell, l, k)
-            polluted = polluted_pilot(
-                book.sequences[l], offset, shift, profile.symbol_duration_s
-            )
-            kappa[l, k] = polluted @ own
-    return kappa
+    n = profile.delays_s.shape[1]
+    length = book.length
+    symbol = profile.symbol_duration_s
+    shift, offset = np.divmod(
+        profile.delays_s[cell] - profile.reference_delays_s[cell], symbol
+    )  # (N, K) each
+    # the two pulse correlations of polluted_pilot, as it computes them
+    rho_a = (symbol - offset) / symbol
+    rho_b = (symbol - (symbol - offset)) / symbol
+    padded = np.zeros((n, 3 * length), dtype=complex)
+    padded[:, length : 2 * length] = book.sequences[:n]
+    rows = np.arange(n)[:, None, None]
+    window = length + np.arange(length)
+
+    def read(lag):
+        start = np.clip(lag, -length, length).astype(int)[..., None]
+        return padded[rows, start + window]  # (N, K, L)
+
+    polluted = rho_a[..., None] * read(shift) + rho_b[..., None] * read(shift - 1)
+    return polluted @ book.sequences[cell].conj()

@@ -5,9 +5,11 @@ one CSV per curve plus a ``manifest.cfg`` recording the fully resolved
 configuration; re-running a scenario from its manifest reproduces every CSV
 byte for byte.
 
-The closed-form presets draw one large-scale batch per distinct geometry and
-evaluate every curve on it.  Each CSV is byte-identical to the one built from
-``run_experiment`` for that curve alone.
+Every curve is one ``run_experiment`` call.  The engine keeps one read-only
+large-scale batch per geometry, shared by every experiment in the process, so
+curves of one geometry (in one preset or across presets) draw it once.  Each
+CSV is byte-identical to the one built from ``run_experiment`` for that curve
+alone in a fresh process.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import NetworkConfig, serialize_config
-from .engine import SinrReport, asymptotic_report, large_scale_batch, run_experiment
+from .engine import SinrReport, run_experiment
 
 #: Illustrative BS power sweep used when the config carries a single value.
 DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -72,10 +74,10 @@ def _write_manifest(name: str, config: NetworkConfig, out_dir: Path) -> Path:
 
 
 def _cdf_curves(out_dir, prefix, runs):
-    """Emit one CDF CSV per (label, config, scheme, beta) run."""
+    """Emit one CDF CSV per (label, config, scheme) run."""
     paths = []
-    for label, cfg, scheme, beta in runs:
-        report = asymptotic_report(cfg, scheme, beta)
+    for label, cfg, scheme in runs:
+        report = run_experiment(cfg, scheme=scheme)
         paths.append(
             emit_csv(
                 report,
@@ -90,12 +92,11 @@ def _scenario_perfect_csi_cdf(config: NetworkConfig, out_dir: Path):
     """Min asymptotic SINR CDFs under perfect CSI: optimal vs equal combining,
     at 3 and 10 users per cell."""
     base = replace(config, antennas=None)
-    runs = []
-    for k in (3, 10):
-        cfg = replace(base, users_per_cell=k)
-        beta = large_scale_batch(cfg)
-        for scheme in ("perfect-optimal", "perfect-equal"):
-            runs.append((f"{scheme}_K{k}", cfg, scheme, beta))
+    runs = [
+        (f"{scheme}_K{k}", replace(base, users_per_cell=k), scheme)
+        for k in (3, 10)
+        for scheme in ("perfect-optimal", "perfect-equal")
+    ]
     return _cdf_curves(out_dir, "fig2_cdf", runs)
 
 
@@ -111,9 +112,8 @@ def _scenario_scheme_cdf(config: NetworkConfig, out_dir: Path):
     """Min asymptotic SINR CDFs of the four CSI schemes at the configured
     user count."""
     base = replace(config, antennas=None)
-    beta = large_scale_batch(base)
     k = config.users_per_cell
-    runs = [(f"{scheme}_K{k}", base, scheme, beta) for scheme in _CDF_SCHEMES]
+    runs = [(f"{scheme}_K{k}", base, scheme) for scheme in _CDF_SCHEMES]
     return _cdf_curves(out_dir, "fig34_cdf", runs)
 
 
@@ -121,12 +121,11 @@ def _scenario_bs_power_sweep(config: NetworkConfig, out_dir: Path):
     """Mean min asymptotic SINR against BS power for the four CSI schemes."""
     sweep = config.E_dbw if len(config.E_dbw) > 1 else DEFAULT_E_SWEEP_DBW
     base = replace(config, antennas=None)
-    beta = large_scale_batch(base)
     paths = []
     for scheme in _CDF_SCHEMES:
         rows = []
         for e_dbw in sweep:
-            report = asymptotic_report(replace(base, E_dbw=(e_dbw,)), scheme, beta)
+            report = run_experiment(replace(base, E_dbw=(e_dbw,)), scheme=scheme)
             rows.append((e_dbw, report.mean_min_sinr_db))
         table = SweepTable(x_name="E_dbw", rows=tuple(rows))
         paths.append(
@@ -143,15 +142,13 @@ def _scenario_pilot_power_sweep(config: NetworkConfig, out_dir: Path):
     """Power-controlled composite CDFs at increasing peak pilot power, with
     the perfect-CSI CDF as reference."""
     base = replace(config, antennas=None)
-    beta = large_scale_batch(base)
-    runs = [("perfect-optimal", base, "perfect-optimal", beta)]
+    runs = [("perfect-optimal", base, "perfect-optimal")]
     for pu in PILOT_POWER_LEVELS_DBW:
         runs.append(
             (
                 f"composite-power-controlled_pu{pu:g}dbw",
                 replace(base, p_u_dbw=pu),
                 "composite-power-controlled",
-                beta,
             )
         )
     return _cdf_curves(out_dir, "fig7_cdf", runs)

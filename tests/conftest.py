@@ -1,6 +1,17 @@
-"""Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion."""
+"""Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion,
+and starts every test with no cached large-scale batch."""
+
+import pytest
+
+from multicast_mimo import engine
 
 _acceptance_results = []
+
+
+@pytest.fixture(autouse=True)
+def cold_batch_cache():
+    """No test sees a batch that an earlier test left in the cache."""
+    engine._cached_batch.cache_clear()
 
 
 def pytest_runtest_logreport(report):

@@ -25,7 +25,6 @@ from multicast_mimo.channel import (
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
-    asymptotic_report,
     downlink_sinr,
     empirical_cdf,
     large_scale_batch,
@@ -447,6 +446,24 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(NetworkConfig(antennas=None), scheme="zero-forcing")
 
+    @pytest.mark.parametrize("antennas", [None, 16])
+    @pytest.mark.parametrize(
+        "key, value", [("exclusion_m", 0.0), ("exclusion_m", -50.0), ("cells", 4)]
+    )
+    def test_invalid_config_names_its_key(self, key, value, antennas):
+        config = replace(NetworkConfig(antennas=antennas, num_large=3, num_small=2), **{key: value})
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.key == key
+
+    def test_validates_the_called_scheme_not_the_configured_one(self):
+        # composite-async needs delay offsets, which this config lacks
+        config = NetworkConfig(antennas=None, num_large=2, scheme="composite-async")
+        run_experiment(config, scheme="perfect-optimal")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(replace(config, scheme="perfect-optimal"), scheme="composite-async")
+        assert err.value.key == "async_offsets_s"
+
 
 def async_config(**overrides):
     rng = np.random.default_rng(0)
@@ -526,7 +543,8 @@ class TestAsymptoticBatch:
         beta = large_scale_batch(config)
         batched = engine._build_trial_context(config, scheme, beta)
         for t in range(4):
-            row, single = batched.row(t), engine._build_trial_context(config, scheme, beta[t])
+            row = replace(batched, weights=batched.weights[t], eval_amp=batched.eval_amp[t])
+            single = engine._build_trial_context(config, scheme, beta[t])
             for field in fields(single):
                 got, want = getattr(row, field.name), getattr(single, field.name)
                 assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
@@ -548,19 +566,94 @@ class TestAsymptoticBatch:
             engine._limit_sinrs(ctx), sinr_from_amplitudes(ctx, amplitudes), rtol=1e-12, atol=0
         )
 
-    def test_report_equals_run_experiment(self):
-        config = async_config(num_large=7, master_seed=3)
-        beta = large_scale_batch(config)
-        for scheme in SCHEMES:
-            shared = asymptotic_report(config, scheme, beta)
-            alone = run_experiment(config, scheme=scheme)
-            assert np.array_equal(shared.samples_db, alone.samples_db)
-            assert shared.fingerprint == alone.fingerprint
 
-    def test_report_rejects_a_batch_of_another_geometry(self):
-        beta = large_scale_batch(NetworkConfig(users_per_cell=2, num_large=2))
+# One alternative value per NetworkConfig field.  Geometry fields select
+# another large-scale batch; every other field must share the cached one.
+GEOMETRY_FIELDS = {
+    "cells": 3,
+    "users_per_cell": 2,
+    "radius_m": 800.0,
+    "exclusion_m": 600.0,
+    "fading": FadingConfig(shadow_sigma_db=6.0),
+    "num_large": 3,
+    "master_seed": 2,
+}
+SHARING_FIELDS = {
+    "antennas": 16,
+    "E_dbw": (20.0, 30.0),
+    "p_u_dbw": 5.0,
+    "pilot_length": 12,
+    "scheme": "composite",
+    "async_offsets_s": (1e-7,) * 21,
+    "pilot_symbol_s": 1e-6,
+    "async_power_control": False,
+    "antennas_sweep": (10, 20),
+    "num_small": 7,
+    "output_dir": "elsewhere",
+}
+
+
+class TestSharedBatch:
+    def test_batch_is_read_only(self):
+        beta = large_scale_batch(NetworkConfig(num_large=2))
         with pytest.raises(ValueError):
-            asymptotic_report(NetworkConfig(users_per_cell=3), "perfect-optimal", beta)
+            beta[0, 0, 0, 0] = 1.0
+
+    def test_key_is_exactly_the_geometry(self):
+        names = [f.name for f in fields(NetworkConfig)]
+        assert sorted(names) == sorted(list(GEOMETRY_FIELDS) + list(SHARING_FIELDS))
+        base = NetworkConfig(num_large=2)
+        for name in names:
+            alternative = {**GEOMETRY_FIELDS, **SHARING_FIELDS}[name]
+            assert getattr(base, name) != alternative, name
+            first = large_scale_batch(base)
+            other = large_scale_batch(replace(base, **{name: alternative}))
+            if name in GEOMETRY_FIELDS:
+                assert other is not first, name
+                assert other.shape != first.shape or not np.array_equal(other, first), name
+            else:
+                assert other is first, name
+
+    @pytest.mark.parametrize("antennas", [None, 16])
+    def test_reports_equal_with_cold_and_warm_cache(self, antennas):
+        config = async_config(antennas=antennas, num_large=4, num_small=3, master_seed=3)
+        for scheme in SCHEMES:
+            engine._cached_batch.cache_clear()
+            cold = run_experiment(config, scheme=scheme)
+            for other in SCHEMES:
+                run_experiment(config, scheme=other)
+            warm = run_experiment(config, scheme=scheme)
+            assert engine._cached_batch.cache_info().hits == len(SCHEMES) + 1
+            assert np.array_equal(cold.samples_db, warm.samples_db)
+            assert cold.fingerprint == warm.fingerprint
+
+    def test_scheme_sweep_draws_each_realization_once(self, monkeypatch):
+        seeds = []
+        original = engine._large_scale_for_trial
+
+        def recording(config, large_seed):
+            seeds.append(large_seed)
+            return original(config, large_seed)
+
+        monkeypatch.setattr(engine, "_large_scale_for_trial", recording)
+        config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
+        for scheme in SCHEMES:
+            run_experiment(config, scheme=scheme)
+        assert seeds == [engine.child_seed(7, engine._LARGE_STREAM, t) for t in range(5)]
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_block_edges_change_no_sample(self, monkeypatch, scheme, per_block):
+        # the default block holds all 5 realizations; per_block = 2 leaves a
+        # short last block
+        config = async_config(antennas=16, num_large=5, num_small=3, master_seed=2)
+        whole = run_experiment(config, scheme=scheme)
+        per_realization = 3 * config.cells * (config.users_per_cell + 1)
+        assert engine._BLOCK_AMPLITUDES >= 5 * per_realization
+        monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", per_block * per_realization)
+        blocked = run_experiment(config, scheme=scheme)
+        assert np.array_equal(whole.samples_db, blocked.samples_db)
+        assert whole.fingerprint == blocked.fingerprint
 
 
 class TestNonFiniteSinr:
@@ -579,6 +672,8 @@ class TestNonFiniteSinr:
             run_experiment(config, scheme="composite")
 
     def test_finite_mode_names_realization_and_seeds(self, monkeypatch):
+        # one block holds every realization; realization 1's draw 1 comes
+        # before realization 2's draw 0 in realization order
         config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
         large = engine.child_seed(6, engine._LARGE_STREAM, 1)
         small = engine.child_seed(6, engine._SMALL_STREAM, 1)
@@ -588,8 +683,8 @@ class TestNonFiniteSinr:
         def nan_in_draw_1_of_realization_1(ctx, amplitudes):
             out = original(ctx, amplitudes)
             calls.append(amplitudes)
-            if len(calls) == 2:
-                out[1, 0] = np.nan
+            out[1, 1, 0] = np.nan
+            out[2, 0, 1] = np.nan
             return out
 
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_draw_1_of_realization_1)
@@ -598,6 +693,8 @@ class TestNonFiniteSinr:
             match=rf"realization 1 \(large seed {large}, small seed {small}, draw 1\)",
         ):
             run_experiment(config, scheme="composite")
+        assert len(calls) == 1
+        assert calls[0].shape == (3, 2, 3, 4)
 
 
 class TestConvergenceProperties:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import ChannelState, complex_gaussian
@@ -207,6 +210,27 @@ class TestPilotPowerControl:
             kernels = betas**2 * p
             assert kernels.max() - kernels.min() <= 1e-12 * kernels.max()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_betas=hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+            elements=st.floats(-16.0, -4.0),
+        ),
+        peak=st.floats(1e-3, 1e3),
+    )
+    def test_equalises_each_cell_with_batch_axes(self, log_betas, peak):
+        # last axis: the users of one cell; leading axes: cells, realizations
+        betas = 10.0**log_betas
+        p = optimal_pilot_powers(betas, peak)
+        assert p.shape == betas.shape
+        kernels = betas**2 * p
+        spread = kernels.max(axis=-1) - kernels.min(axis=-1)
+        assert np.all(spread <= 1e-12 * kernels.max(axis=-1))
+        weakest = np.argmin(betas, axis=-1)[..., None]
+        assert np.all(np.take_along_axis(p, weakest, axis=-1) == peak)
+        assert np.all((p > 0) & (p <= peak))
+
     def test_oracle_agrees_with_closed_form(self):
         betas = np.array([1.0, 4.0])
         p = maxmin_pilot_powers_oracle(betas, 1.0, sigma_p2=0.1, omega=8, grid_step=1e-3)
@@ -319,6 +343,41 @@ class TestAsyncKappas:
                     polluted[m] * np.conj(book.sequences[1][m]) for m in range(8)
                 )
                 assert kappa[l, k] == pytest.approx(manual, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.sampled_from([1, 2, 3, 7]), st.integers(1, 4)),
+        extra_length=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_matches_the_per_user_polluted_pilot_loop(self, shape, extra_length, data):
+        # per-BS delays and reference timings spanning several pilot blocks,
+        # so shifts reach past both ends of the block
+        n, k = shape
+        length, t_p = n + extra_length, 1e-6
+        span = 3 * length * t_p
+        delays = data.draw(
+            hnp.arrays(float, (n, n, k), elements=st.floats(-span, span))
+        )
+        reference = data.draw(hnp.arrays(float, (n,), elements=st.floats(-t_p, t_p)))
+        profile = AsyncProfile(delays, reference, t_p)
+        book = make_pilot_book("per-cell", n, k, length, peak_power=1.0)
+        for cell in range(n):
+            own = book.sequences[cell].conj()
+            loop = np.array(
+                [
+                    [
+                        polluted_pilot(
+                            book.sequences[l], *profile.offset_and_shift(cell, l, u), t_p
+                        )
+                        @ own
+                        for u in range(k)
+                    ]
+                    for l in range(n)
+                ]
+            )
+            # relative to |kappa| <= 1: cross-cell values can cancel to ~1e-17
+            assert np.allclose(async_kappas(book, profile, cell), loop, rtol=1e-12, atol=1e-12)
 
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(13)

@@ -4,9 +4,12 @@ The channel vector from base station i to user k of cell j is
 ``g[i,j,k] = sqrt(beta[i,j,k]) * h[i,j,k]`` with ``beta`` the slowly varying
 power gain (path loss, shadowing, penetration) and ``h`` an i.i.d. circularly
 symmetric complex Gaussian vector with unit per-entry variance.  The
-finite-antenna fast path does not draw ``h``: per BS it draws the normalized
-amplitudes that its unit beam delivers along each channel
-(``sample_beam_amplitudes``).
+finite-antenna fast path does not draw ``h``: per BS and draw it draws one
+gamma and one complex normal per channel (``draw_beam_fading``), which do
+not depend on the beam, and projects them onto the beam's direction to get
+the normalized amplitudes that its unit beam delivers along each channel
+(``project_beam_fading``).  The engine keeps the last few blocks of these
+raw draws, so the schemes of a small enough comparison share them.
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision.
@@ -40,12 +43,14 @@ class FadingConfig:
             "shadow_sigma_db",
             "penetration_loss_db",
             "noise_psd_dbm_hz",
+            "bandwidth_hz",
+            "pilot_noise_ratio",
         ):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
-        if self.pilot_noise_ratio <= 0:
+        if not self.pilot_noise_ratio > 0:
             raise ValueError("pilot_noise_ratio must be positive")
 
 
@@ -67,24 +72,34 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def sample_beam_amplitudes(
-    rng: np.random.Generator, m: int, u: np.ndarray, count: int
-) -> np.ndarray:
-    """``(count, *u.shape)`` normalized amplitudes of unit beams, one draw per row.
+def draw_beam_fading(rng: np.random.Generator, m: int, shape, count: int):
+    """Raw fast fading of ``count`` draws of unit beams of ``shape``: ``(g, z)``.
+
+    ``g ~ Gamma(m, 1)`` has shape ``(count, *shape[:-1])`` and is drawn
+    first; ``z ~ CN(0, I)`` has shape ``(count, *shape)``.  Nothing here
+    depends on the beam directions, so one draw serves every beam of that
+    shape; ``project_beam_fading`` turns it into amplitudes.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    g = rng.standard_gamma(m, (count,) + tuple(shape[:-1]))
+    z = complex_gaussian(rng, (count,) + tuple(shape))
+    return g, z
+
+
+def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes of unit beams ``u`` from the raw draws ``(g, z)``.
 
     For a unit vector ``u`` of length p on the last axis, a draw is ``t /
     sqrt(m)`` with ``t = X^H X u / ||X u||`` for an m x p matrix ``X`` of
     i.i.d. CN(0, 1) entries: entry k is what column k of ``X`` picks up from
     the unit beam ``X u / ||X u||``.  Because ``X u ~ CN(0, I_m)`` is
     independent of ``X (I - u u^H)`` (Goodman 1963), ``t = sqrt(g) u + (I - u
-    u^H) z`` with ``g ~ Gamma(m, 1)`` and ``z ~ CN(0, I_p)`` independent, so a
-    draw costs one gamma, drawn first, and p complex normals at any m.  Every
-    vector on the leading axes of ``u`` gets its own draws.
+    u^H) z`` with ``g ~ Gamma(m, 1)`` and ``z ~ CN(0, I_p)`` independent, as
+    ``draw_beam_fading`` draws them: one gamma and p complex normals at any
+    m.  ``u`` broadcasts against ``z``, so a stack of draws is projected at
+    once.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    g = rng.standard_gamma(m, (count,) + u.shape[:-1])
-    z = complex_gaussian(rng, (count,) + u.shape)
     projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
     return (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
 

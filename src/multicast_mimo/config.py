@@ -7,6 +7,7 @@ dB units with explicit suffixes (``_dbw``, ``_dbm_hz``) and converted to
 linear Watts behind accessor properties.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -234,21 +235,39 @@ def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
                 "async_offsets_s",
                 f"composite-async needs {expected} per-user delay offsets",
             )
-        if config.pilot_symbol_s is None or config.pilot_symbol_s <= 0:
+        if config.pilot_symbol_s is None or not config.pilot_symbol_s > 0:
             raise ConfigError(
                 "pilot_symbol_s", "composite-async needs a positive symbol duration"
             )
 
 
+def _require_finite(config: NetworkConfig) -> None:
+    """Reject NaN and infinite floats, which a config built in code can hold
+    and which every comparison below would let through."""
+    for key in (
+        "radius_m",
+        "exclusion_m",
+        "E_dbw",
+        "p_u_dbw",
+        "pilot_symbol_s",
+        "async_offsets_s",
+    ):
+        value = getattr(config, key)
+        values = value if isinstance(value, tuple) else (value,)
+        if value is not None and not all(map(math.isfinite, values)):
+            raise ConfigError(key, "must be finite")
+
+
 def validate_config(config: NetworkConfig) -> None:
     """Check every cross-field invariant; raise ConfigError naming the key."""
+    _require_finite(config)
     if config.cells not in SUPPORTED_CELL_COUNTS:
         raise ConfigError("cells", f"must be one of {SUPPORTED_CELL_COUNTS}")
     if config.users_per_cell < 1:
         raise ConfigError("users_per_cell", "must be at least 1")
     if config.antennas is not None and config.antennas < 1:
         raise ConfigError("antennas", "must be at least 1 or 'asymptotic'")
-    if config.radius_m <= 0:
+    if not config.radius_m > 0:
         raise ConfigError("radius_m", "must be positive")
     # A user at the BS has no finite path gain, and the log-distance model
     # has no floor near it.
@@ -259,6 +278,10 @@ def validate_config(config: NetworkConfig) -> None:
     if config.pilot_length < 1:
         raise ConfigError("pilot_length", "must be at least 1")
     validate_scheme_requirements(config, config.scheme)
+    if not config.antennas_sweep:
+        raise ConfigError("antennas_sweep", "needs at least one antenna count")
+    if len(set(config.antennas_sweep)) != len(config.antennas_sweep):
+        raise ConfigError("antennas_sweep", "antenna counts must be distinct")
     for m in config.antennas_sweep:
         if m < 1:
             raise ConfigError("antennas_sweep", "antenna counts must be positive")

@@ -9,12 +9,14 @@ independent residual (other-cell channels and pilot noise), the beam has a
 unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
 SINRs depend on the fast fading only through the beam's normalized
 amplitude along each of those channels.  With finite antennas
-``run_experiment`` draws these amplitudes directly
-(``channel.sample_beam_amplitudes``: one gamma and K+1 normals per BS, at
-any antenna count) and evaluates ``sinr_from_amplitudes``.  With ``antennas
-= None`` no fast fading is drawn: the amplitudes tend to ``u_j`` as M grows,
-and the same evaluator gives the large-antenna SINRs (``_limit_sinrs``),
-which the tests hold to the closed forms of ``asymptotic``.
+``run_experiment`` draws these amplitudes directly, at any antenna count:
+one gamma and K+1 complex normals per BS and draw
+(``channel.draw_beam_fading``), projected onto ``u_j``
+(``channel.project_beam_fading``); it evaluates ``sinr_from_amplitudes``
+on them.  With ``antennas = None`` no fast fading is drawn: the amplitudes
+tend to ``u_j`` as M grows, and the same evaluator gives the large-antenna
+SINRs (``_limit_sinrs``), which the tests hold to the closed forms of
+``asymptotic``.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, propagation constants, realization count and master
@@ -24,7 +26,18 @@ schemes, powers, pilot settings or antenna counts) evaluates the same batch
 without drawing it again; the result is the same as drawing it per curve.
 At finite M the draws of a block of realizations are stacked and evaluated
 at once; each realization still draws from its own generator, so block
-edges change no result.
+edges change no result.  The raw draws do not depend on the scheme: they
+are keyed by the antenna count, the (N, K+1) beam shape, the draw count,
+the block's realizations and the master seed.  ``_cached_draws`` keeps the
+last ``_DRAW_CACHE_SIZE`` blocks, read-only, each of at most
+``_BLOCK_AMPLITUDES`` amplitudes (about 1 MiB in all), and only for an
+experiment that fits in them: ``num_large * num_small * N * (K+1) <=
+_DRAW_CACHE_SIZE * _BLOCK_AMPLITUDES`` in whole blocks.  Then the other
+schemes of a comparison at the same M project the same draws onto their
+own beams without deriving a seed or running a generator.  A larger
+experiment, such as a comparison at the default counts, draws each block
+and drops it, as each scheme would evict the blocks before the next one
+reached them.
 
 The explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` ->
 estimator -> ``beamforming`` -> ``downlink_sinr``) is the reference that
@@ -48,10 +61,11 @@ from .channel import (
     # test_wrappers_are_installed_where_looked_up_and_restored checks that the
     # tracer wraps this module's binding of it.
     complex_gaussian,  # noqa: F401
+    draw_beam_fading,
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_beam_amplitudes,
+    project_beam_fading,
 )
 from .config import (
     ConfigError,
@@ -83,6 +97,11 @@ _BATCH_CACHE_SIZE = 2
 # realizations of ``num_small`` draws, at least one.  Bounds the working set
 # whatever the trial counts.
 _BLOCK_AMPLITUDES = 2**14
+
+# Blocks of raw finite-M draws kept per process, each of at most
+# ``_BLOCK_AMPLITUDES`` complex amplitudes (256 KiB) and its gammas: about
+# 1 MiB in all.
+_DRAW_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -288,7 +307,7 @@ def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarr
     BS j's unit beam ``b_j = X_j u_j / ||X_j u_j||`` (see ``_beam_directions``),
     so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j.
     Exact for every scheme, whatever the amplitudes hold:
-    ``channel.sample_beam_amplitudes`` draws them at finite M, and their
+    ``channel.project_beam_fading`` makes them at finite M, and their
     limit as M grows, ``u_j`` itself, gives the large-antenna SINRs
     (``_limit_sinrs``).
     """
@@ -382,6 +401,58 @@ def _cached_batch(
     return beta
 
 
+def _realizations_per_block(config: NetworkConfig) -> int:
+    """Realizations whose finite-M draws are stacked and evaluated at once:
+    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth, at least one."""
+    per_realization = config.num_small * config.cells * (config.users_per_cell + 1)
+    return max(1, _BLOCK_AMPLITUDES // per_realization)
+
+
+def _draw_block(config: NetworkConfig, lo: int, hi: int):
+    """Read-only raw draws ``(g, z)`` of realizations lo..hi-1, stacked:
+    ``(hi - lo, num_small, N)`` gammas and ``(hi - lo, num_small, N, K+1)``
+    complex normals.  Only the antenna count, the beam shape, the draw count
+    and the master seed of ``config`` select them.  They are kept only when
+    every block of the experiment can be: at most ``_DRAW_CACHE_SIZE`` blocks
+    of at most ``_BLOCK_AMPLITUDES`` amplitudes each.  A larger experiment
+    would evict each block before another scheme reaches it, so its blocks
+    are drawn and dropped."""
+    width = config.users_per_cell + 1
+    kept = (
+        config.num_small * config.cells * width <= _BLOCK_AMPLITUDES
+        and config.num_large <= _DRAW_CACHE_SIZE * _realizations_per_block(config)
+    )
+    draws = _cached_draws if kept else _stacked_draws
+    return draws(
+        config.antennas,
+        config.cells,
+        width,
+        config.num_small,
+        lo,
+        hi,
+        config.master_seed,
+    )
+
+
+def _stacked_draws(antennas, cells, width, num_small, lo, hi, master_seed):
+    draws = [
+        draw_beam_fading(
+            make_rng(child_seed(master_seed, _SMALL_STREAM, t)),
+            antennas,
+            (cells, width),
+            num_small,
+        )
+        for t in range(lo, hi)
+    ]
+    g, z = map(np.stack, zip(*draws))
+    g.flags.writeable = False
+    z.flags.writeable = False
+    return g, z
+
+
+_cached_draws = functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)(_stacked_draws)
+
+
 def _first_non_finite(sinr: np.ndarray):
     """Index of the first user-SINR row holding a non-finite value, in C
     order over the leading axes, or None."""
@@ -405,28 +476,29 @@ def run_experiment(
     towards validation.  With finite antennas each realization's minimum
     SINR is averaged over ``num_small`` fast-fading draws in linear scale
     before conversion to dB.  Realization t takes all of them from one
-    generator keyed by ``child_seed(master_seed, SMALL, t)``: a
-    ``(num_small, N, K+1)`` batch of beam amplitudes
-    (``channel.sample_beam_amplitudes``), row s being draw s.  The draws of
-    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations are stacked
-    and evaluated together.  Seeds for realization t depend only on the
-    master seed and t, never on execution order.  A non-finite SINR raises
-    ``ArithmeticError`` naming the first bad realization, its seeds and, at
-    finite M, the draw.
+    generator keyed by ``child_seed(master_seed, SMALL, t)``: the raw draws
+    of ``channel.draw_beam_fading``, row s being draw s, projected onto the
+    scheme's beam directions (``channel.project_beam_fading``).  The draws of
+    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations are stacked,
+    projected and evaluated together.  An experiment of at most
+    ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for later calls at the
+    same antenna count, beam shape, draw count and seed (``_draw_block``).
+    Seeds for realization t depend only on the master seed and t, never on
+    execution order.  A non-finite SINR raises ``ArithmeticError`` naming
+    the first bad realization, its seeds and, at finite M, the draw.
     """
     scheme = scheme if scheme is not None else config.scheme
     num_large = num_large if num_large is not None else config.num_large
     num_small = num_small if num_small is not None else config.num_small
     master_seed = master_seed if master_seed is not None else config.master_seed
-    validate_config(
-        replace(
-            config,
-            scheme=scheme,
-            num_large=num_large,
-            num_small=num_small,
-            master_seed=master_seed,
-        )
+    resolved = replace(
+        config,
+        scheme=scheme,
+        num_large=num_large,
+        num_small=num_small,
+        master_seed=master_seed,
     )
+    validate_config(resolved)
 
     ctx = _build_trial_context(
         config, scheme, large_scale_batch(config, num_large, master_seed)
@@ -441,20 +513,13 @@ def run_experiment(
         return _report(config, scheme, samples, None, master_seed)
 
     directions = _beam_directions(ctx)
-    block = max(1, _BLOCK_AMPLITUDES // (num_small * directions[0].size))
+    block = _realizations_per_block(resolved)
     samples = np.empty(num_large)
     for lo in range(0, num_large, block):
         hi = min(lo + block, num_large)
-        amplitudes = np.stack(
-            [
-                sample_beam_amplitudes(
-                    make_rng(child_seed(master_seed, _SMALL_STREAM, t)),
-                    config.antennas,
-                    directions[t],
-                    num_small,
-                )
-                for t in range(lo, hi)
-            ]
+        g, z = _draw_block(resolved, lo, hi)
+        amplitudes = project_beam_fading(
+            config.antennas, directions[lo:hi, None], g, z
         )  # (hi - lo, num_small, N, K+1)
         drawn = replace(
             ctx, weights=ctx.weights[lo:hi, None], eval_amp=ctx.eval_amp[lo:hi, None]

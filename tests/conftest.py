@@ -1,5 +1,5 @@
 """Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion,
-and starts every test with no cached large-scale batch."""
+and starts every test with no cached large-scale batch or finite-M draws."""
 
 import pytest
 
@@ -9,9 +9,10 @@ _acceptance_results = []
 
 
 @pytest.fixture(autouse=True)
-def cold_batch_cache():
-    """No test sees a batch that an earlier test left in the cache."""
+def cold_caches():
+    """No test sees a batch or a draw block that an earlier test left in a cache."""
     engine._cached_batch.cache_clear()
+    engine._cached_draws.cache_clear()
 
 
 def pytest_runtest_logreport(report):

@@ -6,10 +6,11 @@ from multicast_mimo.channel import (
     ChannelState,
     FadingConfig,
     complex_gaussian,
+    draw_beam_fading,
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_beam_amplitudes,
+    project_beam_fading,
 )
 from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
 from multicast_mimo.seeding import make_rng
@@ -151,6 +152,12 @@ def unit_direction(p, seed=7):
     return u / np.linalg.norm(u)
 
 
+def sample_amplitudes(rng, m, u, count):
+    """``(count, *u.shape)`` amplitudes: the raw draws, projected onto ``u``."""
+    g, z = draw_beam_fading(rng, m, u.shape, count)
+    return project_beam_fading(m, u, g, z)
+
+
 def explicit_amplitudes(rng, m, u, count, chunk=2_000):
     """``count`` amplitudes ``X^H X u / ||X u|| / sqrt(m)`` of explicit m x p
     CN(0, 1) matrices X."""
@@ -167,20 +174,36 @@ class TestSampleBeamAmplitudes:
     def test_shape_and_deterministic(self):
         u = complex_gaussian(np.random.default_rng(1), (2, 3, 4))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        a = sample_beam_amplitudes(np.random.default_rng(1), 16, u, 5)
+        a = sample_amplitudes(np.random.default_rng(1), 16, u, 5)
         assert a.shape == (5, 2, 3, 4)
-        assert np.array_equal(a, sample_beam_amplitudes(np.random.default_rng(1), 16, u, 5))
+        assert np.array_equal(a, sample_amplitudes(np.random.default_rng(1), 16, u, 5))
 
     def test_rejects_fewer_than_one_antenna(self):
         for m in (0, -1):
             with pytest.raises(ValueError):
-                sample_beam_amplitudes(np.random.default_rng(0), m, unit_direction(4), 1)
+                draw_beam_fading(np.random.default_rng(0), m, unit_direction(4).shape, 1)
+
+    def test_draws_do_not_depend_on_the_beam(self):
+        g, z = draw_beam_fading(np.random.default_rng(3), 16, (2, 4), 5)
+        assert g.shape == (5, 2) and z.shape == (5, 2, 4)
+        again = draw_beam_fading(np.random.default_rng(3), 16, (2, 4), 5)
+        assert np.array_equal(g, again[0]) and np.array_equal(z, again[1])
+
+    def test_stacked_projection_equals_projection_row_by_row(self):
+        # the engine projects a block of realizations at once; each row must
+        # be bit-identical to projecting that realization alone
+        u = complex_gaussian(np.random.default_rng(2), (3, 1, 2, 4))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        g, z = draw_beam_fading(np.random.default_rng(4), 16, (3, 5, 2, 4), 1)
+        stacked = project_beam_fading(16, u, g[0], z[0])
+        for t in range(3):
+            assert np.array_equal(stacked[t], project_beam_fading(16, u[t, 0], g[0, t], z[0, t]))
 
     @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
     def test_moments(self, m):
         # E|t_k|^2 / M = |u_k|^2 + (1 - |u_k|^2) / M, entry by entry
         u = unit_direction(AMPLITUDE_USERS + 1)
-        a = sample_beam_amplitudes(np.random.default_rng(100 + m), m, u, AMPLITUDE_DRAWS)
+        a = sample_amplitudes(np.random.default_rng(100 + m), m, u, AMPLITUDE_DRAWS)
         power = np.abs(a) ** 2
         target = np.abs(u) ** 2 + (1.0 - np.abs(u) ** 2) / m
         se = power.std(axis=0) / np.sqrt(AMPLITUDE_DRAWS)
@@ -189,7 +212,7 @@ class TestSampleBeamAmplitudes:
     @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
     def test_beam_gains_match_explicit_vectors(self, m):
         u = unit_direction(AMPLITUDE_USERS + 1)
-        sampled = sample_beam_amplitudes(np.random.default_rng(200 + m), m, u, AMPLITUDE_DRAWS)
+        sampled = sample_amplitudes(np.random.default_rng(200 + m), m, u, AMPLITUDE_DRAWS)
         explicit = explicit_amplitudes(np.random.default_rng(300 + m), m, u, AMPLITUDE_DRAWS)
         gains = [np.abs(a[:, :-1]) ** 2 for a in (sampled, explicit)]
         for f in (lambda g: g[:, 0], lambda g: g.min(axis=-1)):

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 import multicast_mimo
 from multicast_mimo.cli import main
+from multicast_mimo.channel import FadingConfig
 from multicast_mimo.config import (
     ConfigError,
     NetworkConfig,
     apply_overrides,
     parse_config,
     serialize_config,
+    validate_config,
+    validate_scheme_requirements,
 )
 from multicast_mimo.engine import run_experiment
 from multicast_mimo.scenarios import (
@@ -29,6 +32,10 @@ from multicast_mimo.scenarios import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+ASYNC = NetworkConfig(
+    scheme="composite-async", async_offsets_s=(0.0,) * 21, pilot_symbol_s=1e-6
+)
 
 
 class TestParseConfig:
@@ -101,6 +108,47 @@ class TestParseConfig:
             parse_config(f"exclusion_m = {value}")
         assert err.value.key == "exclusion_m"
         assert parse_config("exclusion_m = 0.5").exclusion_m == 0.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("radius_m", lambda v: v),
+            ("exclusion_m", lambda v: v),
+            ("E_dbw", lambda v: (10.0, v)),
+            ("p_u_dbw", lambda v: v),
+            ("pilot_symbol_s", lambda v: v),
+            ("async_offsets_s", lambda v: (0.0,) * 20 + (v,)),
+        ],
+    )
+    def test_non_finite_float_names_its_key(self, key, entry, value):
+        # a config built in code bypasses the parser's finiteness check
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(ASYNC, **{key: entry(value)}))
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-6])
+    def test_async_symbol_duration_must_be_positive(self, value):
+        with pytest.raises(ConfigError) as err:
+            validate_scheme_requirements(replace(ASYNC, pilot_symbol_s=value), ASYNC.scheme)
+        assert err.value.key == "pilot_symbol_s"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["bandwidth_hz", "pilot_noise_ratio"])
+    def test_fading_positive_fields_reject_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FadingConfig(**{key: value})
+
+    @pytest.mark.parametrize("sweep", [(), (100, 100), (100, 300, 100)])
+    def test_antenna_sweep_must_be_non_empty_and_distinct(self, sweep, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(NetworkConfig(), antennas_sweep=sweep))
+        assert err.value.key == "antennas_sweep"
+        config = NetworkConfig(num_large=2, num_small=2, antennas_sweep=sweep)
+        with pytest.raises(ConfigError) as err:
+            run_scenario("fig10-finite-M", config, tmp_path)
+        assert err.value.key == "antennas_sweep"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_round_trip_defaults(self):
         config = NetworkConfig()

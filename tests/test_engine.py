@@ -18,10 +18,11 @@ from multicast_mimo.channel import (
     ChannelState,
     FadingConfig,
     complex_gaussian,
+    draw_beam_fading,
     large_scale_tensor,
     noise_power,
     pilot_noise_power,
-    sample_beam_amplitudes,
+    project_beam_fading,
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
@@ -317,7 +318,8 @@ class TestGramRoute:
         amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
         explicit = sinr_from_amplitudes(ctx, amplitudes)
         directions = engine._beam_directions(ctx)
-        sampled = sinr_from_amplitudes(ctx, sample_beam_amplitudes(make_rng(41), 16, directions, draws))
+        g, z = draw_beam_fading(make_rng(41), 16, directions.shape, draws)
+        sampled = sinr_from_amplitudes(ctx, project_beam_fading(16, directions, g, z))
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
     @settings(max_examples=60, deadline=None)
@@ -412,7 +414,8 @@ class TestRunExperiment:
             small_seed = engine.child_seed(config.master_seed, engine._SMALL_STREAM, t)
             ctx = trial_context(config, "composite", large_seed)
             directions = engine._beam_directions(ctx)
-            amplitudes = sample_beam_amplitudes(make_rng(small_seed), 16, directions, 3)
+            g, z = draw_beam_fading(make_rng(small_seed), 16, directions.shape, 3)
+            amplitudes = project_beam_fading(16, directions, g, z)
             acc = sum(sinr_from_amplitudes(ctx, amplitudes[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
@@ -654,6 +657,113 @@ class TestSharedBatch:
         blocked = run_experiment(config, scheme=scheme)
         assert np.array_equal(whole.samples_db, blocked.samples_db)
         assert whole.fingerprint == blocked.fingerprint
+
+
+# NetworkConfig fields that select another block of raw finite-M draws.
+DRAW_FIELDS = ("antennas", "cells", "users_per_cell", "num_small", "master_seed")
+
+
+def two_realization_blocks(monkeypatch, config):
+    """Shrink the finite-M block to two realizations of ``config``."""
+    per_realization = config.num_small * config.cells * (config.users_per_cell + 1)
+    monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", 2 * per_realization)
+
+
+class TestSharedDraws:
+    def test_draws_are_read_only(self):
+        g, z = engine._draw_block(NetworkConfig(antennas=4, num_small=2), 0, 2)
+        with pytest.raises(ValueError):
+            g[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            z[0, 0, 0, 0] = 1.0
+
+    def test_key_is_exactly_the_draw_fields(self):
+        alternatives = {**GEOMETRY_FIELDS, **SHARING_FIELDS, "antennas": 8}
+        assert sorted(alternatives) == sorted(f.name for f in fields(NetworkConfig))
+        base = NetworkConfig(antennas=16, num_small=2)
+        for name, alternative in alternatives.items():
+            assert getattr(base, name) != alternative, name
+            first = engine._draw_block(base, 0, 2)
+            other = engine._draw_block(replace(base, **{name: alternative}), 0, 2)
+            if name in DRAW_FIELDS:
+                assert other is not first, name
+                assert not all(
+                    a.shape == b.shape and np.array_equal(a, b) for a, b in zip(other, first)
+                ), name
+            else:
+                assert other is first, name
+        head = engine._draw_block(base, 0, 1)
+        assert head is not engine._draw_block(base, 0, 2)
+        for part, whole in zip(head, engine._draw_block(base, 0, 2)):
+            assert np.array_equal(part, whole[:1])
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_reports_equal_with_cold_and_warm_draws(self, monkeypatch, split):
+        # split: blocks of two realizations leave a one-realization last block
+        config = async_config(antennas=16, num_large=5, num_small=3, master_seed=3)
+        if split:
+            two_realization_blocks(monkeypatch, config)
+        blocks = 3 if split else 1
+        for scheme in SCHEMES:
+            engine._cached_draws.cache_clear()
+            cold = run_experiment(config, scheme=scheme)
+            for other in SCHEMES:
+                run_experiment(config, scheme=other)
+            warm = run_experiment(config, scheme=scheme)
+            info = engine._cached_draws.cache_info()
+            assert (info.misses, info.hits) == (blocks, (len(SCHEMES) + 1) * blocks)
+            assert np.array_equal(cold.samples_db, warm.samples_db)
+            assert cold.fingerprint == warm.fingerprint
+
+    def test_scheme_sweep_derives_each_small_seed_once(self, monkeypatch):
+        small = []
+        original = engine.child_seed
+
+        def recording(root, *path):
+            if root == 7 and path[:1] == (engine._SMALL_STREAM,):
+                small.append(path[1])
+            return original(root, *path)
+
+        monkeypatch.setattr(engine, "child_seed", recording)
+        config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
+        two_realization_blocks(monkeypatch, config)
+        for scheme in SCHEMES:
+            run_experiment(config, scheme=scheme)
+        assert small == list(range(5))
+
+    @pytest.mark.parametrize("num_large, kept", [(20, 4), (21, 0)])
+    def test_keeps_an_experiment_only_if_it_fits(self, monkeypatch, num_large, kept):
+        sizes = []
+        original = engine._draw_block
+
+        def recording(config, lo, hi):
+            g, z = original(config, lo, hi)
+            sizes.append(z.size)
+            return g, z
+
+        monkeypatch.setattr(engine, "_draw_block", recording)
+        # 2800 amplitudes per realization: five per block, so 20 realizations
+        # fill the kept blocks and 21 need one more
+        config = NetworkConfig(antennas=16, num_large=num_large, num_small=100)
+        for scheme in ("composite", "perfect-equal"):
+            run_experiment(config, scheme=scheme)
+        assert max(sizes) <= engine._BLOCK_AMPLITUDES
+        info = engine._cached_draws.cache_info()
+        assert info.maxsize == engine._DRAW_CACHE_SIZE
+        assert (info.currsize, info.hits) == (kept, kept)
+
+    def test_oversized_realization_is_not_kept(self, monkeypatch):
+        config = async_config(antennas=16, num_large=3, num_small=3, master_seed=3)
+        reference = {s: run_experiment(config, scheme=s) for s in ("composite", "composite-async")}
+        engine._cached_draws.cache_clear()
+        # 84 amplitudes per realization: each realization is a block too large to keep
+        monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", 50)
+        for scheme, expected in reference.items():
+            report = run_experiment(config, scheme=scheme)
+            assert np.array_equal(report.samples_db, expected.samples_db)
+            assert report.fingerprint == expected.fingerprint
+        info = engine._cached_draws.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
 class TestNonFiniteSinr:

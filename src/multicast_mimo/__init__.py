@@ -3,7 +3,7 @@
 Noncooperative cells, one multicast beam per base station.  Implements the
 asymptotically optimal combining beamformer, per-user (contaminated) and
 per-cell composite (contamination-free) pilot schemes with optimal pilot
-power control, closed-form large-antenna SINR for every scheme including
+power control, the large-antenna limit SINR of every scheme including
 asynchronous pilot arrival, and a seeded finite-antenna Monte Carlo engine.
 """
 

@@ -72,10 +72,6 @@ class NetworkConfig:
         return float(dbw_to_watts(self.p_u_dbw))
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -116,22 +112,22 @@ def _parse_str(text: str) -> str:
 # key -> (parser, attribute owner): "config" fields live on NetworkConfig,
 # "fading" fields on the nested FadingConfig.
 _KEY_SPECS = {
-    "cells": (_parse_int, "config"),
-    "users_per_cell": (_parse_int, "config"),
+    "cells": (int, "config"),
+    "users_per_cell": (int, "config"),
     "antennas": (_parse_antennas, "config"),
     "radius_m": (_parse_float, "config"),
     "exclusion_m": (_parse_float, "config"),
     "E_dbw": (_parse_float_list, "config"),
     "p_u_dbw": (_parse_float, "config"),
-    "pilot_length": (_parse_int, "config"),
+    "pilot_length": (int, "config"),
     "scheme": (_parse_str, "config"),
     "async_offsets_s": (_parse_float_list, "config"),
     "pilot_symbol_s": (_parse_float, "config"),
     "async_power_control": (_parse_bool, "config"),
     "antennas_sweep": (_parse_int_list, "config"),
-    "num_large": (_parse_int, "config"),
-    "num_small": (_parse_int, "config"),
-    "master_seed": (_parse_int, "config"),
+    "num_large": (int, "config"),
+    "num_small": (int, "config"),
+    "master_seed": (int, "config"),
     "output_dir": (_parse_str, "config"),
     "pathloss_intercept_db": (_parse_float, "fading"),
     "pathloss_slope": (_parse_float, "fading"),
@@ -258,15 +254,33 @@ def _require_finite(config: NetworkConfig) -> None:
             raise ConfigError(key, "must be finite")
 
 
+# Count and seed fields with their least value.
+_COUNTS = {
+    "cells": 1, "users_per_cell": 1, "antennas": 1, "pilot_length": 1,
+    "antennas_sweep": 1, "num_large": 1, "num_small": 1, "master_seed": 0,
+}
+
+
+def _require_counts(config: NetworkConfig) -> None:
+    """Reject counts and seeds below their least value, and any that is not
+    an integer: a config built in code can hold a float, NaN or bool there."""
+    for key, least in _COUNTS.items():
+        value = getattr(config, key)
+        if value is None:  # asymptotic antennas
+            continue
+        for v in value if key == "antennas_sweep" else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(key, f"must be an integer, got {v!r}")
+            if v < least:
+                raise ConfigError(key, f"must be at least {least}")
+
+
 def validate_config(config: NetworkConfig) -> None:
     """Check every cross-field invariant; raise ConfigError naming the key."""
     _require_finite(config)
+    _require_counts(config)
     if config.cells not in SUPPORTED_CELL_COUNTS:
         raise ConfigError("cells", f"must be one of {SUPPORTED_CELL_COUNTS}")
-    if config.users_per_cell < 1:
-        raise ConfigError("users_per_cell", "must be at least 1")
-    if config.antennas is not None and config.antennas < 1:
-        raise ConfigError("antennas", "must be at least 1 or 'asymptotic'")
     if not config.radius_m > 0:
         raise ConfigError("radius_m", "must be positive")
     # A user at the BS has no finite path gain, and the log-distance model
@@ -275,19 +289,8 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("exclusion_m", "must lie in (0, radius_m)")
     if not config.E_dbw:
         raise ConfigError("E_dbw", "needs at least one value")
-    if config.pilot_length < 1:
-        raise ConfigError("pilot_length", "must be at least 1")
     validate_scheme_requirements(config, config.scheme)
     if not config.antennas_sweep:
         raise ConfigError("antennas_sweep", "needs at least one antenna count")
     if len(set(config.antennas_sweep)) != len(config.antennas_sweep):
         raise ConfigError("antennas_sweep", "antenna counts must be distinct")
-    for m in config.antennas_sweep:
-        if m < 1:
-            raise ConfigError("antennas_sweep", "antenna counts must be positive")
-    if config.num_large < 1:
-        raise ConfigError("num_large", "must be at least 1")
-    if config.num_small < 1:
-        raise ConfigError("num_small", "must be at least 1")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed", "must be non-negative")

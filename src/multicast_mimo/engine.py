@@ -15,8 +15,8 @@ one gamma and K+1 complex normals per BS and draw
 (``channel.project_beam_fading``); it evaluates ``sinr_from_amplitudes``
 on them.  With ``antennas = None`` no fast fading is drawn: the amplitudes
 tend to ``u_j`` as M grows, and the same evaluator gives the large-antenna
-SINRs (``_limit_sinrs``), which the tests hold to the closed forms of
-``asymptotic``.
+SINRs (``_limit_sinrs``), which the tests hold to the paper's closed forms
+in ``tests/closed_forms.py``.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, propagation constants, realization count and master

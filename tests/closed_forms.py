@@ -1,8 +1,9 @@
-"""Closed-form SINR in the large-antenna limit, for every CSI scheme.
+"""The paper's closed forms: max-min shares and the large-antenna limit SINR
+of every CSI scheme.
 
-These are the paper's closed forms.  The engine does not call them: it reads
-the limit off each scheme's beam coefficients, and the tests hold that limit
-to these expressions, which the acceptance criteria test in turn.
+The package does not call them: the engine reads the limit off each scheme's
+beam coefficients (``engine._limit_sinrs``), and the tests hold that limit to
+these expressions, which the acceptance criteria test in turn.
 
 All expressions assume the per-BS transmit power is scaled down with the
 antenna count (p = E / M with E fixed), under which channel vectors of
@@ -23,6 +24,20 @@ _SIMPLEX_TOL = 1e-9
 #: Returned by ceiling formulas when there is no interfering cell, in which
 #: case the SINR grows without bound instead of saturating.
 UNBOUNDED = np.inf
+
+
+def optimal_lambdas(betas) -> np.ndarray:
+    """Max-min-optimal normalized shares for given per-user gains.
+
+    lambda_k = (1/beta_k) / sum_k' (1/beta_k'); the shares sum to one and make
+    every product lambda_k * beta_k identical, so all users see the same
+    asymptotic SINR.  The last axis is the user; leading axes are batch axes.
+    """
+    betas = np.asarray(betas, dtype=float)
+    if np.any(betas <= 0):
+        raise ValueError("all gains must be positive")
+    inv = 1.0 / betas
+    return inv / inv.sum(axis=-1, keepdims=True)
 
 
 def _scalar_or_array(value):

@@ -5,11 +5,14 @@ forms are held to near machine precision; statistical checks run at desk
 scale with seeds and tolerances pinned here.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import multicast_mimo.engine as engine
-from multicast_mimo.asymptotic import (
+from closed_forms import (
+    optimal_lambdas,
     sinr_async,
     sinr_composite,
     sinr_composite_optimal,
@@ -18,7 +21,6 @@ from multicast_mimo.asymptotic import (
     sinr_gap_db,
     sinr_perfect_csi,
 )
-from multicast_mimo.beamforming import optimal_lambdas
 from multicast_mimo.channel import ChannelState, complex_gaussian
 from multicast_mimo.config import NetworkConfig
 from multicast_mimo.engine import run_experiment
@@ -129,6 +131,18 @@ def test_criterion_04_contamination_ceiling_vs_composite_growth():
             hi = sinr_composite_optimal(own, p_u, 10 * e, tau, sigma_p2, sigma2)
             assert 10 * np.log10(hi / lo) == pytest.approx(10.0, abs=0.01)
 
+    # the same claims on the engine's limit path, realization by realization
+    def samples(scheme, e_dbw):
+        config = NetworkConfig(antennas=None, E_dbw=(e_dbw,), num_large=200)
+        return run_experiment(config, scheme=scheme).samples_db
+
+    for scheme in ("composite", "composite-power-controlled"):
+        for e in (0.0, 10.0, 20.0):
+            gain = samples(scheme, e + 10.0) - samples(scheme, e)
+            assert np.all(np.abs(gain - 10.0) <= 0.01)
+    moved = samples("individual-pilot", 90.0) - samples("individual-pilot", 80.0)
+    assert np.all(np.abs(moved) < 0.1)
+
 
 def test_criterion_05_composite_estimate_contamination_free():
     """Noiseless synchronous composite estimate carries no other-cell term."""
@@ -217,17 +231,21 @@ def test_criterion_09_pilot_power_closes_the_gap():
     perfect = run_experiment(
         NetworkConfig(antennas=None, num_large=200), scheme="perfect-optimal"
     )
-    distances = []
+    distances, gaps = [], []
     for pu in (2.0, 4.0, 8.0):
         report = run_experiment(
             NetworkConfig(antennas=None, num_large=200, p_u_dbw=pu),
             scheme="composite-power-controlled",
         )
+        gaps.append(perfect.samples_db - report.samples_db)
         grid = np.union1d(perfect.samples_db, report.samples_db)
         f_perfect = np.searchsorted(np.sort(perfect.samples_db), grid, side="right") / 200
         f_report = np.searchsorted(np.sort(report.samples_db), grid, side="right") / 200
         distances.append(np.max(np.abs(f_perfect - f_report)))
     assert distances[0] > distances[1] > distances[2]
+    # the engine's per-realization gap falls the same way
+    assert np.all(gaps[0] > gaps[1]) and np.all(gaps[1] > gaps[2])
+    assert np.all(gaps[2] > 0)
 
 
 def test_criterion_10_asynchrony_limits():
@@ -249,6 +267,15 @@ def test_criterion_10_asynchrony_limits():
         for u in range(k):
             value = sinr_async(beta, powers, sync_kappa, e, omega, sigma_p2, sigma2, 0, u)
             assert value == pytest.approx(composite[u], rel=1e-9)
+    # and on the engine's limit path: zero offsets give the synchronous scheme
+    zero = NetworkConfig(
+        antennas=None, num_large=200, async_offsets_s=(0.0,) * 21, pilot_symbol_s=t_p
+    )
+    for control, synchronous in ((True, "composite-power-controlled"), (False, "composite")):
+        config = replace(zero, async_power_control=control)
+        got = run_experiment(config, scheme="composite-async").samples_db
+        want = run_experiment(config, scheme=synchronous).samples_db
+        assert np.allclose(10 ** (got / 10), 10 ** (want / 10), rtol=1e-9, atol=0)
 
     # (b) nonzero cross-cell offsets produce a power ceiling
     book = make_pilot_book("per-cell", n, k, omega, peak_power=1.5)

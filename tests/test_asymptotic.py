@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from multicast_mimo.asymptotic import (
+from closed_forms import (
     UNBOUNDED,
+    optimal_lambdas,
     sinr_async,
     sinr_composite,
     sinr_composite_optimal,
@@ -11,7 +12,6 @@ from multicast_mimo.asymptotic import (
     sinr_gap_db,
     sinr_perfect_csi,
 )
-from multicast_mimo.beamforming import optimal_lambdas
 from multicast_mimo.pilots import optimal_pilot_powers
 
 

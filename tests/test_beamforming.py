@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from multicast_mimo.beamforming import (
-    CombiningWeights,
-    beamformer_from_estimate,
-    optimal_beamformer_perfect,
-    optimal_lambdas,
-)
+from closed_forms import optimal_lambdas
+from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import complex_gaussian
 from oracles import simplex_grid_best
 
@@ -121,13 +117,3 @@ class TestBeamformers:
         with pytest.raises(ArithmeticError):
             beamformer_from_estimate(np.zeros(8, dtype=complex))
 
-
-class TestCombiningWeights:
-    def test_lambdas_on_simplex(self):
-        cw = CombiningWeights.from_xi([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        assert cw.lambdas.sum() == pytest.approx(1.0)
-        assert np.allclose(cw.lambdas, np.array([1, 2, 3]) / 6)
-
-    def test_rejects_zero_beam(self):
-        with pytest.raises(ValueError):
-            CombiningWeights.from_xi([0.0, 0.0], [1.0, 1.0])

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -138,6 +140,32 @@ class TestParseConfig:
     def test_fading_positive_fields_reject_non_finite(self, key, value):
         with pytest.raises(ValueError, match=key):
             FadingConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_large", np.nan),
+            ("num_small", 2.5),
+            ("antennas", np.nan),
+            ("antennas", 16.0),
+            ("pilot_length", 2.5),
+            ("antennas_sweep", (100.5, 300)),
+            ("master_seed", 1.5),
+            ("users_per_cell", 2.0),
+            ("cells", 7.0),
+            ("num_large", True),
+        ],
+    )
+    def test_non_integer_count_names_its_key(self, key, value):
+        # a config built in code bypasses the parser's int()
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(NetworkConfig(), **{key: value}))
+        assert err.value.key == key
+
+    def test_numpy_integers_are_counts(self):
+        validate_config(
+            NetworkConfig(antennas=np.int64(16), antennas_sweep=(np.int64(100), 300))
+        )
 
     @pytest.mark.parametrize("sweep", [(), (100, 100), (100, 300, 100)])
     def test_antenna_sweep_must_be_non_empty_and_distinct(self, sweep, tmp_path):
@@ -480,3 +508,18 @@ class TestPackage:
         package = list((ROOT / "src" / "multicast_mimo").glob("*.py"))
         assert package
         assert third_party(package, {"multicast_mimo"}) <= runtime
+
+    def test_every_package_module_is_imported_by_the_package(self):
+        # a module that only tests import belongs in tests/, so a fresh
+        # process that imports the package and its CLI loads every module
+        source = Path(multicast_mimo.__file__).parent
+        code = (
+            "import sys, multicast_mimo, multicast_mimo.cli; "
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(source.parent)}
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        modules = {f"multicast_mimo.{p.stem}" for p in source.glob("*.py") if p.stem != "__init__"}
+        assert modules - set(loaded) == set()

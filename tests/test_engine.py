@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import closed_forms as asymptotic
 import multicast_mimo.engine as engine
-from multicast_mimo import asymptotic
-from multicast_mimo.beamforming import (
-    CombiningWeights,
-    beamformer_from_estimate,
-    optimal_beamformer_perfect,
-    optimal_lambdas,
-)
+from closed_forms import optimal_lambdas
+from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import (
     ChannelState,
     FadingConfig,
@@ -486,8 +482,7 @@ def scalar_closed_forms(config, scheme, beta, kappas):
     if scheme == "perfect-optimal":
         return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
     if scheme == "perfect-equal":
-        lam = CombiningWeights.from_xi(np.ones(k), own).lambdas
-        return asymptotic.sinr_perfect_csi(lam, own, e, sigma2)
+        return asymptotic.sinr_perfect_csi(own / own.sum(), own, e, sigma2)
     if scheme == "individual-pilot":
         xis = np.ones((n, k))
         return np.array(

@@ -8,11 +8,12 @@ finite-antenna fast path does not draw ``h``: per BS and draw it draws one
 gamma and one complex normal per channel (``draw_beam_fading``), which do
 not depend on the beam, and projects them onto the beam's direction to get
 the normalized amplitudes that its unit beam delivers along each channel
-(``project_beam_fading``).  The engine keeps the last few blocks of these
-raw draws, so the schemes of a small enough comparison share them.
+(``project_beam_fading``).  Given a sequence of generators, the draws stack
+one row per generator: only the draws stay per realization.
 
 Loss terms are combined in the dB domain and converted to linear once, since
-typical gains near 1e-15 would otherwise lose precision.
+typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
+does so over any leading realization axes at once.
 """
 
 from dataclasses import dataclass
@@ -66,25 +67,46 @@ def pilot_noise_power(fading: FadingConfig) -> float:
     return fading.pilot_noise_ratio * noise_power(fading)
 
 
-def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0):
-    """Circularly symmetric complex Gaussian array, per-entry variance ``variance``."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _generators(rng):
+    """``(generators, single)``: one generator as a list of one, or a sequence."""
+    single = np.ndim(rng) == 0
+    return ([rng] if single else list(rng)), single
 
 
-def draw_beam_fading(rng: np.random.Generator, m: int, shape, count: int):
+def complex_gaussian(rng, shape, variance: float = 1.0):
+    """Circularly symmetric complex Gaussian array, per-entry variance ``variance``.
+
+    ``rng`` is one generator, or a sequence of T generators stacked on a
+    leading axis: row t is what generator t alone gives, real parts first.
+    """
+    rngs, single = _generators(rng)
+    parts = np.empty((len(rngs), 2, *np.atleast_1d(shape)))
+    for generator, (real, imag) in zip(rngs, parts):
+        generator.standard_normal(out=real)
+        generator.standard_normal(out=imag)
+    z = np.empty(parts[:, 0].shape, dtype=complex)
+    z.real, z.imag = parts[:, 0], parts[:, 1]
+    z *= np.sqrt(variance / 2.0)
+    return z[0] if single else z
+
+
+def draw_beam_fading(rng, m: int, shape, count: int):
     """Raw fast fading of ``count`` draws of unit beams of ``shape``: ``(g, z)``.
 
     ``g ~ Gamma(m, 1)`` has shape ``(count, *shape[:-1])`` and is drawn
     first; ``z ~ CN(0, I)`` has shape ``(count, *shape)``.  Nothing here
     depends on the beam directions, so one draw serves every beam of that
-    shape; ``project_beam_fading`` turns it into amplitudes.
+    shape; ``project_beam_fading`` turns it into amplitudes.  A sequence of
+    generators, as in ``complex_gaussian``, stacks one row per generator.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    g = rng.standard_gamma(m, (count,) + tuple(shape[:-1]))
-    z = complex_gaussian(rng, (count,) + tuple(shape))
-    return g, z
+    rngs, single = _generators(rng)
+    g = np.empty((len(rngs), count) + tuple(shape[:-1]))
+    for generator, row in zip(rngs, g):
+        generator.standard_gamma(m, out=row)
+    z = complex_gaussian(rngs, (count,) + tuple(shape))
+    return (g[0], z[0]) if single else (g, z)
 
 
 def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -132,28 +154,24 @@ class ChannelState:
         return np.sqrt(self.beta[i, j, k]) * self.h[i, j, k]
 
 
-def large_scale_tensor(
-    layout: CellLayout,
-    positions: UserPositions,
-    fading: FadingConfig,
-    large_seed: int,
+def shadowing_db(fading: FadingConfig, num_cells: int, large_seed: int) -> np.ndarray:
+    """(N, N) shadowing [dB] of each (BS, cell) pair, drawn in row-major
+    order from one generator seeded with ``large_seed``."""
+    return make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (num_cells, num_cells))
+
+
+def large_scale_gains(
+    layout: CellLayout, pos: np.ndarray, shadow_db: np.ndarray, fading: FadingConfig
 ) -> np.ndarray:
-    """Gains beta[i, j, k] for every (BS i, user k of cell j) pair.
+    """Gains beta[..., i, j, k] from (..., N, K, 2) user positions and
+    (..., N, N) shadowing; leading axes are realizations.
 
     beta = 10^(-(intercept + slope*log10(d_km) + shadow + penetration)/10).
-    Shadowing is drawn once per (BS, cell) pair and shared by that cell's
-    users; distances stay per-user.  All N x N shadowing values come from one
-    generator seeded with ``large_seed``, in row-major (BS, cell) order.
+    Shadowing is shared by a cell's users; distances stay per-user.
     """
-    n = layout.num_cells
-    if positions.pos.shape[0] != n:
-        raise ValueError(
-            f"positions cover {positions.pos.shape[0]} cells, layout has {n}"
-        )
-    d = distance_m(layout.centers[:, None, None, :], positions.pos[None])
+    d = distance_m(layout.centers[:, None, None, :], pos[..., None, :, :, :])
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
-    shadow_db = make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (n, n))
     loss_db = (
         fading.pathloss_intercept_db
         + fading.pathloss_slope * np.log10(d / 1000.0)
@@ -161,3 +179,14 @@ def large_scale_tensor(
         + fading.penetration_loss_db
     )
     return 10.0 ** (-loss_db / 10.0)
+
+
+def large_scale_tensor(
+    layout: CellLayout, positions: UserPositions, fading: FadingConfig, large_seed: int
+) -> np.ndarray:
+    """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
+    realization: ``large_scale_gains`` on ``shadowing_db(large_seed)``."""
+    n = layout.num_cells
+    if positions.pos.shape[:-2] != (n,):
+        raise ValueError(f"positions of shape {positions.pos.shape} are not one drop of {n} cells")
+    return large_scale_gains(layout, positions.pos, shadowing_db(fading, n, large_seed), fading)

@@ -24,8 +24,9 @@ seed.  ``large_scale_batch`` keeps the last few batches it built, read-only,
 so every experiment in a process that shares a geometry (curves of other
 schemes, powers, pilot settings or antenna counts) evaluates the same batch
 without drawing it again; the result is the same as drawing it per curve.
-At finite M the draws of a block of realizations are stacked and evaluated
-at once; each realization still draws from its own generator, so block
+The batch is built with array operations, and at finite M the draws of a
+block of realizations fill one array; only the draws from each realization's
+own generators stay per realization, so no row depends on another and block
 edges change no result.  The raw draws do not depend on the scheme: they
 are keyed by the antenna count, the (N, K+1) beam shape, the draw count,
 the block's realizations and the master seed.  ``_cached_draws`` keeps the
@@ -62,10 +63,11 @@ from .channel import (
     # tracer wraps this module's binding of it.
     complex_gaussian,  # noqa: F401
     draw_beam_fading,
-    large_scale_tensor,
+    large_scale_gains,
     noise_power,
     pilot_noise_power,
     project_beam_fading,
+    shadowing_db,
 )
 from .config import (
     ConfigError,
@@ -183,18 +185,6 @@ def _single_bs_power(config: NetworkConfig) -> float:
             "E_dbw", "experiments need a single BS power; sweep presets iterate"
         )
     return config.bs_power_w[0]
-
-
-def _large_scale_for_trial(config: NetworkConfig, large_seed: int):
-    layout = build_hex_layout(config.cells, config.radius_m)
-    positions = drop_users(
-        layout,
-        config.users_per_cell,
-        config.exclusion_m,
-        child_seed(large_seed, _POSITIONS_STREAM),
-    )
-    beta = large_scale_tensor(layout, positions, config.fading, large_seed)
-    return layout, positions, beta
 
 
 def _async_kappas(config: NetworkConfig) -> np.ndarray:
@@ -358,8 +348,9 @@ def large_scale_batch(
 ) -> np.ndarray:
     """Gains of realizations 0..T-1 stacked into a read-only (T, N, N, K) batch.
 
-    Row t is the realization keyed by ``child_seed(master_seed, LARGE, t)``,
-    drawn exactly as a single trial draws it, so no row depends on another.
+    Row t is the realization keyed by ``large_seed = child_seed(master_seed,
+    LARGE, t)``: bit for bit ``large_scale_tensor`` on ``drop_users`` seeded
+    with ``child_seed(large_seed, POSITIONS)``, so no row depends on another.
     ``num_large`` and ``master_seed`` default to the config's values.  Only
     the geometry fields of ``config`` enter, and the process keeps the last
     ``_BATCH_CACHE_SIZE`` batches: a config that differs only in powers,
@@ -384,19 +375,12 @@ def large_scale_batch(
 def _cached_batch(
     cells, radius_m, users_per_cell, exclusion_m, fading, num_large, master_seed
 ) -> np.ndarray:
-    geometry = NetworkConfig(
-        cells=cells,
-        radius_m=radius_m,
-        users_per_cell=users_per_cell,
-        exclusion_m=exclusion_m,
-        fading=fading,
-    )
-    beta = np.stack(
-        [
-            _large_scale_for_trial(geometry, child_seed(master_seed, _LARGE_STREAM, t))[2]
-            for t in range(num_large)
-        ]
-    )
+    layout = build_hex_layout(cells, radius_m)
+    large_seeds = [child_seed(master_seed, _LARGE_STREAM, t) for t in range(num_large)]
+    positions_seeds = [child_seed(seed, _POSITIONS_STREAM) for seed in large_seeds]
+    positions = drop_users(layout, users_per_cell, exclusion_m, positions_seeds)
+    shadow_db = np.stack([shadowing_db(fading, cells, seed) for seed in large_seeds])
+    beta = large_scale_gains(layout, positions.pos, shadow_db, fading)
     beta.flags.writeable = False
     return beta
 
@@ -435,16 +419,8 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
 
 
 def _stacked_draws(antennas, cells, width, num_small, lo, hi, master_seed):
-    draws = [
-        draw_beam_fading(
-            make_rng(child_seed(master_seed, _SMALL_STREAM, t)),
-            antennas,
-            (cells, width),
-            num_small,
-        )
-        for t in range(lo, hi)
-    ]
-    g, z = map(np.stack, zip(*draws))
+    rngs = [make_rng(child_seed(master_seed, _SMALL_STREAM, t)) for t in range(lo, hi)]
+    g, z = draw_beam_fading(rngs, antennas, (cells, width), num_small)
     g.flags.writeable = False
     z.flags.writeable = False
     return g, z

@@ -3,7 +3,8 @@
 Cells are regular hexagons (radius measured center to vertex) tiled edge to
 edge, so neighboring base stations sit at distance sqrt(3) * radius.  Users
 are dropped uniformly over their hexagon minus an inner exclusion disk around
-the base station.
+the base station; ``drop_users`` tests the first round of a whole batch of
+realizations at once, and only the generator draws stay per realization.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ class CellLayout:
 
 @dataclass(frozen=True)
 class UserPositions:
-    """Per-cell user coordinates, shape (num_cells, users_per_cell, 2)."""
+    """Per-cell user coordinates, shape (..., num_cells, users_per_cell, 2)."""
 
     pos: np.ndarray
 
@@ -82,6 +83,12 @@ def drop_users(
     draws the N*K offsets from a cell centre, which then fill the cells in
     order and are shifted onto their centres.  The acceptance probability is
     about 0.75, so the expected number of draws per accepted user is below 2.
+
+    ``rng_seed`` is one seed or generator, giving (N, K, 2) positions, or a
+    sequence of T of them, giving (T, N, K, 2) positions whose row t is what
+    seed t alone gives.  Each realization draws its first round from its own
+    generator; the rounds are stacked and tested at once, and only a
+    realization still short of users draws again, alone.
     """
     if users_per_cell < 1:
         raise ValueError(f"users_per_cell must be >= 1, got {users_per_cell}")
@@ -90,28 +97,44 @@ def drop_users(
             f"exclusion_radius_m={exclusion_radius_m} must be smaller than "
             f"cell radius {layout.radius_m}"
         )
-    rng = make_rng(rng_seed)
+    single = np.ndim(rng_seed) == 0
+    rngs = [make_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
     r = layout.radius_m
-    apothem = SQRT3 / 2.0 * r
     total = layout.num_cells * users_per_cell
-    offsets = np.empty((total, 2))
-    accepted = 0
-    while accepted < total:
-        n = 2 * (total - accepted) + 8
-        xy = rng.uniform((-r, -apothem), (r, apothem), (n, 2))
-        keep = hexagon_contains(xy, (0.0, 0.0), r) & (
-            np.hypot(xy[:, 0], xy[:, 1]) >= exclusion_radius_m
+    # Offsets are Generator.uniform(low, high) draws, low + (high - low) * u,
+    # with u drawn into one block for all realizations.
+    low = np.array((-r, -SQRT3 / 2.0 * r))
+    span = -low - low
+
+    def admissible(xy):
+        return hexagon_contains(xy, (0.0, 0.0), r) & (
+            np.hypot(xy[..., 0], xy[..., 1]) >= exclusion_radius_m
         )
-        xy = xy[keep][: total - accepted]
-        offsets[accepted : accepted + len(xy)] = xy
-        accepted += len(xy)
-    pos = offsets.reshape(layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
-    return UserPositions(pos=pos)
+
+    u = np.empty((len(rngs), 2 * total + 8, 2))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    xy = low + span * u
+    keep = admissible(xy)
+    rank = np.cumsum(keep, axis=1)  # users accepted up to each candidate
+    keep &= rank <= total
+    offsets = np.empty((len(rngs), total, 2))
+    offsets[np.nonzero(keep)[0], rank[keep] - 1] = xy[keep]
+    for t in np.flatnonzero(rank[:, -1] < total):
+        accepted = rank[t, -1]
+        while accepted < total:
+            more = low + span * rngs[t].random((2 * (total - accepted) + 8, 2))
+            more = more[admissible(more)][: total - accepted]
+            offsets[t, accepted : accepted + len(more)] = more
+            accepted += len(more)
+    pos = offsets.reshape(-1, layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
+    return UserPositions(pos=pos[0] if single else pos)
 
 
 def distance_m(a, b):
     """Euclidean distance between planar coordinates (meters)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = np.linalg.norm(a - b, axis=-1)
+    dx, dy = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
+    d = np.sqrt(dx * dx + dy * dy)  # as np.linalg.norm sums the two squares
     return float(d) if d.ndim == 0 else d

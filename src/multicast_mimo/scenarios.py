@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .config import NetworkConfig, serialize_config
+from .config import NetworkConfig, serialize_config, validate_config
 from .engine import SinrReport, run_experiment
 
 #: Illustrative BS power sweep used when the config carries a single value.
@@ -187,11 +187,13 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, config: NetworkConfig, out_dir=None) -> list:
-    """Execute a named preset; returns the written files (manifest first)."""
+    """Validate the config, then execute a named preset; returns the written
+    files (manifest first).  An invalid config creates and writes nothing."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
+    validate_config(config)
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _write_manifest(name, config, out)

@@ -1,14 +1,33 @@
-"""Brute-force grid oracles that the closed-form rules are checked against.
+"""Brute-force grid oracles that the closed-form rules are checked against,
+and the one-realization large-scale route that the engine's batch is.
 
-Each searches a fixed grid exhaustively, one broadcast axis per user, so the
-cost stays a few array passes over the grid whatever the user count.
+Each grid oracle searches a fixed grid exhaustively, one broadcast axis per
+user, so the cost stays a few array passes over the grid whatever the user
+count.
 """
 
 from functools import lru_cache, reduce
 
 import numpy as np
 
+from multicast_mimo import engine
+from multicast_mimo.channel import large_scale_tensor
+from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import optimal_pilot_powers
+
+
+def scalar_large_scale(config, large_seed):
+    """(N, N, K) gains of the realization keyed by ``large_seed``, on the
+    public one-realization route: ``drop_users`` with its positions seed,
+    then ``large_scale_tensor``."""
+    layout = build_hex_layout(config.cells, config.radius_m)
+    positions = drop_users(
+        layout,
+        config.users_per_cell,
+        config.exclusion_m,
+        engine.child_seed(large_seed, engine._POSITIONS_STREAM),
+    )
+    return large_scale_tensor(layout, positions, config.fading, large_seed)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from multicast_mimo.pilots import (
     optimal_pilot_powers,
     uplink_rx,
 )
-from oracles import maxmin_pilot_powers_oracle, simplex_grid_best
+from oracles import maxmin_pilot_powers_oracle, scalar_large_scale, simplex_grid_best
 
 
 def test_criterion_01_equal_sinr_shares_optimal():
@@ -110,7 +110,7 @@ def test_criterion_04_contamination_ceiling_vs_composite_growth():
     p_u, tau = config.peak_pilot_power_w, config.pilot_length
     xis = np.ones((7, 3))
     for instance in range(10):
-        _, _, beta = engine._large_scale_for_trial(config, 404 + instance)
+        beta = scalar_large_scale(config, 404 + instance)
         own = beta[0, 0]
         for k in range(3):
             ceiling = sinr_contamination_ceiling(beta, xis, p_u, tau, sigma_p2, 0, k)

@@ -109,6 +109,15 @@ class TestShadowing:
                 d = np.linalg.norm(users.pos[j] - layout.centers[i], axis=-1)
                 assert np.allclose(beta[i, j], path_gain(d), rtol=1e-12)
 
+    @pytest.mark.parametrize("seeds", [[1, 2, 3], [1, 2, 3, 4, 5, 6, 7]])
+    def test_rejects_anything_but_one_drop_of_the_layout(self, seeds):
+        users = drop_users(build_hex_layout(7, 1000.0), 2, 100.0, seeds)
+        with pytest.raises(ValueError, match="not one drop of 7 cells"):
+            large_scale_tensor(build_hex_layout(7, 1000.0), users, FadingConfig(), 3)
+        one_drop = UserPositions(pos=users.pos[0])
+        with pytest.raises(ValueError, match="not one drop of 3 cells"):
+            large_scale_tensor(build_hex_layout(3, 1000.0), one_drop, NO_SHADOW, 3)
+
     def test_rejects_a_user_on_a_base_station(self):
         layout = build_hex_layout(1, 1000.0)
         users = drop_users(layout, 2, 100.0, 1)
@@ -217,6 +226,54 @@ class TestSampleBeamAmplitudes:
         gains = [np.abs(a[:, :-1]) ** 2 for a in (sampled, explicit)]
         for f in (lambda g: g[:, 0], lambda g: g.min(axis=-1)):
             assert stats.ks_2samp(*(f(g) for g in gains)).pvalue > KS_ALPHA
+
+
+def identical(a, b):
+    """Same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGeneratorSequences:
+    """A sequence of generators stacks one row per generator, bit for bit
+    what that generator alone gives; one generator gives what it always did."""
+
+    SEEDS = (3, 1, 4, 1)
+
+    @pytest.mark.parametrize("shape", [(4, 5), 6])
+    def test_complex_gaussian_of_one_generator(self, shape):
+        rng, reference = make_rng(8), make_rng(8)
+        expected = np.sqrt(0.3 / 2.0) * (
+            reference.standard_normal(shape) + 1j * reference.standard_normal(shape)
+        )
+        got = complex_gaussian(rng, shape, 0.3)
+        assert identical(np.asarray(got), np.asarray(expected))
+        assert rng.random() == reference.random()
+
+    def test_complex_gaussian_rows_are_the_per_generator_draws(self):
+        stacked = complex_gaussian([make_rng(s) for s in self.SEEDS], (4, 5), 0.3)
+        assert stacked.shape == (len(self.SEEDS), 4, 5)
+        for row, seed in zip(stacked, self.SEEDS):
+            assert identical(row, complex_gaussian(make_rng(seed), (4, 5), 0.3))
+
+    def test_draw_beam_fading_of_one_generator(self):
+        rng, reference = make_rng(8), make_rng(8)
+        g = reference.standard_gamma(16, (5, 2))
+        z = np.sqrt(0.5) * (
+            reference.standard_normal((5, 2, 4)) + 1j * reference.standard_normal((5, 2, 4))
+        )
+        got = draw_beam_fading(rng, 16, (2, 4), 5)
+        assert identical(got[0], g) and identical(got[1], z)
+        assert rng.random() == reference.random()
+
+    def test_draw_beam_fading_rows_are_the_per_generator_draws(self):
+        rngs = tuple(make_rng(s) for s in self.SEEDS)
+        g, z = draw_beam_fading(rngs, 16, (2, 4), 5)
+        assert g.shape == (len(self.SEEDS), 5, 2) and z.shape == (len(self.SEEDS), 5, 2, 4)
+        for t, seed in enumerate(self.SEEDS):
+            alone = make_rng(seed)
+            g_t, z_t = draw_beam_fading(alone, 16, (2, 4), 5)
+            assert identical(g[t], g_t) and identical(z[t], z_t)
+            assert rngs[t].random() == alone.random()
 
 
 class TestNoisePower:

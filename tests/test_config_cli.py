@@ -272,6 +272,14 @@ class TestScenarios:
         with pytest.raises(ValueError):
             run_scenario("fig99", NetworkConfig(), out_dir=tmp_path)
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_invalid_config_writes_nothing(self, name, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(name, NetworkConfig(radius_m=float("nan")), out_dir=out)
+        assert err.value.key == "radius_m"
+        assert not out.exists()
+
     def test_scheme_cdf_preset_writes_curves_and_manifest(self, tmp_path):
         config = apply_overrides(NetworkConfig(), {"num_large": "8"})
         paths = run_scenario("fig3/4-cdf-schemes", config, out_dir=tmp_path)

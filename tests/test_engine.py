@@ -9,6 +9,7 @@ from scipy import stats
 import closed_forms as asymptotic
 import multicast_mimo.engine as engine
 from closed_forms import optimal_lambdas
+from oracles import scalar_large_scale
 from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import (
     ChannelState,
@@ -158,7 +159,7 @@ def public_route(config, scheme, large_seed, small_seed):
     each BS's pilot noise, in the order of ``fading_draw``.  Also returns the
     channels and the beam directions before normalization.
     """
-    _, _, beta = engine._large_scale_for_trial(config, large_seed)
+    beta = scalar_large_scale(config, large_seed)
     n, k, m = config.cells, config.users_per_cell, config.antennas
     rng = make_rng(small_seed)
     cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
@@ -212,7 +213,7 @@ def route_amplitudes(config, scheme, ctx, cs, directions):
 
 def trial_context(config, scheme, large_seed):
     """The engine's context of ``scheme`` on one large-scale realization."""
-    _, _, beta = engine._large_scale_for_trial(config, large_seed)
+    beta = scalar_large_scale(config, large_seed)
     return engine._build_trial_context(config, scheme, beta)
 
 
@@ -250,7 +251,7 @@ def explicit_amplitudes(ctx, m, small_seed):
 class TestReferenceRoute:
     def test_single_user_single_cell_near_asymptote(self):
         config = NetworkConfig(cells=1, users_per_cell=1, antennas=10_000, E_dbw=(10.0,))
-        _, _, beta = engine._large_scale_for_trial(config, 3)
+        beta = scalar_large_scale(config, 3)
         asym_db = 10 * np.log10(
             config.bs_power_w[0] * beta[0, 0, 0] / noise_power(config.fading)
         )
@@ -507,14 +508,45 @@ def scalar_closed_forms(config, scheme, beta, kappas):
 
 
 class TestAsymptoticBatch:
-    def test_rows_are_the_per_trial_realizations(self):
-        config = NetworkConfig(cells=7, users_per_cell=4, num_large=6, master_seed=9)
+    # At 950 m of a 1000 m radius under 1% of the candidates are admissible,
+    # so nearly every realization is still short of users after the batched
+    # first round of the user drop and goes on drawing alone.
+    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    @pytest.mark.parametrize("users", [1, 10])
+    @pytest.mark.parametrize("cells", [1, 3, 7])
+    def test_rows_are_the_per_trial_realizations(self, cells, users, exclusion_m):
+        config = NetworkConfig(
+            cells=cells,
+            users_per_cell=users,
+            radius_m=1000.0,
+            exclusion_m=exclusion_m,
+            num_large=4,
+            master_seed=9,
+        )
         beta = large_scale_batch(config)
-        assert beta.shape == (6, 7, 7, 4)
-        for t in range(6):
+        assert beta.shape == (4, cells, cells, users)
+        for t in range(4):
             seed = engine.child_seed(9, engine._LARGE_STREAM, t)
-            _, _, row = engine._large_scale_for_trial(config, seed)
-            assert np.allclose(beta[t], row, rtol=1e-12, atol=0)
+            assert np.array_equal(beta[t], scalar_large_scale(config, seed))
+
+    def test_derives_two_seeds_and_two_generators_per_realization(self, monkeypatch):
+        paths, generators = [], []
+        child_seed, default_rng = engine.child_seed, np.random.default_rng
+
+        def recording_seed(root, *path):
+            paths.append(path)
+            return child_seed(root, *path)
+
+        def recording_rng(seed=None):
+            generators.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(engine, "child_seed", recording_seed)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        large_scale_batch(NetworkConfig(num_large=5, master_seed=3))
+        large = [(engine._LARGE_STREAM, t) for t in range(5)]
+        assert sorted(paths) == sorted(large + [(engine._POSITIONS_STREAM,)] * 5)
+        assert len(generators) == 10
 
     def test_prefix_of_a_longer_batch(self):
         config = NetworkConfig(num_large=3)
@@ -627,17 +659,19 @@ class TestSharedBatch:
 
     def test_scheme_sweep_draws_each_realization_once(self, monkeypatch):
         seeds = []
-        original = engine._large_scale_for_trial
+        original = engine.child_seed
 
-        def recording(config, large_seed):
-            seeds.append(large_seed)
-            return original(config, large_seed)
+        def recording(root, *path):
+            seed = original(root, *path)
+            if root == 7 and path[:1] == (engine._LARGE_STREAM,):
+                seeds.append(seed)
+            return seed
 
-        monkeypatch.setattr(engine, "_large_scale_for_trial", recording)
+        monkeypatch.setattr(engine, "child_seed", recording)
         config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
         for scheme in SCHEMES:
             run_experiment(config, scheme=scheme)
-        assert seeds == [engine.child_seed(7, engine._LARGE_STREAM, t) for t in range(5)]
+        assert seeds == [original(7, engine._LARGE_STREAM, t) for t in range(5)]
 
     @pytest.mark.parametrize("per_block", [1, 2])
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -61,7 +61,42 @@ class TestBuildHexLayout:
             build_hex_layout(7, 0.0)
 
 
+def uniform_rejection_drop(layout, users_per_cell, exclusion_m, seed):
+    """(N, K, 2) positions of the rejection loop one round at a time, each
+    round a ``Generator.uniform`` draw over the hexagon's bounding box."""
+    rng = np.random.default_rng(seed)
+    r = layout.radius_m
+    apothem = SQRT3 / 2.0 * r
+    total = layout.num_cells * users_per_cell
+    accepted = np.empty((0, 2))
+    while len(accepted) < total:
+        xy = rng.uniform((-r, -apothem), (r, apothem), (2 * (total - len(accepted)) + 8, 2))
+        keep = hexagon_contains(xy, (0.0, 0.0), r) & (np.hypot(xy[:, 0], xy[:, 1]) >= exclusion_m)
+        accepted = np.concatenate([accepted, xy[keep][: total - len(accepted)]])
+    return accepted.reshape(layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
+
+
 class TestDropUsers:
+    # At 950 m of a 1000 m radius under 1% of the candidates are admissible,
+    # so nearly every drop needs more than one round.
+    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
+    def test_is_the_uniform_rejection_loop(self, cells, users, exclusion_m):
+        layout = build_hex_layout(cells, 1000.0)
+        for seed in (0, 5, 2**63 + 11):
+            got = drop_users(layout, users, exclusion_m, seed).pos
+            assert np.array_equal(got, uniform_rejection_drop(layout, users, exclusion_m, seed))
+
+    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
+    def test_rows_of_a_seed_sequence_are_the_single_seed_drops(self, cells, users, exclusion_m):
+        layout = build_hex_layout(cells, 1000.0)
+        seeds = [0, 5, 2**63 + 11, 5]
+        stacked = drop_users(layout, users, exclusion_m, seeds).pos
+        assert stacked.shape == (len(seeds), cells, users, 2)
+        for row, seed in zip(stacked, seeds):
+            assert np.array_equal(row, drop_users(layout, users, exclusion_m, seed).pos)
+
     def test_same_seed_is_bit_identical(self):
         layout = build_hex_layout(7, 1000.0)
         a = drop_users(layout, 3, 100.0, rng_seed=123)
@@ -140,3 +175,8 @@ class TestDistance:
     def test_broadcasts_over_arrays(self):
         pts = np.array([[3.0, 4.0], [0.0, 0.0]])
         assert np.allclose(distance_m((0.0, 0.0), pts), [5.0, 0.0])
+
+    def test_is_the_euclidean_norm_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(-3000.0, 3000.0, (2, 5, 1, 4, 2))
+        assert np.array_equal(distance_m(a, b), np.linalg.norm(a - b, axis=-1))

@@ -284,9 +284,11 @@ def validate_config(config: NetworkConfig) -> None:
     if not config.radius_m > 0:
         raise ConfigError("radius_m", "must be positive")
     # A user at the BS has no finite path gain, and the log-distance model
-    # has no floor near it.
-    if not 0 < config.exclusion_m < config.radius_m:
-        raise ConfigError("exclusion_m", "must lie in (0, radius_m)")
+    # has no floor near it.  A disk wider than the hexagon's inscribed circle
+    # leaves only its corners to the rejection drop, whose rounds then grow
+    # without bound; at the inscribed radius 7% of the candidates are admissible.
+    if not 0 < config.exclusion_m <= math.sqrt(3) / 2 * config.radius_m:
+        raise ConfigError("exclusion_m", "must lie in (0, sqrt(3)/2 * radius_m]")
     if not config.E_dbw:
         raise ConfigError("E_dbw", "needs at least one value")
     validate_scheme_requirements(config, config.scheme)

@@ -8,15 +8,19 @@ the basis of BS j's channels to the evaluated cell's users plus one
 independent residual (other-cell channels and pilot noise), the beam has a
 unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
 SINRs depend on the fast fading only through the beam's normalized
-amplitude along each of those channels.  With finite antennas
-``run_experiment`` draws these amplitudes directly, at any antenna count:
-one gamma and K+1 complex normals per BS and draw
+amplitude along each of those channels.  As M grows the amplitudes tend to
+``u_j``.  So ``run_experiment`` evaluates both modes in one loop over blocks
+of realizations.  Each block starts from ``u_j``, the large-antenna limit;
+with finite antennas the block's amplitudes are drawn directly, at any
+antenna count: one gamma and K+1 complex normals per BS and draw
 (``channel.draw_beam_fading``), projected onto ``u_j``
-(``channel.project_beam_fading``); it evaluates ``sinr_from_amplitudes``
-on them.  With ``antennas = None`` no fast fading is drawn: the amplitudes
-tend to ``u_j`` as M grows, and the same evaluator gives the large-antenna
-SINRs (``_limit_sinrs``), which the tests hold to the paper's closed forms
-in ``tests/closed_forms.py``.
+(``channel.project_beam_fading``).  One evaluator,
+``sinr_from_amplitudes``, gives the SINRs of either; the tests hold the
+limit to the paper's closed forms in ``tests/closed_forms.py``.
+
+An experiment's only input is its resolved config: the config with the
+call's scheme applied.  The report's fingerprint hashes it with the package
+version, so two calls that run the same experiment share a fingerprint.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, propagation constants, realization count and master
@@ -69,13 +73,7 @@ from .channel import (
     project_beam_fading,
     shadowing_db,
 )
-from .config import (
-    ConfigError,
-    NetworkConfig,
-    serialize_config,
-    validate_config,
-    validate_scheme_requirements,
-)
+from .config import ConfigError, NetworkConfig, serialize_config, validate_config
 from .geometry import build_hex_layout, drop_users
 from .pilots import (
     AsyncProfile,
@@ -95,9 +93,9 @@ _SMALL_STREAM = 3
 # Large-scale batches kept per process: the fig2 preset draws two geometries.
 _BATCH_CACHE_SIZE = 2
 
-# Complex beam amplitudes evaluated at once on the finite-M path: whole
-# realizations of ``num_small`` draws, at least one.  Bounds the working set
-# whatever the trial counts.
+# Complex beam amplitudes evaluated at once: whole realizations of their
+# draws (``num_small`` at finite M, the one limit otherwise), at least one.
+# Bounds the working set whatever the trial counts.
 _BLOCK_AMPLITUDES = 2**14
 
 # Blocks of raw finite-M draws kept per process, each of at most
@@ -166,8 +164,8 @@ class _TrialContext:
     BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise
     combined by ``noise_combiner[j]``, where h_jlk is the small-scale channel
     of user (l, k).  Leading axes of ``weights`` and ``eval_amp`` are batch
-    axes: realizations, and a length-one draw axis when a block of finite-M
-    draws is evaluated.  Nothing here depends on the antenna count.
+    axes: realizations, and a length-one draw axis when a block is
+    evaluated.  Nothing here depends on the antenna count.
     """
 
     weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
@@ -210,13 +208,11 @@ def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: boo
     return optimal_pilot_powers(own, p_u)
 
 
-def _build_trial_context(
-    config: NetworkConfig, scheme: str, beta: np.ndarray
-) -> _TrialContext:
-    """Beam recipe of ``scheme`` on ``beta``: one (N, N, K) realization or a
-    (..., N, N, K) batch such as ``large_scale_batch``; row t of a batch is
-    the context of ``beta[t]``."""
-    validate_scheme_requirements(config, scheme)
+def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialContext:
+    """Beam recipe of ``config.scheme`` on ``beta``: one (N, N, K) realization
+    or a (..., N, N, K) batch such as ``large_scale_batch``; row t of a batch
+    is the context of ``beta[t]``.  The config is taken as validated."""
+    scheme = config.scheme
     n, k = config.cells, config.users_per_cell
     length = config.pilot_length
     own = np.einsum("...jjk->...jk", beta)  # (..., N, K)
@@ -298,67 +294,45 @@ def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarr
     so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j.
     Exact for every scheme, whatever the amplitudes hold:
     ``channel.project_beam_fading`` makes them at finite M, and their
-    limit as M grows, ``u_j`` itself, gives the large-antenna SINRs
-    (``_limit_sinrs``).
+    limit as M grows, ``u_j`` itself, gives the large-antenna SINRs, BS j
+    giving user k the share ``|u_jk|^2`` of its power.
     """
     k = amplitudes.shape[-1] - 1
     gains = np.abs(amplitudes[..., :k]) ** 2
     return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
 
 
-def _limit_sinrs(ctx: _TrialContext) -> np.ndarray:
-    """(..., K) large-antenna SINRs: BS j gives user k the share ``|u_jk|^2``
-    of its power."""
-    return sinr_from_amplitudes(ctx, _beam_directions(ctx))
-
-
-def _fingerprint(config: NetworkConfig, scheme, num_large, num_small, master_seed):
+def _fingerprint(config: NetworkConfig) -> str:
+    """Hash of the package version and the resolved config."""
     if config.antennas is None:
         # No fast fading is drawn, so the draw count cannot change the result.
-        config, num_small = replace(config, num_small=1), None
-    text = (
-        f"{__version__}\n"
-        + serialize_config(config)
-        + f"\n{scheme}|{num_large}|{num_small}|{master_seed}"
-    )
+        config = replace(config, num_small=1)
+    text = f"{__version__}\n" + serialize_config(config)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _report(config, scheme, samples, num_small, master_seed) -> SinrReport:
-    return SinrReport(
-        samples_db=samples,
-        cdf=empirical_cdf(samples),
-        mean_min_sinr_db=float(samples.mean()),
-        scheme=scheme,
-        fingerprint=_fingerprint(config, scheme, samples.size, num_small, master_seed),
-    )
-
-
-def _non_finite(
-    t: int, large_seed: int, small_seed: int | None = None, draw: int | None = None
-):
-    where = f"realization {t} (large seed {large_seed}"
-    if small_seed is not None:
-        where += f", small seed {small_seed}, draw {draw}"
+def _non_finite(config: NetworkConfig, t: int, draw: int):
+    seed = config.master_seed
+    where = f"realization {t} (large seed {child_seed(seed, _LARGE_STREAM, t)}"
+    if config.antennas is not None:
+        where += f", small seed {child_seed(seed, _SMALL_STREAM, t)}, draw {draw}"
     return ArithmeticError(f"non-finite SINR in {where})")
 
 
-def large_scale_batch(
-    config: NetworkConfig, num_large: int | None = None, master_seed: int | None = None
-) -> np.ndarray:
-    """Gains of realizations 0..T-1 stacked into a read-only (T, N, N, K) batch.
+def large_scale_batch(config: NetworkConfig) -> np.ndarray:
+    """Gains of realizations 0..num_large-1 stacked into a read-only
+    (num_large, N, N, K) batch.
 
     Row t is the realization keyed by ``large_seed = child_seed(master_seed,
     LARGE, t)``: bit for bit ``large_scale_tensor`` on ``drop_users`` seeded
-    with ``child_seed(large_seed, POSITIONS)``, so no row depends on another.
-    ``num_large`` and ``master_seed`` default to the config's values.  Only
-    the geometry fields of ``config`` enter, and the process keeps the last
-    ``_BATCH_CACHE_SIZE`` batches: a config that differs only in powers,
-    pilot settings, scheme or antennas gets the same array back.
+    with ``child_seed(large_seed, POSITIONS)``, so no row depends on another
+    and a batch is a prefix of any longer one.  Only the geometry fields,
+    ``num_large`` and ``master_seed`` of ``config`` enter, and the process
+    keeps the last ``_BATCH_CACHE_SIZE`` batches: a config that differs only
+    in powers, pilot settings, scheme, antennas or draw count gets the same
+    array back.
     """
-    num_large = num_large if num_large is not None else config.num_large
-    master_seed = master_seed if master_seed is not None else config.master_seed
-    if num_large < 1:
+    if config.num_large < 1:
         raise ConfigError("num_large", "trial counts must be at least 1")
     return _cached_batch(
         config.cells,
@@ -366,8 +340,8 @@ def large_scale_batch(
         config.users_per_cell,
         config.exclusion_m,
         config.fading,
-        num_large,
-        master_seed,
+        config.num_large,
+        config.master_seed,
     )
 
 
@@ -386,9 +360,10 @@ def _cached_batch(
 
 
 def _realizations_per_block(config: NetworkConfig) -> int:
-    """Realizations whose finite-M draws are stacked and evaluated at once:
-    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth, at least one."""
-    per_realization = config.num_small * config.cells * (config.users_per_cell + 1)
+    """Realizations evaluated at once: up to ``_BLOCK_AMPLITUDES``
+    amplitudes' worth, at least one.  The limit counts as one draw."""
+    draws = 1 if config.antennas is None else config.num_small
+    per_realization = draws * config.cells * (config.users_per_cell + 1)
     return max(1, _BLOCK_AMPLITUDES // per_realization)
 
 
@@ -436,79 +411,55 @@ def _first_non_finite(sinr: np.ndarray):
     return tuple(int(i) for i in bad[0]) if bad.size else None
 
 
-def run_experiment(
-    config: NetworkConfig,
-    scheme: str | None = None,
-    num_large: int | None = None,
-    num_small: int | None = None,
-    master_seed: int | None = None,
-) -> SinrReport:
+def run_experiment(config: NetworkConfig, scheme: str | None = None) -> SinrReport:
     """Aggregate min-SINR statistics over independent large-scale realizations.
 
-    The config, with the call's scheme, counts and seed applied, is validated
-    first.  Both modes evaluate one context built on ``large_scale_batch``.
-    In asymptotic mode (``config.antennas is None``) the SINRs are its limit
-    (``_limit_sinrs``): no fast fading is drawn and ``num_small`` only counts
-    towards validation.  With finite antennas each realization's minimum
-    SINR is averaged over ``num_small`` fast-fading draws in linear scale
-    before conversion to dB.  Realization t takes all of them from one
-    generator keyed by ``child_seed(master_seed, SMALL, t)``: the raw draws
-    of ``channel.draw_beam_fading``, row s being draw s, projected onto the
-    scheme's beam directions (``channel.project_beam_fading``).  The draws of
-    up to ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations are stacked,
-    projected and evaluated together.  An experiment of at most
-    ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for later calls at the
-    same antenna count, beam shape, draw count and seed (``_draw_block``).
-    Seeds for realization t depend only on the master seed and t, never on
-    execution order.  A non-finite SINR raises ``ArithmeticError`` naming
-    the first bad realization, its seeds and, at finite M, the draw.
+    ``scheme``, if given, replaces ``config.scheme``; the resolved config is
+    validated and is then the experiment's only input, and the report's
+    fingerprint hashes it with the package version.  One context is built on
+    ``large_scale_batch``, and one loop evaluates it over blocks of up to
+    ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations.  A block starts
+    from the beam directions, the large-antenna limit, which is all that
+    asymptotic mode (``config.antennas is None``) evaluates: no fast fading
+    is drawn and ``num_small`` only counts towards validation.  With finite
+    antennas realization t takes ``num_small`` draws from one generator keyed
+    by ``child_seed(master_seed, SMALL, t)``: the raw draws of
+    ``channel.draw_beam_fading``, row s being draw s, projected onto the
+    scheme's beam directions (``channel.project_beam_fading``).  An
+    experiment of at most ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for
+    later calls at the same antenna count, beam shape, draw count and seed
+    (``_draw_block``).  Each realization's minimum SINR is averaged over its
+    draws in linear scale before conversion to dB.  Seeds for realization t
+    depend only on the master seed and t, never on execution order.  A
+    non-finite SINR raises ``ArithmeticError`` naming the first bad
+    realization, its seeds and, at finite M, the draw.
     """
-    scheme = scheme if scheme is not None else config.scheme
-    num_large = num_large if num_large is not None else config.num_large
-    num_small = num_small if num_small is not None else config.num_small
-    master_seed = master_seed if master_seed is not None else config.master_seed
-    resolved = replace(
-        config,
-        scheme=scheme,
-        num_large=num_large,
-        num_small=num_small,
-        master_seed=master_seed,
-    )
-    validate_config(resolved)
+    if scheme is not None:
+        config = replace(config, scheme=scheme)
+    validate_config(config)
 
-    ctx = _build_trial_context(
-        config, scheme, large_scale_batch(config, num_large, master_seed)
-    )
-    if config.antennas is None:
-        per_user = _limit_sinrs(ctx)
-        bad = _first_non_finite(per_user)
-        if bad is not None:
-            (t,) = bad
-            raise _non_finite(t, child_seed(master_seed, _LARGE_STREAM, t))
-        samples = linear_to_db(per_user.min(axis=-1))
-        return _report(config, scheme, samples, None, master_seed)
-
+    ctx = _build_trial_context(config, large_scale_batch(config))
     directions = _beam_directions(ctx)
-    block = _realizations_per_block(resolved)
-    samples = np.empty(num_large)
-    for lo in range(0, num_large, block):
-        hi = min(lo + block, num_large)
-        g, z = _draw_block(resolved, lo, hi)
-        amplitudes = project_beam_fading(
-            config.antennas, directions[lo:hi, None], g, z
-        )  # (hi - lo, num_small, N, K+1)
+    block = _realizations_per_block(config)
+    samples = np.empty(config.num_large)
+    for lo in range(0, config.num_large, block):
+        hi = min(lo + block, config.num_large)
+        amplitudes = directions[lo:hi, None]  # the limit, as one draw
+        if config.antennas is not None:
+            g, z = _draw_block(config, lo, hi)
+            amplitudes = project_beam_fading(config.antennas, amplitudes, g, z)
         drawn = replace(
             ctx, weights=ctx.weights[lo:hi, None], eval_amp=ctx.eval_amp[lo:hi, None]
         )
         sinr = sinr_from_amplitudes(drawn, amplitudes)
         bad = _first_non_finite(sinr)
         if bad is not None:
-            t, draw = lo + bad[0], bad[1]
-            raise _non_finite(
-                t,
-                child_seed(master_seed, _LARGE_STREAM, t),
-                child_seed(master_seed, _SMALL_STREAM, t),
-                draw,
-            )
+            raise _non_finite(config, lo + bad[0], bad[1])
         samples[lo:hi] = linear_to_db(sinr.min(axis=-1).mean(axis=-1))
-    return _report(config, scheme, samples, num_small, master_seed)
+    return SinrReport(
+        samples_db=samples,
+        cdf=empirical_cdf(samples),
+        mean_min_sinr_db=float(samples.mean()),
+        scheme=config.scheme,
+        fingerprint=_fingerprint(config),
+    )

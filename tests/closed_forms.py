@@ -2,8 +2,9 @@
 of every CSI scheme.
 
 The package does not call them: the engine reads the limit off each scheme's
-beam coefficients (``engine._limit_sinrs``), and the tests hold that limit to
-these expressions, which the acceptance criteria test in turn.
+beam coefficients (``sinr_from_amplitudes`` at ``engine._beam_directions``),
+and the tests hold that limit to these expressions, which the acceptance
+criteria test in turn.
 
 All expressions assume the per-BS transmit power is scaled down with the
 antenna count (p = E / M with E fixed), under which channel vectors of

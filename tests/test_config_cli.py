@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -110,6 +111,16 @@ class TestParseConfig:
             parse_config(f"exclusion_m = {value}")
         assert err.value.key == "exclusion_m"
         assert parse_config("exclusion_m = 0.5").exclusion_m == 0.5
+
+    @pytest.mark.parametrize("value, admitted", [("866", True), ("867", False)])
+    def test_exclusion_disk_must_fit_inside_the_hexagon(self, value, admitted):
+        # the hexagon's inscribed radius is sqrt(3)/2 * 1000 m = 866.03 m
+        if admitted:
+            assert parse_config(f"exclusion_m = {value}").exclusion_m == float(value)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"exclusion_m = {value}")
+        assert err.value.key == "exclusion_m"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -316,6 +327,62 @@ class TestScenarios:
         lines = manifest.read_text().splitlines()
         assert f"# generator: multicast-mimo {multicast_mimo.__version__}" in lines
 
+    def test_scheme_cdf_preset_ignores_the_config_scheme(self, tmp_path):
+        # the preset sets each curve's scheme itself, so an unused scheme key
+        # changes only the manifest
+        for out, extra in (("a", []), ("b", ["--set", "scheme=composite"])):
+            args = ["fig3/4-cdf-schemes", "--set", "num_large=4", "--out", str(tmp_path / out)]
+            assert main(args + extra) == 0
+        csvs = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert len(csvs) == 4
+        for name in csvs:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # First 16 hex digits of the sha256 of each preset file at PINNED_CONFIG:
+    # a CSV's data rows (its lines not starting with '#'; the header comments
+    # carry fingerprints) and the whole manifest.  A declared change of a
+    # random stream re-pins them.
+    PINNED_CONFIG = NetworkConfig(
+        num_large=4, num_small=2, antennas_sweep=(4, 16), master_seed=1
+    )
+    PINNED_DIGESTS = {
+        ("fig10-finite-M", "manifest.cfg"): "fce77758c864902b",
+        ("fig10-finite-M", "fig10_finite_M_simulated.csv"): "e89102320a90a65c",
+        ("fig10-finite-M", "fig10_finite_M_asymptotic.csv"): "a57775f1eb2f47f1",
+        ("fig2-cdf-perfect", "manifest.cfg"): "02ccfdf7f6611261",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K3.csv"): "8ffc56c49685b3b0",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K3.csv"): "20f8b65f1c3ab173",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K10.csv"): "d7484e7f5dd6afe1",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K10.csv"): "1647a3bf69341d6d",
+        ("fig3/4-cdf-schemes", "manifest.cfg"): "d1b248e6f85dbc16",
+        ("fig3/4-cdf-schemes", "fig34_cdf_perfect-optimal_K3.csv"): "8ffc56c49685b3b0",
+        ("fig3/4-cdf-schemes", "fig34_cdf_individual-pilot_K3.csv"): "d5c114fdeb8fa99b",
+        ("fig3/4-cdf-schemes", "fig34_cdf_composite_K3.csv"): "3bc9a0cd48f05c07",
+        ("fig3/4-cdf-schemes", "fig34_cdf_composite-power-controlled_K3.csv"): "107b4ddbe72686b1",
+        ("fig5/6-sweep-E", "manifest.cfg"): "33729de1fa679257",
+        ("fig5/6-sweep-E", "fig56_sweep_E_perfect-optimal_K3.csv"): "3a3629d08f5a8e09",
+        ("fig5/6-sweep-E", "fig56_sweep_E_individual-pilot_K3.csv"): "1ef914d511bc9a13",
+        ("fig5/6-sweep-E", "fig56_sweep_E_composite_K3.csv"): "eeb64edb9cfc2663",
+        ("fig5/6-sweep-E", "fig56_sweep_E_composite-power-controlled_K3.csv"): "5299e5fd89ade856",
+        ("fig7-sweep-pu", "manifest.cfg"): "fcf0203e15ae705b",
+        ("fig7-sweep-pu", "fig7_cdf_perfect-optimal.csv"): "8ffc56c49685b3b0",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu2dbw.csv"): "107b4ddbe72686b1",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu4dbw.csv"): "49af12c8c03d3c52",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu8dbw.csv"): "bd1da010ad82b562",
+    }
+
+    def test_preset_outputs_are_pinned(self, tmp_path):
+        got = {}
+        for name in sorted(SCENARIOS):
+            out = tmp_path / name.replace("/", "-")
+            for path in run_scenario(name, self.PINNED_CONFIG, out_dir=out):
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                if path.suffix == ".csv":
+                    lines = [line for line in lines if not line.startswith("#")]
+                digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+                got[(name, path.name)] = digest
+        assert got == self.PINNED_DIGESTS
+
     def test_version_has_one_source(self):
         tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
         project = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -418,6 +485,14 @@ class TestCli:
         assert code == 1
         assert "'exclusion_m'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value, code", [("866", 0), ("867", 1)])
+    def test_exclusion_disk_inside_the_hexagon(self, value, code, tmp_path, capsys):
+        args = ["fig3/4-cdf-schemes", "--set", f"exclusion_m={value}", "--set", "num_large=2"]
+        assert main(args + ["--out", str(tmp_path)]) == code
+        if code:
+            assert "'exclusion_m'" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
 
     def test_end_to_end_run_and_rerun(self, tmp_path, capsys):
         out1 = tmp_path / "run1"

@@ -214,7 +214,17 @@ def route_amplitudes(config, scheme, ctx, cs, directions):
 def trial_context(config, scheme, large_seed):
     """The engine's context of ``scheme`` on one large-scale realization."""
     beta = scalar_large_scale(config, large_seed)
-    return engine._build_trial_context(config, scheme, beta)
+    return context(config, scheme, beta)
+
+
+def context(config, scheme, beta):
+    """The engine's context of ``scheme`` on ``beta``."""
+    return engine._build_trial_context(replace(config, scheme=scheme), beta)
+
+
+def limit_sinrs(ctx):
+    """The engine's large-antenna SINRs: its evaluator at the beam directions."""
+    return sinr_from_amplitudes(ctx, engine._beam_directions(ctx))
 
 
 def fading_draw(ctx, m, small_seed):
@@ -338,7 +348,7 @@ class TestGramRoute:
             combiner = np.array(combiner)
             combiner[bs] *= modulus * np.exp(1j * phase)
         scaled = replace(ctx, weights=weights, noise_combiner=combiner)
-        assert np.allclose(engine._limit_sinrs(scaled), engine._limit_sinrs(ctx), rtol=1e-9, atol=0)
+        assert np.allclose(limit_sinrs(scaled), limit_sinrs(ctx), rtol=1e-9, atol=0)
         expected = sinr_from_amplitudes(ctx, explicit_amplitudes(ctx, 16, seed))
         got = sinr_from_amplitudes(scaled, explicit_amplitudes(scaled, 16, seed))
         assert np.allclose(got, expected, rtol=1e-9, atol=0)
@@ -349,7 +359,7 @@ class TestRunExperiment:
         config = NetworkConfig(antennas=None, num_large=20)
         a = run_experiment(config, scheme="perfect-optimal")
         b = run_experiment(config, scheme="perfect-optimal")
-        c = run_experiment(config, scheme="perfect-optimal", master_seed=2)
+        c = run_experiment(replace(config, master_seed=2), scheme="perfect-optimal")
         assert np.array_equal(a.samples_db, b.samples_db)
         assert a.fingerprint == b.fingerprint
         assert not np.array_equal(a.samples_db, c.samples_db)
@@ -359,7 +369,7 @@ class TestRunExperiment:
         config = NetworkConfig(antennas=16, cells=3, num_large=4, num_small=3)
         a = run_experiment(config, scheme="composite-power-controlled")
         b = run_experiment(config, scheme="composite-power-controlled")
-        c = run_experiment(config, scheme="composite-power-controlled", master_seed=2)
+        c = run_experiment(replace(config, master_seed=2), scheme="composite-power-controlled")
         assert np.array_equal(a.samples_db, b.samples_db)
         assert np.all(np.isfinite(a.samples_db))
         assert not np.any(np.isin(a.samples_db, c.samples_db))
@@ -372,6 +382,19 @@ class TestRunExperiment:
         assert np.array_equal(before.samples_db, after.samples_db)
         assert before.fingerprint != after.fingerprint
 
+    @pytest.mark.parametrize("antennas", [None, 16])
+    def test_fingerprint_depends_only_on_the_resolved_config(self, antennas):
+        config = NetworkConfig(antennas=antennas, cells=3, num_large=4, num_small=2)
+        resolved = replace(config, scheme="composite")
+        reports = [
+            run_experiment(config, scheme="composite"),
+            run_experiment(resolved),
+            run_experiment(resolved, scheme="composite"),
+        ]
+        for report in reports[1:]:
+            assert np.array_equal(report.samples_db, reports[0].samples_db)
+            assert report.fingerprint == reports[0].fingerprint
+
     def test_cdf_endpoints(self):
         config = NetworkConfig(antennas=None, num_large=40)
         report = run_experiment(config, scheme="perfect-optimal")
@@ -382,8 +405,8 @@ class TestRunExperiment:
 
     def test_small_count_ignored_in_asymptotic_mode(self):
         config = NetworkConfig(antennas=None, num_large=10)
-        a = run_experiment(config, scheme="perfect-optimal", num_small=1)
-        b = run_experiment(config, scheme="perfect-optimal", num_small=50)
+        a = run_experiment(replace(config, num_small=1), scheme="perfect-optimal")
+        b = run_experiment(replace(config, num_small=50), scheme="perfect-optimal")
         c = run_experiment(replace(config, num_small=7), scheme="perfect-optimal")
         assert np.array_equal(a.samples_db, b.samples_db)
         assert np.array_equal(a.samples_db, c.samples_db)
@@ -420,8 +443,8 @@ class TestRunExperiment:
 
     def test_finite_realizations_do_not_depend_on_the_count(self):
         config = NetworkConfig(antennas=16, cells=3, num_small=4)
-        short = run_experiment(config, scheme="composite", num_large=2)
-        longer = run_experiment(config, scheme="composite", num_large=4)
+        short = run_experiment(replace(config, num_large=2), scheme="composite")
+        longer = run_experiment(replace(config, num_large=4), scheme="composite")
         assert np.array_equal(short.samples_db, longer.samples_db[:2])
 
     @pytest.mark.parametrize("antennas", [1, 3, 4])
@@ -434,12 +457,12 @@ class TestRunExperiment:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError):
-            run_experiment(NetworkConfig(antennas=None), num_large=0)
+            run_experiment(NetworkConfig(antennas=None, num_large=0))
 
     @pytest.mark.parametrize("key", ["num_large", "num_small"])
     def test_zero_count_names_its_key(self, key):
         with pytest.raises(ConfigError) as err:
-            run_experiment(NetworkConfig(antennas=16), **{key: 0})
+            run_experiment(replace(NetworkConfig(antennas=16), **{key: 0}))
         assert err.value.key == key
 
     def test_unknown_scheme_rejected(self):
@@ -550,7 +573,8 @@ class TestAsymptoticBatch:
 
     def test_prefix_of_a_longer_batch(self):
         config = NetworkConfig(num_large=3)
-        assert np.array_equal(large_scale_batch(config), large_scale_batch(config, 8)[:3])
+        longer = large_scale_batch(replace(config, num_large=8))
+        assert np.array_equal(large_scale_batch(config), longer[:3])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_batched_sinrs_equal_scalar_closed_forms(self, scheme):
@@ -559,22 +583,22 @@ class TestAsymptoticBatch:
         config = async_config(num_large=5, master_seed=4)
         beta = large_scale_batch(config)
         kappas = engine._async_kappas(config)
-        batched = engine._limit_sinrs(engine._build_trial_context(config, scheme, beta))
+        batched = limit_sinrs(context(config, scheme, beta))
         assert batched.shape == (5, config.users_per_cell)
         for t in range(5):
             expected = scalar_closed_forms(config, scheme, beta[t], kappas)
             assert np.allclose(batched[t], expected, rtol=1e-12, atol=0)
-            single = engine._limit_sinrs(engine._build_trial_context(config, scheme, beta[t]))
+            single = limit_sinrs(context(config, scheme, beta[t]))
             assert np.allclose(single, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_context_rows_are_the_per_realization_contexts(self, scheme):
         config = async_config(num_large=4, master_seed=8)
         beta = large_scale_batch(config)
-        batched = engine._build_trial_context(config, scheme, beta)
+        batched = context(config, scheme, beta)
         for t in range(4):
             row = replace(batched, weights=batched.weights[t], eval_amp=batched.eval_amp[t])
-            single = engine._build_trial_context(config, scheme, beta[t])
+            single = context(config, scheme, beta[t])
             for field in fields(single):
                 got, want = getattr(row, field.name), getattr(single, field.name)
                 assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
@@ -585,7 +609,7 @@ class TestAsymptoticBatch:
         # on vectors X whose Gram matrix X^H X / M is the identity, the
         # amplitudes X^H X u / ||X u|| / sqrt(M) are u, the limit's
         config = async_config(num_large=5, master_seed=4)
-        ctx = engine._build_trial_context(config, scheme, large_scale_batch(config))
+        ctx = context(config, scheme, large_scale_batch(config))
         u = engine._beam_directions(ctx)
         m = 8
         q, _ = np.linalg.qr(complex_gaussian(make_rng(5), u.shape[:-1] + (m, u.shape[-1])))
@@ -593,7 +617,7 @@ class TestAsymptoticBatch:
         amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
         amplitudes /= np.linalg.norm(xu[..., 0], axis=-1, keepdims=True) * np.sqrt(m)
         assert np.allclose(
-            engine._limit_sinrs(ctx), sinr_from_amplitudes(ctx, amplitudes), rtol=1e-12, atol=0
+            limit_sinrs(ctx), sinr_from_amplitudes(ctx, amplitudes), rtol=1e-12, atol=0
         )
 
 
@@ -797,18 +821,20 @@ class TestSharedDraws:
 
 class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
-        original = engine._limit_sinrs
+        original = engine.sinr_from_amplitudes
 
-        def nan_in_row_2(ctx):
-            out = original(ctx)
-            out[2, 1] = np.nan
+        def nan_in_row_2(ctx, amplitudes):
+            out = original(ctx, amplitudes)
+            out[2, 0, 1] = np.nan
             return out
 
-        monkeypatch.setattr(engine, "_limit_sinrs", nan_in_row_2)
+        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_row_2)
         config = NetworkConfig(num_large=4, master_seed=5)
         seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
-        with pytest.raises(ArithmeticError, match=rf"realization 2 \(large seed {seed}\)"):
+        match = rf"realization 2 \(large seed {seed}\)"
+        with pytest.raises(ArithmeticError, match=match) as err:
             run_experiment(config, scheme="composite")
+        assert "small seed" not in str(err.value)
 
     def test_finite_mode_names_realization_and_seeds(self, monkeypatch):
         # one block holds every realization; realization 1's draw 1 comes

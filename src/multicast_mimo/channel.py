@@ -8,8 +8,9 @@ finite-antenna fast path does not draw ``h``: per BS and draw it draws one
 gamma and one complex normal per channel (``draw_beam_fading``), which do
 not depend on the beam, and projects them onto the beam's direction to get
 the normalized amplitudes that its unit beam delivers along each channel
-(``project_beam_fading``).  Given a sequence of generators, the draws stack
-one row per generator: only the draws stay per realization.
+(``project_beam_fading``), which computes into one complex result array
+in place.  Given a sequence of generators, the draws stack one row per
+generator: only the draws stay per realization.
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
@@ -120,10 +121,18 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
     u^H) z`` with ``g ~ Gamma(m, 1)`` and ``z ~ CN(0, I_p)`` independent, as
     ``draw_beam_fading`` draws them: one gamma and p complex normals at any
     m.  ``u`` broadcasts against ``z``, so a stack of draws is projected at
-    once.
+    once.  The result is ``(sqrt(g) u + (z - u (u^H z))) / sqrt(m)`` bit for
+    bit, computed in place in one new complex array; ``u``, ``g`` and ``z``
+    are only read, so they may be read-only cached draws.
     """
-    projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
-    return (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
+    out = np.empty(np.broadcast_shapes(u.shape, z.shape), dtype=np.result_type(u, z))
+    np.multiply(u.conj(), z, out=out)
+    along = np.sum(out, axis=-1, keepdims=True)  # u^H z
+    np.multiply(u, along, out=out)
+    np.subtract(z, out, out=out)  # (I - u u^H) z
+    out += np.sqrt(g)[..., None] * u
+    out /= np.sqrt(m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,9 +163,10 @@ class ChannelState:
         return np.sqrt(self.beta[i, j, k]) * self.h[i, j, k]
 
 
-def shadowing_db(fading: FadingConfig, num_cells: int, large_seed: int) -> np.ndarray:
+def shadowing_db(fading: FadingConfig, num_cells: int, large_seed) -> np.ndarray:
     """(N, N) shadowing [dB] of each (BS, cell) pair, drawn in row-major
-    order from one generator seeded with ``large_seed``."""
+    order from one generator: ``large_seed`` itself if it is a generator,
+    else one seeded with it."""
     return make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (num_cells, num_cells))
 
 

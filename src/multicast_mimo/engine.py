@@ -29,14 +29,17 @@ so every experiment in a process that shares a geometry (curves of other
 schemes, powers, pilot settings or antenna counts) evaluates the same batch
 without drawing it again; the result is the same as drawing it per curve.
 The batch is built with array operations, and at finite M the draws of a
-block of realizations fill one array; only the draws from each realization's
-own generators stay per realization, so no row depends on another and block
-edges change no result.  The raw draws do not depend on the scheme: they
-are keyed by the antenna count, the (N, K+1) beam shape, the draw count,
-the block's realizations and the master seed.  ``_cached_draws`` keeps the
-last ``_DRAW_CACHE_SIZE`` blocks, read-only, each of at most
-``_BLOCK_AMPLITUDES`` amplitudes (about 1 MiB in all), and only for an
-experiment that fits in them: ``num_large * num_small * N * (K+1) <=
+block of realizations fill one array.  Each stream's seeds and generators
+for a batch or block come from one array call (``seeding.child_seeds``,
+``seeding.make_rngs``), equal bit for bit to ``child_seed`` and ``make_rng``
+per realization, so no ``SeedSequence`` is built per realization.  Only the
+draws from each realization's own generators stay per realization, so no
+row depends on another and block edges change no result.  The raw draws do
+not depend on the scheme: they are keyed by the antenna count, the (N, K+1)
+beam shape, the draw count, the block's realizations and the master seed.
+``_cached_draws`` keeps the last ``_DRAW_CACHE_SIZE`` blocks, read-only,
+each of at most ``_BLOCK_AMPLITUDES`` amplitudes (about 1 MiB in all), and
+only for an experiment that fits in them: ``num_large * num_small * N * (K+1) <=
 _DRAW_CACHE_SIZE * _BLOCK_AMPLITUDES`` in whole blocks.  Then the other
 schemes of a comparison at the same M project the same draws onto their
 own beams without deriving a seed or running a generator.  A larger
@@ -82,7 +85,7 @@ from .pilots import (
     make_pilot_book,
     optimal_pilot_powers,
 )
-from .seeding import child_seed, make_rng
+from .seeding import child_seed, child_seeds, make_rngs
 from .units import linear_to_db
 
 # Seed stream tags (stable identifiers; changing them changes every result).
@@ -177,12 +180,14 @@ class _TrialContext:
     eval_cell: int
 
 
-def _single_bs_power(config: NetworkConfig) -> float:
+def validate_experiment(config: NetworkConfig) -> None:
+    """Check that ``config`` can run as one experiment: valid, with a single
+    BS power; raise ConfigError naming the key."""
+    validate_config(config)
     if len(config.E_dbw) != 1:
         raise ConfigError(
             "E_dbw", "experiments need a single BS power; sweep presets iterate"
         )
-    return config.bs_power_w[0]
 
 
 def _async_kappas(config: NetworkConfig) -> np.ndarray:
@@ -247,7 +252,7 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
         weights=weights,
         noise_combiner=noise_combiner,
         eval_amp=sqrt_beta[..., :, 0, :],
-        bs_power_w=_single_bs_power(config),
+        bs_power_w=config.bs_power_w[0],
         sigma2=noise_power(config.fading),
         sigma_p2=pilot_noise_power(config.fading),
         eval_cell=0,
@@ -326,8 +331,9 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     Row t is the realization keyed by ``large_seed = child_seed(master_seed,
     LARGE, t)``: bit for bit ``large_scale_tensor`` on ``drop_users`` seeded
     with ``child_seed(large_seed, POSITIONS)``, so no row depends on another
-    and a batch is a prefix of any longer one.  Only the geometry fields,
-    ``num_large`` and ``master_seed`` of ``config`` enter, and the process
+    and a batch is a prefix of any longer one.  The seeds and generators of
+    all rows are derived with one array call per stream.  Only the geometry
+    fields, ``num_large`` and ``master_seed`` of ``config`` enter, and the process
     keeps the last ``_BATCH_CACHE_SIZE`` batches: a config that differs only
     in powers, pilot settings, scheme, antennas or draw count gets the same
     array back.
@@ -350,10 +356,10 @@ def _cached_batch(
     cells, radius_m, users_per_cell, exclusion_m, fading, num_large, master_seed
 ) -> np.ndarray:
     layout = build_hex_layout(cells, radius_m)
-    large_seeds = [child_seed(master_seed, _LARGE_STREAM, t) for t in range(num_large)]
-    positions_seeds = [child_seed(seed, _POSITIONS_STREAM) for seed in large_seeds]
-    positions = drop_users(layout, users_per_cell, exclusion_m, positions_seeds)
-    shadow_db = np.stack([shadowing_db(fading, cells, seed) for seed in large_seeds])
+    large_seeds = child_seeds(master_seed, _LARGE_STREAM, np.arange(num_large))
+    positions_rngs = make_rngs(child_seeds(large_seeds, _POSITIONS_STREAM))
+    positions = drop_users(layout, users_per_cell, exclusion_m, positions_rngs)
+    shadow_db = np.stack([shadowing_db(fading, cells, rng) for rng in make_rngs(large_seeds)])
     beta = large_scale_gains(layout, positions.pos, shadow_db, fading)
     beta.flags.writeable = False
     return beta
@@ -394,7 +400,7 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
 
 
 def _stacked_draws(antennas, cells, width, num_small, lo, hi, master_seed):
-    rngs = [make_rng(child_seed(master_seed, _SMALL_STREAM, t)) for t in range(lo, hi)]
+    rngs = make_rngs(child_seeds(master_seed, _SMALL_STREAM, np.arange(lo, hi)))
     g, z = draw_beam_fading(rngs, antennas, (cells, width), num_small)
     g.flags.writeable = False
     z.flags.writeable = False
@@ -423,7 +429,8 @@ def run_experiment(config: NetworkConfig, scheme: str | None = None) -> SinrRepo
     asymptotic mode (``config.antennas is None``) evaluates: no fast fading
     is drawn and ``num_small`` only counts towards validation.  With finite
     antennas realization t takes ``num_small`` draws from one generator keyed
-    by ``child_seed(master_seed, SMALL, t)``: the raw draws of
+    by ``child_seed(master_seed, SMALL, t)``, a block's generators derived
+    with one array call: the raw draws of
     ``channel.draw_beam_fading``, row s being draw s, projected onto the
     scheme's beam directions (``channel.project_beam_fading``).  An
     experiment of at most ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for
@@ -436,7 +443,7 @@ def run_experiment(config: NetworkConfig, scheme: str | None = None) -> SinrRepo
     """
     if scheme is not None:
         config = replace(config, scheme=scheme)
-    validate_config(config)
+    validate_experiment(config)
 
     ctx = _build_trial_context(config, large_scale_batch(config))
     directions = _beam_directions(ctx)

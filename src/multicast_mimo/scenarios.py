@@ -5,7 +5,11 @@ one CSV per curve plus a ``manifest.cfg`` recording the fully resolved
 configuration; re-running a scenario from its manifest reproduces every CSV
 byte for byte.
 
-Every curve is one ``run_experiment`` call.  The engine keeps one read-only
+A preset first lists its curves, each with the resolved config of every
+experiment it reports, and ``run_scenario`` validates all of them before it
+creates the output directory, so a config that makes any curve invalid
+writes nothing.  Every experiment is one ``run_experiment`` call, made once
+per scenario however many curves report it.  The engine keeps one read-only
 large-scale batch per geometry, shared by every experiment in the process, so
 curves of one geometry (in one preset or across presets) draw it once.  Each
 CSV is byte-identical to the one built from ``run_experiment`` for that curve
@@ -17,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import NetworkConfig, serialize_config, validate_config
-from .engine import SinrReport, run_experiment
+from .engine import SinrReport, run_experiment, validate_experiment
 
 #: Illustrative BS power sweep used when the config carries a single value.
 DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -73,22 +77,34 @@ def _write_manifest(name: str, config: NetworkConfig, out_dir: Path) -> Path:
     return path
 
 
-def _cdf_curves(out_dir, prefix, runs):
-    """Emit one CDF CSV per (label, config, scheme) run."""
-    paths = []
-    for label, cfg, scheme in runs:
-        report = run_experiment(cfg, scheme=scheme)
-        paths.append(
-            emit_csv(
-                report,
-                out_dir / f"{prefix}_{label}.csv",
-                description=f"{prefix} curve: {label} (fingerprint {report.fingerprint})",
-            )
+@dataclass(frozen=True)
+class _Curve:
+    """One CSV of a preset and the experiments it reports.
+
+    ``points`` pairs each swept value with the resolved config of its
+    experiment; a CDF curve (``x_name`` None) has one point, whose value is
+    unused.
+    """
+
+    filename: str
+    description: str
+    points: tuple  # ((x, config), ...)
+    x_name: str | None = None
+
+
+def _cdf_curves(prefix, runs):
+    """One CDF curve per (label, config, scheme) run."""
+    return [
+        _Curve(
+            f"{prefix}_{label}.csv",
+            f"{prefix} curve: {label}",
+            ((None, replace(cfg, scheme=scheme)),),
         )
-    return paths
+        for label, cfg, scheme in runs
+    ]
 
 
-def _scenario_perfect_csi_cdf(config: NetworkConfig, out_dir: Path):
+def _scenario_perfect_csi_cdf(config: NetworkConfig):
     """Min asymptotic SINR CDFs under perfect CSI: optimal vs equal combining,
     at 3 and 10 users per cell."""
     base = replace(config, antennas=None)
@@ -97,7 +113,7 @@ def _scenario_perfect_csi_cdf(config: NetworkConfig, out_dir: Path):
         for k in (3, 10)
         for scheme in ("perfect-optimal", "perfect-equal")
     ]
-    return _cdf_curves(out_dir, "fig2_cdf", runs)
+    return _cdf_curves("fig2_cdf", runs)
 
 
 _CDF_SCHEMES = (
@@ -108,37 +124,32 @@ _CDF_SCHEMES = (
 )
 
 
-def _scenario_scheme_cdf(config: NetworkConfig, out_dir: Path):
+def _scenario_scheme_cdf(config: NetworkConfig):
     """Min asymptotic SINR CDFs of the four CSI schemes at the configured
     user count."""
     base = replace(config, antennas=None)
     k = config.users_per_cell
     runs = [(f"{scheme}_K{k}", base, scheme) for scheme in _CDF_SCHEMES]
-    return _cdf_curves(out_dir, "fig34_cdf", runs)
+    return _cdf_curves("fig34_cdf", runs)
 
 
-def _scenario_bs_power_sweep(config: NetworkConfig, out_dir: Path):
+def _scenario_bs_power_sweep(config: NetworkConfig):
     """Mean min asymptotic SINR against BS power for the four CSI schemes."""
     sweep = config.E_dbw if len(config.E_dbw) > 1 else DEFAULT_E_SWEEP_DBW
     base = replace(config, antennas=None)
-    paths = []
-    for scheme in _CDF_SCHEMES:
-        rows = []
-        for e_dbw in sweep:
-            report = run_experiment(replace(base, E_dbw=(e_dbw,)), scheme=scheme)
-            rows.append((e_dbw, report.mean_min_sinr_db))
-        table = SweepTable(x_name="E_dbw", rows=tuple(rows))
-        paths.append(
-            emit_csv(
-                table,
-                out_dir / f"fig56_sweep_E_{scheme}_K{config.users_per_cell}.csv",
-                description=f"fig56 sweep: {scheme}, K={config.users_per_cell}",
-            )
+    k = config.users_per_cell
+    return [
+        _Curve(
+            f"fig56_sweep_E_{scheme}_K{k}.csv",
+            f"fig56 sweep: {scheme}, K={k}",
+            tuple((e_dbw, replace(base, E_dbw=(e_dbw,), scheme=scheme)) for e_dbw in sweep),
+            x_name="E_dbw",
         )
-    return paths
+        for scheme in _CDF_SCHEMES
+    ]
 
 
-def _scenario_pilot_power_sweep(config: NetworkConfig, out_dir: Path):
+def _scenario_pilot_power_sweep(config: NetworkConfig):
     """Power-controlled composite CDFs at increasing peak pilot power, with
     the perfect-CSI CDF as reference."""
     base = replace(config, antennas=None)
@@ -151,30 +162,45 @@ def _scenario_pilot_power_sweep(config: NetworkConfig, out_dir: Path):
                 "composite-power-controlled",
             )
         )
-    return _cdf_curves(out_dir, "fig7_cdf", runs)
+    return _cdf_curves("fig7_cdf", runs)
 
 
-def _scenario_finite_antennas(config: NetworkConfig, out_dir: Path):
+def _scenario_finite_antennas(config: NetworkConfig):
     """Measured mean min SINR of the power-controlled composite scheme over an
     antenna-count sweep, against its asymptotic value."""
     scheme = "composite-power-controlled"
-    simulated = []
-    for m in sorted(config.antennas_sweep):
-        report = run_experiment(replace(config, antennas=int(m)), scheme=scheme)
-        simulated.append((float(m), report.mean_min_sinr_db))
-    asym = run_experiment(replace(config, antennas=None), scheme=scheme)
-    reference = tuple((float(m), asym.mean_min_sinr_db) for m in sorted(config.antennas_sweep))
-    p1 = emit_csv(
-        SweepTable(x_name="antennas", rows=tuple(simulated)),
-        out_dir / "fig10_finite_M_simulated.csv",
-        description=f"fig10: simulated {scheme}",
-    )
-    p2 = emit_csv(
-        SweepTable(x_name="antennas", rows=reference),
-        out_dir / "fig10_finite_M_asymptotic.csv",
-        description=f"fig10: asymptotic {scheme} reference",
-    )
-    return [p1, p2]
+    sweep = sorted(config.antennas_sweep)
+    asym = replace(config, antennas=None, scheme=scheme)
+    return [
+        _Curve(
+            "fig10_finite_M_simulated.csv",
+            f"fig10: simulated {scheme}",
+            tuple((float(m), replace(config, antennas=int(m), scheme=scheme)) for m in sweep),
+            x_name="antennas",
+        ),
+        _Curve(
+            "fig10_finite_M_asymptotic.csv",
+            f"fig10: asymptotic {scheme} reference",
+            tuple((float(m), asym) for m in sweep),
+            x_name="antennas",
+        ),
+    ]
+
+
+def _emit_curve(curve: _Curve, out_dir: Path, reports: dict) -> Path:
+    """Run the curve's experiments, each config once per scenario, and write
+    its CSV."""
+    for _, cfg in curve.points:
+        if cfg not in reports:
+            reports[cfg] = run_experiment(cfg)
+    path = out_dir / curve.filename
+    if curve.x_name is None:
+        report = reports[curve.points[0][1]]
+        description = f"{curve.description} (fingerprint {report.fingerprint})"
+        return emit_csv(report, path, description=description)
+    rows = tuple((x, reports[cfg].mean_min_sinr_db) for x, cfg in curve.points)
+    table = SweepTable(x_name=curve.x_name, rows=rows)
+    return emit_csv(table, path, description=curve.description)
 
 
 SCENARIOS = {
@@ -187,14 +213,21 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, config: NetworkConfig, out_dir=None) -> list:
-    """Validate the config, then execute a named preset; returns the written
-    files (manifest first).  An invalid config creates and writes nothing."""
+    """Validate the config and every curve's experiment config, then execute
+    a named preset; returns the written files (manifest first).  An invalid
+    config, or one that makes any curve invalid, creates and writes nothing."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
     validate_config(config)
+    curves = SCENARIOS[name](config)
+    for curve in curves:
+        for _, cfg in curve.points:
+            validate_experiment(cfg)
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _write_manifest(name, config, out)
-    return [manifest] + SCENARIOS[name](config, out)
+    reports = {}
+    return [_write_manifest(name, config, out)] + [
+        _emit_curve(curve, out, reports) for curve in curves
+    ]

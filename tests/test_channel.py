@@ -208,6 +208,28 @@ class TestSampleBeamAmplitudes:
         for t in range(3):
             assert np.array_equal(stacked[t], project_beam_fading(16, u[t, 0], g[0, t], z[0, t]))
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real-u", "complex-u"])
+    def test_projection_is_the_written_formula_bit_for_bit(self, real):
+        # five schemes have real beam directions, composite-async complex ones
+        m = 16
+        u = complex_gaussian(np.random.default_rng(8), (3, 1, 2, 4))
+        if real:
+            u = np.abs(u)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        g, z = draw_beam_fading(np.random.default_rng(9), m, (2, 4), 6)
+        inputs = (u, g, z)
+        copies = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        got = project_beam_fading(m, u, g, z)
+        projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
+        expected = (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
+        assert got.shape == expected.shape == (3, 6, 2, 4)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        for a, copy in zip(inputs, copies):
+            assert a.tobytes() == copy.tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
     def test_moments(self, m):
         # E|t_k|^2 / M = |u_k|^2 + (1 - |u_k|^2) / M, entry by entry

@@ -291,6 +291,30 @@ class TestScenarios:
         assert err.value.key == "radius_m"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, overrides, key",
+        [
+            ("fig3/4-cdf-schemes", {"pilot_length": "2"}, "pilot_length"),
+            ("fig7-sweep-pu", {"pilot_length": "5"}, "pilot_length"),
+            ("fig10-finite-M", {"E_dbw": "1,2"}, "E_dbw"),
+        ],
+    )
+    def test_invalid_curve_writes_nothing(self, name, overrides, key, tmp_path):
+        # the base config is valid; a curve after the first is not
+        config = apply_overrides(NetworkConfig(), {"num_large": "2", **overrides})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(name, config, out_dir=out)
+        assert err.value.key == key
+        assert not out.exists()
+
+    def test_sweep_preset_accepts_several_powers(self, tmp_path):
+        config = apply_overrides(NetworkConfig(), {"num_large": "2", "E_dbw": "1,2"})
+        paths = run_scenario("fig5/6-sweep-E", config, out_dir=tmp_path)
+        assert len(paths) == 5
+        rows = paths[1].read_text().splitlines()[3:]
+        assert [float(r.split(",")[0]) for r in rows] == [1.0, 2.0]
+
     def test_scheme_cdf_preset_writes_curves_and_manifest(self, tmp_path):
         config = apply_overrides(NetworkConfig(), {"num_large": "8"})
         paths = run_scenario("fig3/4-cdf-schemes", config, out_dir=tmp_path)

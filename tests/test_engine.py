@@ -488,6 +488,36 @@ class TestRunExperiment:
         assert err.value.key == "async_offsets_s"
 
 
+def record_child_seeds(monkeypatch):
+    """Record every seed the engine derives, one ``(root, path, seed)`` of
+    ints per element of each ``child_seeds`` call, in call order."""
+    derived = []
+    original = engine.child_seeds
+
+    def recording(root, *path):
+        seeds = original(root, *path)
+        rows = zip(*(np.ravel(c) for c in np.broadcast_arrays(root, *path)))
+        for row, seed in zip(rows, np.ravel(seeds)):
+            derived.append((int(row[0]), tuple(int(p) for p in row[1:]), int(seed)))
+        return seeds
+
+    monkeypatch.setattr(engine, "child_seeds", recording)
+    return derived
+
+
+def record_make_rngs(monkeypatch):
+    """Record the seed of every generator the engine builds from a seed."""
+    seeds = []
+    original = engine.make_rngs
+
+    def recording(values):
+        seeds.extend(int(v) for v in np.ravel(values))
+        return original(values)
+
+    monkeypatch.setattr(engine, "make_rngs", recording)
+    return seeds
+
+
 def async_config(**overrides):
     rng = np.random.default_rng(0)
     offsets = tuple(float(x) for x in rng.uniform(0, 1e-6, 21))
@@ -553,20 +583,10 @@ class TestAsymptoticBatch:
             assert np.array_equal(beta[t], scalar_large_scale(config, seed))
 
     def test_derives_two_seeds_and_two_generators_per_realization(self, monkeypatch):
-        paths, generators = [], []
-        child_seed, default_rng = engine.child_seed, np.random.default_rng
-
-        def recording_seed(root, *path):
-            paths.append(path)
-            return child_seed(root, *path)
-
-        def recording_rng(seed=None):
-            generators.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(engine, "child_seed", recording_seed)
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        derived = record_child_seeds(monkeypatch)
+        generators = record_make_rngs(monkeypatch)
         large_scale_batch(NetworkConfig(num_large=5, master_seed=3))
+        paths = [path for _, path, _ in derived]
         large = [(engine._LARGE_STREAM, t) for t in range(5)]
         assert sorted(paths) == sorted(large + [(engine._POSITIONS_STREAM,)] * 5)
         assert len(generators) == 10
@@ -682,20 +702,16 @@ class TestSharedBatch:
             assert cold.fingerprint == warm.fingerprint
 
     def test_scheme_sweep_draws_each_realization_once(self, monkeypatch):
-        seeds = []
-        original = engine.child_seed
-
-        def recording(root, *path):
-            seed = original(root, *path)
-            if root == 7 and path[:1] == (engine._LARGE_STREAM,):
-                seeds.append(seed)
-            return seed
-
-        monkeypatch.setattr(engine, "child_seed", recording)
+        derived = record_child_seeds(monkeypatch)
         config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
         for scheme in SCHEMES:
             run_experiment(config, scheme=scheme)
-        assert seeds == [original(7, engine._LARGE_STREAM, t) for t in range(5)]
+        seeds = [
+            seed
+            for root, path, seed in derived
+            if root == 7 and path[:1] == (engine._LARGE_STREAM,)
+        ]
+        assert seeds == [engine.child_seed(7, engine._LARGE_STREAM, t) for t in range(5)]
 
     @pytest.mark.parametrize("per_block", [1, 2])
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -769,19 +785,16 @@ class TestSharedDraws:
             assert cold.fingerprint == warm.fingerprint
 
     def test_scheme_sweep_derives_each_small_seed_once(self, monkeypatch):
-        small = []
-        original = engine.child_seed
-
-        def recording(root, *path):
-            if root == 7 and path[:1] == (engine._SMALL_STREAM,):
-                small.append(path[1])
-            return original(root, *path)
-
-        monkeypatch.setattr(engine, "child_seed", recording)
+        derived = record_child_seeds(monkeypatch)
         config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
         two_realization_blocks(monkeypatch, config)
         for scheme in SCHEMES:
             run_experiment(config, scheme=scheme)
+        small = [
+            path[1]
+            for root, path, _ in derived
+            if root == 7 and path[:1] == (engine._SMALL_STREAM,)
+        ]
         assert small == list(range(5))
 
     @pytest.mark.parametrize("num_large, kept", [(20, 4), (21, 0)])

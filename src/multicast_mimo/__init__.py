@@ -20,6 +20,7 @@ from .engine import (
     empirical_cdf,
     large_scale_batch,
     run_experiment,
+    run_experiments,
 )
 from .pilots import (
     AsyncProfile,
@@ -53,6 +54,7 @@ __all__ = [
     "optimal_beamformer_perfect",
     "parse_config",
     "run_experiment",
+    "run_experiments",
     "run_scenario",
     "serialize_config",
     "uplink_rx",

@@ -3,16 +3,17 @@
 Every scheme's beam at BS j is a linear combination of BS j's channels with
 coefficients that depend only on the large-scale gains.  Both evaluation
 modes share one context holding them (``_build_trial_context``), built once
-per experiment on the (T, N, N, K) batch of large-scale realizations.  In
+per group of experiments that differ only in BS power, on the (T, N, N, K)
+batch of large-scale realizations.  In
 the basis of BS j's channels to the evaluated cell's users plus one
 independent residual (other-cell channels and pilot noise), the beam has a
 unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
 SINRs depend on the fast fading only through the beam's normalized
 amplitude along each of those channels.  As M grows the amplitudes tend to
-``u_j``.  So ``run_experiment`` evaluates both modes in one loop over blocks
-of realizations.  Each block starts from ``u_j``, the large-antenna limit;
-with finite antennas the block's amplitudes are drawn directly, at any
-antenna count: one gamma and K+1 complex normals per BS and draw
+``u_j``.  So one loop over blocks of realizations evaluates both modes.
+Each block starts from ``u_j``, the large-antenna limit; with finite
+antennas the block's amplitudes are drawn directly, at any antenna count:
+one gamma and K+1 complex normals per BS and draw
 (``channel.draw_beam_fading``), projected onto ``u_j``
 (``channel.project_beam_fading``).  One evaluator,
 ``sinr_from_amplitudes``, gives the SINRs of either; the tests hold the
@@ -21,6 +22,11 @@ limit to the paper's closed forms in ``tests/closed_forms.py``.
 An experiment's only input is its resolved config: the config with the
 call's scheme applied.  The report's fingerprint hashes it with the package
 version, so two calls that run the same experiment share a fingerprint.
+``run_experiments`` takes a list of them, and ``run_experiment`` is its
+one-config case.  The BS power enters only the last product of the SINR,
+so configs equal apart from ``E_dbw`` share one context, one set of beam
+directions and one block loop, their powers on a leading axis of the
+SINRs; each report equals that config's solo run bit for bit.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, propagation constants, realization count and master
@@ -174,7 +180,7 @@ class _TrialContext:
     weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
     noise_combiner: np.ndarray | None  # (N, L) complex, None for perfect CSI
     eval_amp: np.ndarray  # (..., N, K) sqrt(beta) toward the evaluated cell
-    bs_power_w: float
+    bs_power_w: float | np.ndarray  # or powers on a leading axis ahead of eval_amp's
     sigma2: float
     sigma_p2: float
     eval_cell: int
@@ -300,11 +306,13 @@ def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarr
     Exact for every scheme, whatever the amplitudes hold:
     ``channel.project_beam_fading`` makes them at finite M, and their
     limit as M grows, ``u_j`` itself, gives the large-antenna SINRs, BS j
-    giving user k the share ``|u_jk|^2`` of its power.
+    giving user k the share ``|u_jk|^2`` of its power.  An array
+    ``ctx.bs_power_w`` broadcasts: powers of shape (P, 1, ..., 1), one more
+    axis than ``ctx.eval_amp``, give (P, ..., K) SINRs, row p at power p.
     """
     k = amplitudes.shape[-1] - 1
     gains = np.abs(amplitudes[..., :k]) ** 2
-    return _user_sinrs(ctx, ctx.bs_power_w * ctx.eval_amp**2 * gains)
+    return _user_sinrs(ctx, (ctx.bs_power_w * ctx.eval_amp**2) * gains)
 
 
 def _fingerprint(config: NetworkConfig) -> str:
@@ -321,7 +329,8 @@ def _non_finite(config: NetworkConfig, t: int, draw: int):
     where = f"realization {t} (large seed {child_seed(seed, _LARGE_STREAM, t)}"
     if config.antennas is not None:
         where += f", small seed {child_seed(seed, _SMALL_STREAM, t)}, draw {draw}"
-    return ArithmeticError(f"non-finite SINR in {where})")
+    power = f"E_dbw = {config.E_dbw[0]:g}"
+    return ArithmeticError(f"non-finite SINR at {power} in {where})")
 
 
 def large_scale_batch(config: NetworkConfig) -> np.ndarray:
@@ -413,42 +422,75 @@ _cached_draws = functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)(_stacked_draws)
 def _first_non_finite(sinr: np.ndarray):
     """Index of the first user-SINR row holding a non-finite value, in C
     order over the leading axes, or None."""
-    bad = np.argwhere(~np.all(np.isfinite(sinr), axis=-1))
-    return tuple(int(i) for i in bad[0]) if bad.size else None
+    finite = np.isfinite(sinr)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.argwhere(~finite.all(axis=-1))[0])
 
 
 def run_experiment(config: NetworkConfig, scheme: str | None = None) -> SinrReport:
     """Aggregate min-SINR statistics over independent large-scale realizations.
 
     ``scheme``, if given, replaces ``config.scheme``; the resolved config is
-    validated and is then the experiment's only input, and the report's
-    fingerprint hashes it with the package version.  One context is built on
-    ``large_scale_batch``, and one loop evaluates it over blocks of up to
-    ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations.  A block starts
-    from the beam directions, the large-antenna limit, which is all that
-    asymptotic mode (``config.antennas is None``) evaluates: no fast fading
-    is drawn and ``num_small`` only counts towards validation.  With finite
-    antennas realization t takes ``num_small`` draws from one generator keyed
-    by ``child_seed(master_seed, SMALL, t)``, a block's generators derived
-    with one array call: the raw draws of
-    ``channel.draw_beam_fading``, row s being draw s, projected onto the
-    scheme's beam directions (``channel.project_beam_fading``).  An
-    experiment of at most ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for
-    later calls at the same antenna count, beam shape, draw count and seed
-    (``_draw_block``).  Each realization's minimum SINR is averaged over its
-    draws in linear scale before conversion to dB.  Seeds for realization t
-    depend only on the master seed and t, never on execution order.  A
-    non-finite SINR raises ``ArithmeticError`` naming the first bad
-    realization, its seeds and, at finite M, the draw.
+    the experiment's only input.  The one-config case of ``run_experiments``.
     """
     if scheme is not None:
         config = replace(config, scheme=scheme)
-    validate_experiment(config)
+    return run_experiments([config])[0]
 
+
+def run_experiments(configs) -> list[SinrReport]:
+    """One ``SinrReport`` per resolved config, in input order, each equal bit
+    for bit to that config run alone.
+
+    Every config is validated before any is evaluated.  Configs equal apart
+    from ``E_dbw`` form a group, evaluated once with their powers on a
+    leading axis: the power enters only the last product of the SINR, so
+    the group shares one context, one set of beam directions and one pass
+    over the realization blocks.
+
+    A group's context is built on ``large_scale_batch``, and one loop
+    evaluates it over blocks of up to ``_BLOCK_AMPLITUDES`` amplitudes' worth
+    of realizations.  A block starts from the beam directions, the
+    large-antenna limit, which is all that asymptotic mode
+    (``config.antennas is None``) evaluates: no fast fading is drawn and
+    ``num_small`` only counts towards validation.  With finite antennas
+    realization t takes ``num_small`` draws from one generator keyed by
+    ``child_seed(master_seed, SMALL, t)``, a block's generators derived with
+    one array call: the raw draws of ``channel.draw_beam_fading``, row s
+    being draw s, projected onto the scheme's beam directions
+    (``channel.project_beam_fading``).  An experiment of at most
+    ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for later calls at the
+    same antenna count, beam shape, draw count and seed (``_draw_block``).
+    Each realization's minimum SINR is averaged over its draws in linear
+    scale before conversion to dB.  Seeds for realization t depend only on
+    the master seed and t, never on execution order.  A non-finite SINR
+    raises ``ArithmeticError`` naming the power, the first bad realization,
+    its seeds and, at finite M, the draw.
+    """
+    configs = list(configs)
+    for config in configs:
+        validate_experiment(config)
+    groups = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(replace(config, E_dbw=()), []).append(i)
+    reports = [None] * len(configs)
+    for indices in groups.values():
+        group = [configs[i] for i in indices]
+        for i, report in zip(indices, _run_power_group(group)):
+            reports[i] = report
+    return reports
+
+
+def _run_power_group(configs: list) -> list[SinrReport]:
+    """Reports of validated configs that differ only in ``E_dbw``."""
+    config = configs[0]
     ctx = _build_trial_context(config, large_scale_batch(config))
     directions = _beam_directions(ctx)
+    # (P, 1, 1, 1, 1): ahead of a block's (realization, draw, N, K) amplitudes
+    powers = np.array([c.bs_power_w[0] for c in configs]).reshape(-1, 1, 1, 1, 1)
     block = _realizations_per_block(config)
-    samples = np.empty(config.num_large)
+    samples = np.empty((len(configs), config.num_large))
     for lo in range(0, config.num_large, block):
         hi = min(lo + block, config.num_large)
         amplitudes = directions[lo:hi, None]  # the limit, as one draw
@@ -456,17 +498,24 @@ def run_experiment(config: NetworkConfig, scheme: str | None = None) -> SinrRepo
             g, z = _draw_block(config, lo, hi)
             amplitudes = project_beam_fading(config.antennas, amplitudes, g, z)
         drawn = replace(
-            ctx, weights=ctx.weights[lo:hi, None], eval_amp=ctx.eval_amp[lo:hi, None]
+            ctx,
+            weights=ctx.weights[lo:hi, None],
+            eval_amp=ctx.eval_amp[lo:hi, None],
+            bs_power_w=powers,
         )
         sinr = sinr_from_amplitudes(drawn, amplitudes)
         bad = _first_non_finite(sinr)
         if bad is not None:
-            raise _non_finite(config, lo + bad[0], bad[1])
-        samples[lo:hi] = linear_to_db(sinr.min(axis=-1).mean(axis=-1))
-    return SinrReport(
-        samples_db=samples,
-        cdf=empirical_cdf(samples),
-        mean_min_sinr_db=float(samples.mean()),
-        scheme=config.scheme,
-        fingerprint=_fingerprint(config),
-    )
+            p, t, draw = bad
+            raise _non_finite(configs[p], lo + t, draw)
+        samples[:, lo:hi] = linear_to_db(sinr.min(axis=-1).mean(axis=-1))
+    return [
+        SinrReport(
+            samples_db=row,
+            cdf=empirical_cdf(row),
+            mean_min_sinr_db=float(row.mean()),
+            scheme=c.scheme,
+            fingerprint=_fingerprint(c),
+        )
+        for c, row in zip(configs, samples)
+    ]

@@ -6,14 +6,15 @@ configuration; re-running a scenario from its manifest reproduces every CSV
 byte for byte.
 
 A preset first lists its curves, each with the resolved config of every
-experiment it reports, and ``run_scenario`` validates all of them before it
-creates the output directory, so a config that makes any curve invalid
-writes nothing.  Every experiment is one ``run_experiment`` call, made once
-per scenario however many curves report it.  The engine keeps one read-only
-large-scale batch per geometry, shared by every experiment in the process, so
-curves of one geometry (in one preset or across presets) draw it once.  Each
-CSV is byte-identical to the one built from ``run_experiment`` for that curve
-alone in a fresh process.
+experiment it reports.  ``run_scenario`` hands the distinct configs to one
+``run_experiments`` call, which validates all of them before it evaluates
+any and runs each power sweep of one scheme as one evaluation.  Only then
+does it create the output directory and write the files, so a config that
+makes any curve invalid, or a non-finite SINR in any curve, writes nothing.
+The engine keeps one read-only large-scale batch per geometry, shared by
+every experiment in the process, so curves of one geometry (in one preset or
+across presets) draw it once.  Each CSV is byte-identical to the one built
+from ``run_experiment`` for that curve alone in a fresh process.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import NetworkConfig, serialize_config, validate_config
-from .engine import SinrReport, run_experiment, validate_experiment
+from .engine import SinrReport, run_experiments
 
 #: Illustrative BS power sweep used when the config carries a single value.
 DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -188,11 +189,7 @@ def _scenario_finite_antennas(config: NetworkConfig):
 
 
 def _emit_curve(curve: _Curve, out_dir: Path, reports: dict) -> Path:
-    """Run the curve's experiments, each config once per scenario, and write
-    its CSV."""
-    for _, cfg in curve.points:
-        if cfg not in reports:
-            reports[cfg] = run_experiment(cfg)
+    """Write the curve's CSV from the reports of its experiments' configs."""
     path = out_dir / curve.filename
     if curve.x_name is None:
         report = reports[curve.points[0][1]]
@@ -213,21 +210,19 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, config: NetworkConfig, out_dir=None) -> list:
-    """Validate the config and every curve's experiment config, then execute
-    a named preset; returns the written files (manifest first).  An invalid
-    config, or one that makes any curve invalid, creates and writes nothing."""
+    """Run every experiment of a named preset, then write its files; returns
+    them, manifest first.  An invalid config, one that makes any curve
+    invalid, or a non-finite SINR in any curve creates and writes nothing."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
     validate_config(config)
     curves = SCENARIOS[name](config)
-    for curve in curves:
-        for _, cfg in curve.points:
-            validate_experiment(cfg)
+    configs = list(dict.fromkeys(cfg for curve in curves for _, cfg in curve.points))
+    reports = dict(zip(configs, run_experiments(configs)))
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = {}
     return [_write_manifest(name, config, out)] + [
         _emit_curve(curve, out, reports) for curve in curves
     ]

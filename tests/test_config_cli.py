@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicast_mimo
+from multicast_mimo import engine
 from multicast_mimo.cli import main
 from multicast_mimo.channel import FadingConfig
 from multicast_mimo.config import (
@@ -307,6 +308,42 @@ class TestScenarios:
             run_scenario(name, config, out_dir=out)
         assert err.value.key == key
         assert not out.exists()
+
+    def test_non_finite_curve_writes_nothing(self, monkeypatch, tmp_path):
+        # the third of the four curves, composite, goes non-finite
+        original = engine.sinr_from_amplitudes
+        calls = []
+
+        def nan_in_third_curve(ctx, amplitudes):
+            out = original(ctx, amplitudes)
+            calls.append(None)
+            if len(calls) == 3:
+                out[0, 0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_third_curve)
+        config = apply_overrides(NetworkConfig(), {"num_large": "2"})
+        out = tmp_path / "out"
+        with pytest.raises(ArithmeticError, match="non-finite SINR"):
+            run_scenario("fig3/4-cdf-schemes", config, out_dir=out)
+        assert len(calls) == 3
+        assert not out.exists()
+
+    def test_power_sweep_builds_one_context_per_scheme(self, monkeypatch, tmp_path):
+        original = engine._build_trial_context
+        schemes = []
+
+        def recording(config, beta):
+            schemes.append(config.scheme)
+            return original(config, beta)
+
+        monkeypatch.setattr(engine, "_build_trial_context", recording)
+        config = apply_overrides(NetworkConfig(), {"num_large": "2"})
+        paths = run_scenario("fig5/6-sweep-E", config, out_dir=tmp_path)
+        assert len(paths) == 5
+        assert sorted(schemes) == sorted(
+            ("perfect-optimal", "individual-pilot", "composite", "composite-power-controlled")
+        )
 
     def test_sweep_preset_accepts_several_powers(self, tmp_path):
         config = apply_overrides(NetworkConfig(), {"num_large": "2", "E_dbw": "1,2"})

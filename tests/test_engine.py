@@ -832,13 +832,78 @@ class TestSharedDraws:
         assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
+def record_contexts(monkeypatch):
+    """Record the config of every trial context the engine builds."""
+    built = []
+    original = engine._build_trial_context
+
+    def recording(config, beta):
+        built.append(config)
+        return original(config, beta)
+
+    monkeypatch.setattr(engine, "_build_trial_context", recording)
+    return built
+
+
+class TestRunExperiments:
+    def test_reports_equal_solo_runs_in_input_order(self, monkeypatch):
+        finite = async_config(antennas=16, num_large=5, num_small=2, master_seed=3)
+        # three finite-M blocks of at most two realizations, two limit blocks
+        two_realization_blocks(monkeypatch, finite)
+        asym = replace(finite, antennas=None, num_large=6)
+        configs = [
+            replace(base, scheme=scheme, E_dbw=(e,))
+            for scheme in SCHEMES
+            for base in (asym, finite)
+            for e in (0.0, 20.0, 40.0)
+        ]
+        order = np.random.default_rng(0).permutation(len(configs))
+        configs = [configs[i] for i in order] + [configs[order[0]], configs[order[5]]]
+        built = record_contexts(monkeypatch)
+        reports = engine.run_experiments(configs)
+        assert len(built) == 2 * len(SCHEMES)
+        assert len(reports) == len(configs)
+        for config, report in zip(configs, reports):
+            solo = run_experiment(config)
+            assert report.samples_db.tobytes() == solo.samples_db.tobytes()
+            assert report.cdf.tobytes() == solo.cdf.tobytes()
+            assert report.fingerprint == solo.fingerprint
+            assert report.mean_min_sinr_db == solo.mean_min_sinr_db
+            assert report.scheme == config.scheme
+
+    def test_power_axis_keeps_the_solo_arithmetic(self):
+        # each power's SINRs, bit for bit, as one scalar power computes them
+        config = NetworkConfig(num_large=5, scheme="composite")
+        ctx = engine._build_trial_context(config, large_scale_batch(config))
+        amplitudes = engine._beam_directions(ctx)[:, None]
+        eval_amp = ctx.eval_amp[:, None]
+        powers = np.array([0.3, 10.0, 1e3])
+        grouped = replace(ctx, eval_amp=eval_amp, bs_power_w=powers.reshape(-1, 1, 1, 1, 1))
+        got = sinr_from_amplitudes(grouped, amplitudes)
+        gains = np.abs(amplitudes[..., :-1]) ** 2
+        for row, power in zip(got, powers):
+            received = power * eval_amp**2 * gains
+            signal = received[..., 0, :]
+            expected = signal / (received.sum(axis=-2) - signal + ctx.sigma2)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_invalid_last_config_raises_before_any_context(self, monkeypatch):
+        built = record_contexts(monkeypatch)
+        base = NetworkConfig(num_large=2)
+        configs = [replace(base, E_dbw=(e,)) for e in (0.0, 10.0)]
+        with pytest.raises(ConfigError) as err:
+            engine.run_experiments(configs + [replace(base, num_large=0)])
+        assert err.value.key == "num_large"
+        assert built == []
+
+
 class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
         original = engine.sinr_from_amplitudes
 
         def nan_in_row_2(ctx, amplitudes):
             out = original(ctx, amplitudes)
-            out[2, 0, 1] = np.nan
+            out[0, 2, 0, 1] = np.nan  # the group's one power, realization 2
             return out
 
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_row_2)
@@ -861,8 +926,8 @@ class TestNonFiniteSinr:
         def nan_in_draw_1_of_realization_1(ctx, amplitudes):
             out = original(ctx, amplitudes)
             calls.append(amplitudes)
-            out[1, 1, 0] = np.nan
-            out[2, 0, 1] = np.nan
+            out[0, 1, 1, 0] = np.nan
+            out[0, 2, 0, 1] = np.nan
             return out
 
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_draw_1_of_realization_1)
@@ -873,6 +938,23 @@ class TestNonFiniteSinr:
             run_experiment(config, scheme="composite")
         assert len(calls) == 1
         assert calls[0].shape == (3, 2, 3, 4)
+
+    def test_names_the_one_power_of_a_group_that_fails(self, monkeypatch):
+        original = engine.sinr_from_amplitudes
+
+        def nan_at_power_1(ctx, amplitudes):
+            out = original(ctx, amplitudes)
+            out[1, 2, 0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_at_power_1)
+        config = NetworkConfig(num_large=4, master_seed=5, scheme="composite")
+        seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
+        with pytest.raises(
+            ArithmeticError,
+            match=rf"at E_dbw = 20 in realization 2 \(large seed {seed}\)",
+        ):
+            engine.run_experiments([replace(config, E_dbw=(e,)) for e in (0.0, 20.0, 40.0)])
 
 
 class TestConvergenceProperties:

@@ -11,51 +11,37 @@ asynchronous pilot arrival, and a seeded finite-antenna Monte Carlo engine.
 # that they can read it.  A change to any random stream bumps it.
 __version__ = "0.4.0"
 
-from .beamforming import beamformer_from_estimate, optimal_beamformer_perfect
-from .channel import ChannelState, FadingConfig
+from .channel import FadingConfig
 from .config import SCHEMES, ConfigError, NetworkConfig, parse_config, serialize_config
 from .engine import (
     SinrReport,
-    downlink_sinr,
     empirical_cdf,
     large_scale_batch,
     run_experiment,
     run_experiments,
 )
-from .pilots import (
-    AsyncProfile,
-    estimate_composite,
-    estimate_individual,
-    make_pilot_book,
-    uplink_rx,
-)
+from .pilots import AsyncProfile, make_pilot_book
 from .scenarios import SCENARIOS, run_scenario
 
-# The configuration, preset and experiment API, plus the explicit vector
-# route (ChannelState -> uplink_rx -> estimator -> beam -> downlink_sinr)
-# that the finite-antenna sampler is tested against.  Everything else is
-# imported from its module.
+# The configuration, preset and experiment API, plus the pilot book and
+# arrival-delay profile that the asynchronous scheme's pilot correlations are
+# built from.  Everything else is imported from its module; the explicit
+# vector route that the engine is tested against is in
+# tests/reference_route.py.
 __all__ = [
     "AsyncProfile",
-    "ChannelState",
     "ConfigError",
     "FadingConfig",
     "NetworkConfig",
     "SCENARIOS",
     "SCHEMES",
     "SinrReport",
-    "beamformer_from_estimate",
-    "downlink_sinr",
     "empirical_cdf",
-    "estimate_composite",
-    "estimate_individual",
     "large_scale_batch",
     "make_pilot_book",
-    "optimal_beamformer_perfect",
     "parse_config",
     "run_experiment",
     "run_experiments",
     "run_scenario",
     "serialize_config",
-    "uplink_rx",
 ]

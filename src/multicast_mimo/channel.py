@@ -3,8 +3,9 @@
 The channel vector from base station i to user k of cell j is
 ``g[i,j,k] = sqrt(beta[i,j,k]) * h[i,j,k]`` with ``beta`` the slowly varying
 power gain (path loss, shadowing, penetration) and ``h`` an i.i.d. circularly
-symmetric complex Gaussian vector with unit per-entry variance.  The
-finite-antenna fast path does not draw ``h``: per BS and draw it draws one
+symmetric complex Gaussian vector with unit per-entry variance.  Only the
+reference route in ``tests/reference_route.py`` draws ``h``; the
+finite-antenna fast path does not: per BS and draw it draws one
 gamma and one complex normal per channel (``draw_beam_fading``), which do
 not depend on the beam, and projects them onto the beam's direction to get
 the normalized amplitudes that its unit beam delivers along each channel
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellLayout, UserPositions, distance_m
+from .geometry import CellLayout, distance_m
 from .seeding import make_rng
 from .units import dbm_to_watts
 
@@ -135,34 +136,6 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
     return out
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """One realization of all BS-to-user channels.
-
-    ``beta[i, j, k]`` is the large-scale gain and ``h[i, j, k]`` the
-    small-scale vector from BS i to user k of cell j.
-    """
-
-    beta: np.ndarray  # (N, N, K)
-    h: np.ndarray  # (N, N, K, M) complex
-
-    @property
-    def num_cells(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.beta.shape[2]
-
-    @property
-    def antennas(self) -> int:
-        return self.h.shape[3]
-
-    def vector(self, i: int, j: int, k: int) -> np.ndarray:
-        """Channel vector g from BS i to user k of cell j."""
-        return np.sqrt(self.beta[i, j, k]) * self.h[i, j, k]
-
-
 def shadowing_db(fading: FadingConfig, num_cells: int, large_seed) -> np.ndarray:
     """(N, N) shadowing [dB] of each (BS, cell) pair, drawn in row-major
     order from one generator: ``large_seed`` itself if it is a generator,
@@ -189,14 +162,3 @@ def large_scale_gains(
         + fading.penetration_loss_db
     )
     return 10.0 ** (-loss_db / 10.0)
-
-
-def large_scale_tensor(
-    layout: CellLayout, positions: UserPositions, fading: FadingConfig, large_seed: int
-) -> np.ndarray:
-    """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
-    realization: ``large_scale_gains`` on ``shadowing_db(large_seed)``."""
-    n = layout.num_cells
-    if positions.pos.shape[:-2] != (n,):
-        raise ValueError(f"positions of shape {positions.pos.shape} are not one drop of {n} cells")
-    return large_scale_gains(layout, positions.pos, shadowing_db(fading, n, large_seed), fading)

@@ -291,6 +291,8 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("exclusion_m", "must lie in (0, sqrt(3)/2 * radius_m]")
     if not config.E_dbw:
         raise ConfigError("E_dbw", "needs at least one value")
+    if len(set(config.E_dbw)) != len(config.E_dbw):
+        raise ConfigError("E_dbw", "BS powers must be distinct")
     validate_scheme_requirements(config, config.scheme)
     if not config.antennas_sweep:
         raise ConfigError("antennas_sweep", "needs at least one antenna count")

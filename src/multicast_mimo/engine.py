@@ -53,9 +53,10 @@ experiment, such as a comparison at the default counts, draws each block
 and drops it, as each scheme would evict the blocks before the next one
 reached them.
 
-The explicit vector route (``ChannelState`` -> ``pilots.uplink_rx`` ->
-estimator -> ``beamforming`` -> ``downlink_sinr``) is the reference that
-the finite-antenna fast path is tested against.
+The explicit vector route (``ChannelState`` -> ``uplink_rx`` -> estimator
+-> beam -> ``downlink_sinr``) is the reference that the finite-antenna fast
+path is tested against; no package code calls it, so it lives beside the
+tests in ``tests/reference_route.py``.
 
 Randomness is derived from a single master seed via counter-based seed paths,
 so any realization is reproducible in isolation and results do not depend on
@@ -70,7 +71,6 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    ChannelState,
     # Not used here.  perfbench/tests/test_harness.py::
     # test_wrappers_are_installed_where_looked_up_and_restored checks that the
     # tracer wraps this module's binding of it.
@@ -136,34 +136,6 @@ def empirical_cdf(samples) -> np.ndarray:
         raise ValueError("cannot build a CDF from no samples")
     probs = np.arange(1, s.size + 1) / s.size
     return np.column_stack([s, probs])
-
-
-def downlink_sinr(
-    channels: ChannelState,
-    beamformers,
-    powers,
-    sigma2: float,
-    cell: int,
-    user: int,
-) -> float:
-    """Downlink SINR of one user: serving beam power over the sum of
-    other-cell beam powers plus noise.
-
-    ``beamformers`` holds one unit-norm beam per cell, ``powers`` the per-cell
-    transmit powers in Watts.  This is the direct per-user evaluation that
-    ``sinr_from_amplitudes`` must reproduce on the amplitudes of the same
-    vectors.
-    """
-    n = channels.num_cells
-    if len(beamformers) != n or len(powers) != n:
-        raise ValueError("need one beamformer and one power per cell")
-    received = np.empty(n)
-    for j, w in enumerate(beamformers):
-        if w.shape[0] != channels.antennas:
-            raise ValueError("beamformer length does not match antenna count")
-        received[j] = powers[j] * np.abs(channels.vector(j, cell, user).conj() @ w) ** 2
-    interference = received.sum() - received[cell]
-    return float(received[cell] / (interference + sigma2))
 
 
 @dataclass(frozen=True)
@@ -338,11 +310,13 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     (num_large, N, N, K) batch.
 
     Row t is the realization keyed by ``large_seed = child_seed(master_seed,
-    LARGE, t)``: bit for bit ``large_scale_tensor`` on ``drop_users`` seeded
-    with ``child_seed(large_seed, POSITIONS)``, so no row depends on another
-    and a batch is a prefix of any longer one.  The seeds and generators of
-    all rows are derived with one array call per stream.  Only the geometry
-    fields, ``num_large`` and ``master_seed`` of ``config`` enter, and the process
+    LARGE, t)``: bit for bit ``large_scale_gains`` on ``drop_users`` seeded
+    with ``child_seed(large_seed, POSITIONS)`` and on
+    ``shadowing_db(large_seed)``, which is the reference route's
+    ``large_scale_tensor``.  So no row depends on another, and a batch is a
+    prefix of any longer one.  The seeds and generators of all rows are
+    derived with one array call per stream.  Only the geometry fields,
+    ``num_large`` and ``master_seed`` of ``config`` enter, and the process
     keeps the last ``_BATCH_CACHE_SIZE`` batches: a config that differs only
     in powers, pilot settings, scheme, antennas or draw count gets the same
     array back.

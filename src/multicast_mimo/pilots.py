@@ -1,4 +1,5 @@
-"""Uplink pilot transmission, channel estimation, and pilot power control.
+"""Pilot sequences, pilot books, pilot power control and asynchronous pilot
+correlations.
 
 Two pilot assignments are supported:
 
@@ -15,15 +16,14 @@ length and constant modulus.
 The module also models asynchronous pilot arrival: a propagation-delay offset
 smears each received pilot symbol into a weighted sum of two consecutive
 transmitted symbols, which breaks orthogonality and reintroduces both a
-scaling loss and cross-cell contamination.
+scaling loss and cross-cell contamination (``async_kappas``).  The per-user
+reception and estimation that the engine's pilot schemes stand for are the
+reference route in ``tests/reference_route.py``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import ChannelState, complex_gaussian
-from .seeding import make_rng
 
 ASSIGNMENTS = ("per-user", "per-cell")
 
@@ -83,11 +83,6 @@ class PilotBook:
     def length(self) -> int:
         return self.sequences.shape[1]
 
-    def row_for(self, cell: int, user: int) -> np.ndarray:
-        if self.assignment == "per-user":
-            return self.sequences[user]
-        return self.sequences[cell]
-
 
 def make_pilot_book(
     assignment: str,
@@ -138,107 +133,6 @@ class AsyncProfile:
             symbol_duration_s=float(symbol_duration_s),
         )
 
-    def offset_and_shift(self, i: int, l: int, k: int) -> tuple[float, int]:
-        shift, offset = divmod(
-            self.delays_s[i, l, k] - self.reference_delays_s[i],
-            self.symbol_duration_s,
-        )
-        return float(offset), int(shift)
-
-
-def pulse_correlation(offset_s: float, symbol_duration_s: float) -> float:
-    """Autocorrelation of the unit-energy rectangular pulse at lag ``offset_s``.
-
-    Closed form (1 - offset/T) on [0, T]; the overlap of two unit-energy
-    rectangles of duration T shifted by the offset.
-    """
-    if offset_s < 0 or offset_s > symbol_duration_s:
-        raise ValueError("offset must lie in [0, symbol_duration]")
-    return (symbol_duration_s - offset_s) / symbol_duration_s
-
-
-def polluted_pilot(sequence, offset_s: float, shift: int, symbol_duration_s: float):
-    """Pilot sequence as seen after a mistimed matched filter.
-
-    Element m becomes rho(offset)*seq[m + shift] + rho(T - offset)*seq[m +
-    shift - 1]; indices outside the pilot block read as zero (silence before
-    and after the block).
-    """
-    seq = np.asarray(sequence)
-    length = seq.shape[0]
-    rho_a = pulse_correlation(offset_s, symbol_duration_s)
-    rho_b = pulse_correlation(symbol_duration_s - offset_s, symbol_duration_s)
-    out = np.zeros(length, dtype=complex)
-    idx = np.arange(length)
-    a = idx + shift
-    b = a - 1
-    ok_a = (a >= 0) & (a < length)
-    ok_b = (b >= 0) & (b < length)
-    out[ok_a] += rho_a * seq[a[ok_a]]
-    out[ok_b] += rho_b * seq[b[ok_b]]
-    return out
-
-
-def uplink_rx(
-    channels: ChannelState,
-    book: PilotBook,
-    cell: int,
-    noise_sigma_p2: float,
-    rng_seed,
-    async_profile: AsyncProfile | None = None,
-) -> np.ndarray:
-    """Received pilot block at the given BS, shape (M, L).
-
-    Every user of every cell transmits its assigned sequence scaled by
-    sqrt(power * L); the BS antenna array superimposes them through the
-    channel vectors and adds white noise of per-entry variance
-    ``noise_sigma_p2``.  With an ``async_profile`` the sequences are replaced
-    by their delay-polluted versions as seen by this BS.
-    """
-    n, k_users = channels.num_cells, channels.users_per_cell
-    m = channels.antennas
-    rows = np.empty((n, k_users, book.length), dtype=complex)
-    for l in range(n):
-        for k in range(k_users):
-            row = book.row_for(l, k)
-            if async_profile is not None:
-                offset, shift = async_profile.offset_and_shift(cell, l, k)
-                row = polluted_pilot(
-                    row, offset, shift, async_profile.symbol_duration_s
-                )
-            rows[l, k] = row
-    scale = np.sqrt(book.powers * book.length)  # (N, K)
-    g = np.sqrt(channels.beta[cell])[..., None] * channels.h[cell]  # (N, K, M)
-    y = np.einsum("lkm,lkt->mt", g, scale[..., None] * rows)
-    if noise_sigma_p2 > 0:
-        y = y + complex_gaussian(make_rng(rng_seed), (m, book.length), noise_sigma_p2)
-    return y
-
-
-def estimate_individual(y: np.ndarray, book: PilotBook, user: int) -> np.ndarray:
-    """Matched-filter estimate of one user's channel from a per-user pilot block.
-
-    Correlating with the user's sequence recovers sqrt(p*L) times the sum of
-    that pilot index's channels from every cell, plus noise: the estimate is
-    contaminated by the same-index users of all other cells.
-    """
-    if book.assignment != "per-user":
-        raise ValueError("individual estimation requires a per-user pilot book")
-    if not 0 <= user < book.sequences.shape[0]:
-        raise ValueError(f"unknown user index {user}")
-    return y @ book.sequences[user].conj()
-
-
-def estimate_composite(y: np.ndarray, book: PilotBook, cell: int) -> np.ndarray:
-    """Composite-channel estimate for one cell from a per-cell pilot block.
-
-    Correlating with the cell's own sequence returns the power-weighted sum of
-    that cell's user channels plus noise, with no other-cell component.
-    """
-    if book.assignment != "per-cell":
-        raise ValueError("composite estimation requires a per-cell pilot book")
-    return y @ book.sequences[cell].conj()
-
 
 def optimal_pilot_powers(betas, peak_power: float) -> np.ndarray:
     """Max-min-optimal pilot powers: p_k = (beta_min / beta_k)^2 * peak.
@@ -259,8 +153,12 @@ def async_kappas(book: PilotBook, profile: AsyncProfile, cell: int) -> np.ndarra
     """Correlations of each delay-polluted pilot with the receiver's own pilot.
 
     Returns ``kappa[l, k]`` for receiving BS ``cell``: the inner product of
-    the polluted sequence of user (l, k) (``polluted_pilot``) with the
-    conjugated sequence of cell ``cell``.  In-cell values below one mean
+    the polluted sequence of user (l, k) with the conjugated sequence of cell
+    ``cell``.  With ``shift, offset = divmod(delay - reference, T)``, element
+    m of the polluted sequence is ``rho(offset) seq[m + shift] + rho(T -
+    offset) seq[m + shift - 1]`` for the rectangular pulse's correlation
+    ``rho(x) = 1 - x / T``, reading zero outside the block (the reference
+    route's ``polluted_pilot``).  In-cell values below one mean
     scaling loss; nonzero out-of-cell values mean the cross-cell
     contamination that synchronous orthogonality would have removed.
     |kappa| <= 1 always.  All users are evaluated at once: each polluted
@@ -275,7 +173,8 @@ def async_kappas(book: PilotBook, profile: AsyncProfile, cell: int) -> np.ndarra
     shift, offset = np.divmod(
         profile.delays_s[cell] - profile.reference_delays_s[cell], symbol
     )  # (N, K) each
-    # the two pulse correlations of polluted_pilot, as it computes them
+    # the correlations of the unit-energy rectangular pulse at lags offset and
+    # T - offset, in the reference route's arithmetic
     rho_a = (symbol - offset) / symbol
     rho_b = (symbol - (symbol - offset)) / symbol
     padded = np.zeros((n, 3 * length), dtype=complex)

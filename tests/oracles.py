@@ -11,15 +11,15 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from multicast_mimo import engine
-from multicast_mimo.channel import large_scale_tensor
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import optimal_pilot_powers
+from reference_route import large_scale_tensor
 
 
 def scalar_large_scale(config, large_seed):
     """(N, N, K) gains of the realization keyed by ``large_seed``, on the
-    public one-realization route: ``drop_users`` with its positions seed,
-    then ``large_scale_tensor``."""
+    reference route's one-realization form: ``drop_users`` with its
+    positions seed, then ``large_scale_tensor``."""
     layout = build_hex_layout(config.cells, config.radius_m)
     positions = drop_users(
         layout,

@@ -21,18 +21,13 @@ from closed_forms import (
     sinr_gap_db,
     sinr_perfect_csi,
 )
-from multicast_mimo.channel import ChannelState, complex_gaussian
+from multicast_mimo.channel import complex_gaussian
 from multicast_mimo.config import NetworkConfig
 from multicast_mimo.engine import run_experiment
-from multicast_mimo.pilots import (
-    AsyncProfile,
-    async_kappas,
-    estimate_composite,
-    make_pilot_book,
-    optimal_pilot_powers,
-    uplink_rx,
-)
+from multicast_mimo.pilots import AsyncProfile, async_kappas, make_pilot_book, optimal_pilot_powers
+from multicast_mimo.scenarios import DEFAULT_E_SWEEP_DBW
 from oracles import maxmin_pilot_powers_oracle, scalar_large_scale, simplex_grid_best
+from reference_route import ChannelState, estimate_composite, uplink_rx
 
 
 def test_criterion_01_equal_sinr_shares_optimal():
@@ -50,6 +45,16 @@ def test_criterion_01_equal_sinr_shares_optimal():
             closed = np.min(lam * betas)
             grid_best = simplex_grid_best(betas, step=1e-3)
             assert grid_best <= closed * (1 + 1e-3)
+
+    # on the engine's limit path: the perfect-optimal beam gives every user of
+    # the evaluated cell the same serving power (their SINRs still differ,
+    # since each sees its own interference)
+    for k in (3, 10):
+        config = NetworkConfig(antennas=None, users_per_cell=k, num_large=200)
+        ctx = engine._build_trial_context(config, engine.large_scale_batch(config))
+        u = engine._beam_directions(ctx)[..., ctx.eval_cell, :k]
+        serving = ctx.eval_amp[..., ctx.eval_cell, :] ** 2 * np.abs(u) ** 2  # (T, K)
+        assert np.allclose(serving, serving[:, :1], rtol=1e-12, atol=0)
 
 
 def test_criterion_02_pilot_power_rule_vs_oracle():
@@ -99,6 +104,22 @@ def test_criterion_03_identity_chain():
         assert a == pytest.approx(b, rel=1e-9)
         assert b == pytest.approx(c, rel=1e-9)
         assert a == pytest.approx(c, rel=1e-9)
+
+    # on the engine's limit path, realization by realization: with one cell,
+    # power control costs the perfect-CSI sample exactly the closed-form gap
+    config = NetworkConfig(antennas=None, cells=1, num_large=200)
+    perfect = run_experiment(config, scheme="perfect-optimal").samples_db
+    controlled = run_experiment(config, scheme="composite-power-controlled").samples_db
+    own = engine.large_scale_batch(config)[:, 0, 0]  # (T, K)
+    gap = sinr_gap_db(
+        own,
+        config.peak_pilot_power_w,
+        config.pilot_length,
+        engine.pilot_noise_power(config.fading),
+    )
+    assert np.allclose(
+        10 ** (controlled / 10), 10 ** ((perfect - gap) / 10), rtol=1e-9, atol=0
+    )
 
 
 def test_criterion_04_contamination_ceiling_vs_composite_growth():
@@ -296,6 +317,27 @@ def test_criterion_10_asynchrony_limits():
             lo = sinr_async(beta, powers, kappas, e_base, omega, sigma_p2, sigma2, 0, u)
             hi = sinr_async(beta, powers, kappas, 1e3 * e_base, omega, sigma_p2, sigma2, 0, u)
             assert abs(10 * np.log10(hi / lo)) < 0.1
+    # and on the engine's limit path, in one E sweep: with offset pilots the
+    # top step of the async composite curve is flat, while the synchronous
+    # composite curve still grows (the fig5/6 preset's slope thresholds).
+    # With sub-symbol offsets a cross-cell correlation is at most 1/omega, so
+    # the ceiling sits higher than the contaminated one: the preset's powers
+    # are extended to criterion 08's 70 and 80 dBW.
+    offset = NetworkConfig(
+        antennas=None,
+        num_large=200,
+        async_offsets_s=tuple(rng.uniform(0.05e-6, 0.95e-6, 21)),
+        pilot_symbol_s=t_p,
+    )
+    sweep = DEFAULT_E_SWEEP_DBW + (70.0, 80.0)
+    schemes = ("composite-async", "composite")
+    reports = engine.run_experiments(
+        [replace(offset, E_dbw=(e,), scheme=s) for s in schemes for e in sweep]
+    )
+    means = np.array([r.mean_min_sinr_db for r in reports]).reshape(len(schemes), -1)
+    slopes = (means[:, -1] - means[:, -2]) / (sweep[-1] - sweep[-2])
+    assert slopes[0] < 0.1
+    assert slopes[1] > 0.5
 
     # (c) continuity of the pilot correlation at zero offset
     deltas = t_p * 10.0 ** np.arange(-1, -10, -1)

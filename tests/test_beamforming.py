@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from closed_forms import optimal_lambdas
-from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import complex_gaussian
 from oracles import simplex_grid_best
+from reference_route import beamformer_from_estimate, optimal_beamformer_perfect
 
 
 class TestOptimalLambdas:

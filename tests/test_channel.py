@@ -3,17 +3,16 @@ import pytest
 from scipy import stats
 
 from multicast_mimo.channel import (
-    ChannelState,
     FadingConfig,
     complex_gaussian,
     draw_beam_fading,
-    large_scale_tensor,
     noise_power,
     pilot_noise_power,
     project_beam_fading,
 )
 from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
 from multicast_mimo.seeding import make_rng
+from reference_route import ChannelState, large_scale_tensor
 
 NO_SHADOW = FadingConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
 

@@ -10,35 +10,34 @@ import closed_forms as asymptotic
 import multicast_mimo.engine as engine
 from closed_forms import optimal_lambdas
 from oracles import scalar_large_scale
-from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
 from multicast_mimo.channel import (
-    ChannelState,
     FadingConfig,
     complex_gaussian,
     draw_beam_fading,
-    large_scale_tensor,
     noise_power,
     pilot_noise_power,
     project_beam_fading,
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
-    downlink_sinr,
     empirical_cdf,
     large_scale_batch,
     run_experiment,
     sinr_from_amplitudes,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
-from multicast_mimo.pilots import (
-    AsyncProfile,
+from multicast_mimo.pilots import AsyncProfile, make_pilot_book, optimal_pilot_powers
+from multicast_mimo.seeding import make_rng
+from reference_route import (
+    ChannelState,
+    beamformer_from_estimate,
+    downlink_sinr,
     estimate_composite,
     estimate_individual,
-    make_pilot_book,
-    optimal_pilot_powers,
+    large_scale_tensor,
+    optimal_beamformer_perfect,
     uplink_rx,
 )
-from multicast_mimo.seeding import make_rng
 
 
 class TestEmpiricalCdf:
@@ -115,7 +114,7 @@ class TestDownlinkSinr:
 
 
 def pilot_setup(config, scheme, beta):
-    """Pilot book and delay profile of a pilot scheme, from the public API."""
+    """Pilot book and delay profile of a pilot scheme, from the package API."""
     n, k, length = config.cells, config.users_per_cell, config.pilot_length
     p_u = config.peak_pilot_power_w
     if scheme == "individual-pilot":
@@ -131,7 +130,7 @@ def pilot_setup(config, scheme, beta):
 
 
 def route_directions(config, scheme, cs, sigma_p2, rng):
-    """Every BS's beam direction before normalization on the public route:
+    """Every BS's beam direction before normalization on the reference route:
     its pilot estimate, or with perfect CSI the combination of its own users'
     channels.  Pilot noise comes from ``rng``, one block per BS in cell order;
     ``sigma_p2 = 0`` sends noiseless pilots."""
@@ -152,7 +151,7 @@ def route_directions(config, scheme, cs, sigma_p2, rng):
 
 
 def public_route(config, scheme, large_seed, small_seed):
-    """Per-user linear SINRs of cell 0 on the public vector route
+    """Per-user linear SINRs of cell 0 on the reference vector route
     (ChannelState -> uplink_rx -> estimator -> beam -> downlink_sinr).
 
     ``make_rng(small_seed)`` draws the (N, N, K, M) fading tensor and then
@@ -201,7 +200,7 @@ def amplitudes_of(ctx, channels, residual):
 
 
 def route_amplitudes(config, scheme, ctx, cs, directions):
-    """(N, K+1) amplitudes of the public route's vectors: per BS, its
+    """(N, K+1) amplitudes of the reference route's vectors: per BS, its
     small-scale channels to cell 0's users and the rest of its beam direction
     over s_j.  The rest is what the same route gives minus what it gives with
     noiseless pilots and every other cell's channels set to zero."""

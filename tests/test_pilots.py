@@ -4,22 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from multicast_mimo.beamforming import beamformer_from_estimate, optimal_beamformer_perfect
-from multicast_mimo.channel import ChannelState, complex_gaussian
+from multicast_mimo.channel import complex_gaussian
 from multicast_mimo.pilots import (
     AsyncProfile,
     PilotBook,
     async_kappas,
-    estimate_composite,
-    estimate_individual,
     make_orthogonal_pilots,
     make_pilot_book,
     optimal_pilot_powers,
+)
+from oracles import maxmin_pilot_powers_oracle
+from reference_route import (
+    ChannelState,
+    beamformer_from_estimate,
+    estimate_composite,
+    estimate_individual,
+    offset_and_shift,
+    optimal_beamformer_perfect,
     polluted_pilot,
     pulse_correlation,
     uplink_rx,
 )
-from oracles import maxmin_pilot_powers_oracle
 
 
 def random_channels(rng, n, k, m, beta_scale=1.0):
@@ -337,7 +342,7 @@ class TestAsyncKappas:
         kappa = async_kappas(book, profile, 1)
         for l in range(3):
             for k in range(2):
-                offset, shift = profile.offset_and_shift(1, l, k)
+                offset, shift = offset_and_shift(profile, 1, l, k)
                 polluted = polluted_pilot(book.sequences[l], offset, shift, 1e-6)
                 manual = sum(
                     polluted[m] * np.conj(book.sequences[1][m]) for m in range(8)
@@ -368,7 +373,7 @@ class TestAsyncKappas:
                 [
                     [
                         polluted_pilot(
-                            book.sequences[l], *profile.offset_and_shift(cell, l, u), t_p
+                            book.sequences[l], *offset_and_shift(profile, cell, l, u), t_p
                         )
                         @ own
                         for u in range(k)
@@ -403,6 +408,6 @@ class TestAsyncKappas:
 
     def test_negative_delay_offsets(self):
         profile = AsyncProfile.from_user_offsets(np.full((1, 1), -0.25e-6), 1e-6)
-        offset, shift = profile.offset_and_shift(0, 0, 0)
+        offset, shift = offset_and_shift(profile, 0, 0, 0)
         assert offset == pytest.approx(0.75e-6)
         assert shift == -1

@@ -20,16 +20,13 @@ from .engine import (
     run_experiment,
     run_experiments,
 )
-from .pilots import AsyncProfile, make_pilot_book
 from .scenarios import SCENARIOS, run_scenario
 
-# The configuration, preset and experiment API, plus the pilot book and
-# arrival-delay profile that the asynchronous scheme's pilot correlations are
-# built from.  Everything else is imported from its module; the explicit
-# vector route that the engine is tested against is in
+# The configuration, preset and experiment API.  Everything else is imported
+# from its module; the explicit vector route that the engine is tested
+# against, with its pilot books and arrival-delay profiles, is in
 # tests/reference_route.py.
 __all__ = [
-    "AsyncProfile",
     "ConfigError",
     "FadingConfig",
     "NetworkConfig",
@@ -38,7 +35,6 @@ __all__ = [
     "SinrReport",
     "empirical_cdf",
     "large_scale_batch",
-    "make_pilot_book",
     "parse_config",
     "run_experiment",
     "run_experiments",

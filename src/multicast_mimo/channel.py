@@ -51,6 +51,8 @@ class FadingConfig:
         ):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not self.shadow_sigma_db >= 0:
+            raise ValueError("shadow_sigma_db must be non-negative")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
         if not self.pilot_noise_ratio > 0:

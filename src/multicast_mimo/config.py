@@ -155,12 +155,15 @@ def apply_overrides(config: NetworkConfig, pairs: dict) -> NetworkConfig:
             fading_updates[key] = value
         else:
             config_updates[key] = value
-    if fading_updates:
+    # One key at a time, so that the error names the key at fault: each
+    # FadingConfig check reads one field.
+    fading = config.fading
+    for key, value in fading_updates.items():
         try:
-            config_updates["fading"] = replace(config.fading, **fading_updates)
+            fading = replace(fading, **{key: value})
         except ValueError as exc:
-            raise ConfigError(next(iter(fading_updates)), str(exc)) from None
-    updated = replace(config, **config_updates)
+            raise ConfigError(key, str(exc)) from None
+    updated = replace(config, fading=fading, **config_updates)
     validate_config(updated)
     return updated
 

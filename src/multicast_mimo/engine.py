@@ -53,10 +53,14 @@ experiment, such as a comparison at the default counts, draws each block
 and drops it, as each scheme would evict the blocks before the next one
 reached them.
 
-The explicit vector route (``ChannelState`` -> ``uplink_rx`` -> estimator
--> beam -> ``downlink_sinr``) is the reference that the finite-antenna fast
-path is tested against; no package code calls it, so it lives beside the
-tests in ``tests/reference_route.py``.
+The async scheme's weights carry the (N, N, K) pilot correlations that
+``pilots.async_kappas`` computes straight from the config's offsets, symbol
+duration and pilot length; they do not depend on the realization.  The
+explicit vector route (``ChannelState`` -> ``uplink_rx`` -> estimator ->
+beam -> ``downlink_sinr``), with its pilot books and arrival-delay profiles,
+is the reference that the finite-antenna fast path and the correlations are
+tested against; no package code calls it, so it lives beside the tests in
+``tests/reference_route.py``.
 
 Randomness is derived from a single master seed via counter-based seed paths,
 so any realization is reproducible in isolation and results do not depend on
@@ -84,13 +88,7 @@ from .channel import (
 )
 from .config import ConfigError, NetworkConfig, serialize_config, validate_config
 from .geometry import build_hex_layout, drop_users
-from .pilots import (
-    AsyncProfile,
-    async_kappas,
-    make_orthogonal_pilots,
-    make_pilot_book,
-    optimal_pilot_powers,
-)
+from .pilots import async_kappas, make_orthogonal_pilots, optimal_pilot_powers
 from .seeding import child_seed, child_seeds, make_rngs
 from .units import linear_to_db
 
@@ -168,21 +166,6 @@ def validate_experiment(config: NetworkConfig) -> None:
         )
 
 
-def _async_kappas(config: NetworkConfig) -> np.ndarray:
-    """(N, N, K) pilot correlations of the async scheme, ``[j, l, k]`` at BS j.
-
-    They depend only on the sequences and delays, not on the channel
-    realization, so one tensor serves every realization.
-    """
-    n, k = config.cells, config.users_per_cell
-    offsets = np.asarray(config.async_offsets_s, dtype=float).reshape(n, k)
-    profile = AsyncProfile.from_user_offsets(offsets, config.pilot_symbol_s)
-    book = make_pilot_book(
-        "per-cell", n, k, config.pilot_length, config.peak_pilot_power_w
-    )
-    return np.stack([async_kappas(book, profile, j) for j in range(n)])
-
-
 def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
     """(..., N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
     p_u = config.peak_pilot_power_w
@@ -221,9 +204,10 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
         noise_combiner = make_orthogonal_pilots(n, length).conj()
     elif scheme == "composite-async":
         powers = _scheme_pilot_powers(config, own, config.async_power_control)
-        weights = (
-            np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * _async_kappas(config)
+        kappas = async_kappas(
+            np.reshape(config.async_offsets_s, (n, k)), config.pilot_symbol_s, length
         )
+        weights = np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * kappas
         noise_combiner = make_orthogonal_pilots(n, length).conj()
 
     return _TrialContext(
@@ -296,13 +280,15 @@ def _fingerprint(config: NetworkConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _non_finite(config: NetworkConfig, t: int, draw: int):
+def _sinr_error(config: NetworkConfig, what: str, t: int, draw: int | None = None):
     seed = config.master_seed
     where = f"realization {t} (large seed {child_seed(seed, _LARGE_STREAM, t)}"
     if config.antennas is not None:
-        where += f", small seed {child_seed(seed, _SMALL_STREAM, t)}, draw {draw}"
+        where += f", small seed {child_seed(seed, _SMALL_STREAM, t)}"
+        if draw is not None:
+            where += f", draw {draw}"
     power = f"E_dbw = {config.E_dbw[0]:g}"
-    return ArithmeticError(f"non-finite SINR at {power} in {where})")
+    return ArithmeticError(f"{what} at {power} in {where})")
 
 
 def large_scale_batch(config: NetworkConfig) -> np.ndarray:
@@ -440,7 +426,8 @@ def run_experiments(configs) -> list[SinrReport]:
     scale before conversion to dB.  Seeds for realization t depend only on
     the master seed and t, never on execution order.  A non-finite SINR
     raises ``ArithmeticError`` naming the power, the first bad realization,
-    its seeds and, at finite M, the draw.
+    its seeds and, at finite M, the draw; so does a realization whose mean
+    minimum SINR is zero, which has no dB value.
     """
     configs = list(configs)
     for config in configs:
@@ -481,8 +468,12 @@ def _run_power_group(configs: list) -> list[SinrReport]:
         bad = _first_non_finite(sinr)
         if bad is not None:
             p, t, draw = bad
-            raise _non_finite(configs[p], lo + t, draw)
-        samples[:, lo:hi] = linear_to_db(sinr.min(axis=-1).mean(axis=-1))
+            raise _sinr_error(configs[p], "non-finite SINR", lo + t, draw)
+        mean = sinr.min(axis=-1).mean(axis=-1)  # (P, realizations)
+        if not np.all(mean > 0):
+            p, t = np.argwhere(mean <= 0)[0].tolist()
+            raise _sinr_error(configs[p], "zero mean min-SINR", lo + t)
+        samples[:, lo:hi] = linear_to_db(mean)
     return [
         SinrReport(
             samples_db=row,

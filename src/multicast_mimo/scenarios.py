@@ -10,7 +10,8 @@ experiment it reports.  ``run_scenario`` hands the distinct configs to one
 ``run_experiments`` call, which validates all of them before it evaluates
 any and runs each power sweep of one scheme as one evaluation.  Only then
 does it create the output directory and write the files, so a config that
-makes any curve invalid, or a non-finite SINR in any curve, writes nothing.
+makes any curve invalid, or a SINR in any curve that is not finite or has
+no dB value, writes nothing.
 The engine keeps one read-only large-scale batch per geometry, shared by
 every experiment in the process, so curves of one geometry (in one preset or
 across presets) draw it once.  Each CSV is byte-identical to the one built
@@ -212,7 +213,8 @@ SCENARIOS = {
 def run_scenario(name: str, config: NetworkConfig, out_dir=None) -> list:
     """Run every experiment of a named preset, then write its files; returns
     them, manifest first.  An invalid config, one that makes any curve
-    invalid, or a non-finite SINR in any curve creates and writes nothing."""
+    invalid, or a SINR in any curve that is not finite or has no dB value
+    creates and writes nothing."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"

@@ -3,11 +3,12 @@
 ``estimate_composite`` -> ``beamformer_from_estimate`` (or
 ``optimal_beamformer_perfect`` with perfect CSI) -> ``downlink_sinr``.
 
-The package does not call it: the engine reads every scheme's beam off its
-large-scale coefficients (``engine._beam_directions``) and samples the beam
-amplitudes directly.  The tests tie ``engine.sinr_from_amplitudes`` to this
-route exactly on the amplitudes of the same vectors, and the sampler to
-explicit draws by KS tests.
+The package does not call it, nor its pilot books (``PilotBook``) and
+arrival-delay profiles (``AsyncProfile``): the engine reads every scheme's
+beam off its large-scale coefficients (``engine._beam_directions``) and
+samples the beam amplitudes directly.  The tests tie
+``engine.sinr_from_amplitudes`` to this route exactly on the amplitudes of
+the same vectors, and the sampler to explicit draws by KS tests.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,101 @@ import numpy as np
 
 from multicast_mimo.channel import FadingConfig, complex_gaussian, large_scale_gains, shadowing_db
 from multicast_mimo.geometry import CellLayout, UserPositions
-from multicast_mimo.pilots import AsyncProfile, PilotBook
+from multicast_mimo.pilots import make_orthogonal_pilots
 from multicast_mimo.seeding import make_rng
+
+ASSIGNMENTS = ("per-user", "per-cell")
+_GRAM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class PilotBook:
+    """Orthonormal pilot sequences plus per-user transmit powers.
+
+    ``sequences`` is (R, L) with orthonormal rows.  In ``per-user`` mode row k
+    is shared by user k of every cell (R = K); in ``per-cell`` mode row i is
+    shared by all users of cell i (R = N).  ``powers[i, k]`` is the pilot
+    power of user k in cell i, bounded by ``peak_power``.
+    """
+
+    sequences: np.ndarray
+    assignment: str
+    powers: np.ndarray
+    peak_power: float
+
+    def __post_init__(self):
+        if self.assignment not in ASSIGNMENTS:
+            raise ValueError(f"unknown pilot assignment {self.assignment!r}")
+        gram = self.sequences @ self.sequences.conj().T
+        if np.max(np.abs(gram - np.eye(self.sequences.shape[0]))) > _GRAM_TOL:
+            raise ValueError("pilot rows are not orthonormal")
+        if self.peak_power <= 0:
+            raise ValueError("peak_power must be positive")
+        if np.any(self.powers <= 0) or np.any(
+            self.powers > self.peak_power * (1 + 1e-12)
+        ):
+            raise ValueError("pilot powers must lie in (0, peak_power]")
+        n_cells, n_users = self.powers.shape
+        required = n_users if self.assignment == "per-user" else n_cells
+        if self.sequences.shape[0] < required:
+            raise ValueError(
+                f"{self.assignment} assignment needs {required} sequences, "
+                f"got {self.sequences.shape[0]}"
+            )
+
+    @property
+    def length(self) -> int:
+        return self.sequences.shape[1]
+
+
+def make_pilot_book(
+    assignment: str,
+    num_cells: int,
+    users_per_cell: int,
+    length: int,
+    peak_power: float,
+    powers=None,
+) -> PilotBook:
+    """Convenience constructor; ``powers=None`` puts every user at peak power."""
+    count = users_per_cell if assignment == "per-user" else num_cells
+    if powers is None:
+        powers = np.full((num_cells, users_per_cell), float(peak_power))
+    return PilotBook(
+        sequences=make_orthogonal_pilots(count, length),
+        assignment=assignment,
+        powers=np.asarray(powers, dtype=float),
+        peak_power=float(peak_power),
+    )
+
+
+@dataclass(frozen=True)
+class AsyncProfile:
+    """Propagation delays of the pilot arrivals, relative to each receiver.
+
+    ``delays_s[i, l, k]`` is the arrival delay at BS i of the pilot from user
+    k in cell l; ``reference_delays_s[i]`` is the matched-filter timing at
+    BS i.  The sub-symbol offset and whole-symbol shift of each arrival are
+    ``divmod(delay - reference, symbol_duration)``.
+    """
+
+    delays_s: np.ndarray  # (N, N, K)
+    reference_delays_s: np.ndarray  # (N,)
+    symbol_duration_s: float
+
+    def __post_init__(self):
+        if self.symbol_duration_s <= 0:
+            raise ValueError("symbol_duration_s must be positive")
+
+    @classmethod
+    def from_user_offsets(cls, offsets_s, symbol_duration_s: float) -> "AsyncProfile":
+        """Profile where user (l, k) arrives ``offsets_s[l, k]`` late at every BS."""
+        offsets = np.asarray(offsets_s, dtype=float)
+        n = offsets.shape[0]
+        return cls(
+            delays_s=np.broadcast_to(offsets, (n,) + offsets.shape).copy(),
+            reference_delays_s=np.zeros(n),
+            symbol_duration_s=float(symbol_duration_s),
+        )
 
 
 @dataclass(frozen=True)

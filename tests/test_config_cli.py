@@ -151,6 +151,24 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=key):
             FadingConfig(**{key: value})
 
+    @pytest.mark.parametrize("value", [-1.0, -1e-9])
+    def test_negative_shadow_sigma_names_its_key(self, value):
+        with pytest.raises(ValueError, match="shadow_sigma_db"):
+            FadingConfig(shadow_sigma_db=value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"shadow_sigma_db = {value}")
+        assert err.value.key == "shadow_sigma_db"
+        assert parse_config("shadow_sigma_db = 0").fading.shadow_sigma_db == 0.0
+
+    @pytest.mark.parametrize(
+        "document",
+        ["pathloss_slope = 30\nbandwidth_hz = -5", "bandwidth_hz = -5\npathloss_slope = 30"],
+    )
+    def test_fading_error_names_the_key_at_fault(self, document):
+        with pytest.raises(ConfigError) as err:
+            parse_config(document)
+        assert err.value.key == "bandwidth_hz"
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -464,6 +482,39 @@ class TestScenarios:
         assert dynamic == {"attr": "multicast_mimo.__version__"}
 
 
+def _sweep_rows(path):
+    """(x, mean_min_sinr_db) rows of a sweep CSV."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+
+def _top_slope(rows):
+    (x0, y0), (x1, y1) = rows[-2:]
+    return (y1 - y0) / (x1 - x0)
+
+
+class TestPresetClaims:
+    """Each preset's CSVs show the figure's claim, with the thresholds of the
+    benchmark's preset checks (``perfbench/passes.py``)."""
+
+    def test_bs_power_sweep_saturates_only_under_contamination(self, tmp_path):
+        # criterion 04's claim at the asym-figs workload's size: the top step
+        # of the individual-pilot curve is flatter than 0.1 dB per dB, the
+        # composite's steeper than 0.5, and power control never beats
+        # perfect CSI
+        config = NetworkConfig(master_seed=1, num_large=20)
+        paths = run_scenario("fig5/6-sweep-E", config, out_dir=tmp_path)
+        curves = {
+            re.fullmatch(r"fig56_sweep_E_(.+)_K3\.csv", p.name).group(1): _sweep_rows(p)
+            for p in paths[1:]
+        }
+        assert _top_slope(curves["individual-pilot"]) < 0.1
+        assert _top_slope(curves["composite"]) > 0.5
+        controlled, perfect = curves["composite-power-controlled"], curves["perfect-optimal"]
+        assert np.array_equal(controlled[:, 0], perfect[:, 0])
+        assert np.all(controlled[:, 1] <= perfect[:, 1] + 1e-6)
+
+
 def _cdf_csv(config, scheme, path, prefix, label):
     report = run_experiment(config, scheme=scheme)
     return emit_csv(
@@ -556,6 +607,20 @@ class TestCli:
         code = main(["fig2-cdf-perfect", "--set", "exclusion_m=0", "--out", str(tmp_path)])
         assert code == 1
         assert "'exclusion_m'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["pathloss_slope=30", "bandwidth_hz=-5"], "bandwidth_hz"),
+            (["shadow_sigma_db=-1", "num_large=3"], "shadow_sigma_db"),
+        ],
+    )
+    def test_fading_override_error_names_its_key(self, overrides, key, tmp_path, capsys):
+        args = ["fig2-cdf-perfect"] + [a for item in overrides for a in ("--set", item)]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}': ")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value, code", [("866", 0), ("867", 1)])

@@ -26,15 +26,17 @@ from multicast_mimo.engine import (
     sinr_from_amplitudes,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
-from multicast_mimo.pilots import AsyncProfile, make_pilot_book, optimal_pilot_powers
+from multicast_mimo.pilots import async_kappas, optimal_pilot_powers
 from multicast_mimo.seeding import make_rng
 from reference_route import (
+    AsyncProfile,
     ChannelState,
     beamformer_from_estimate,
     downlink_sinr,
     estimate_composite,
     estimate_individual,
     large_scale_tensor,
+    make_pilot_book,
     optimal_beamformer_perfect,
     uplink_rx,
 )
@@ -114,7 +116,7 @@ class TestDownlinkSinr:
 
 
 def pilot_setup(config, scheme, beta):
-    """Pilot book and delay profile of a pilot scheme, from the package API."""
+    """Pilot book and delay profile of a pilot scheme on the reference route."""
     n, k, length = config.cells, config.users_per_cell, config.pilot_length
     p_u = config.peak_pilot_power_w
     if scheme == "individual-pilot":
@@ -601,7 +603,8 @@ class TestAsymptoticBatch:
         # acceptance criteria test
         config = async_config(num_large=5, master_seed=4)
         beta = large_scale_batch(config)
-        kappas = engine._async_kappas(config)
+        offsets = np.reshape(config.async_offsets_s, (config.cells, config.users_per_cell))
+        kappas = async_kappas(offsets, config.pilot_symbol_s, config.pilot_length)
         batched = limit_sinrs(context(config, scheme, beta))
         assert batched.shape == (5, config.users_per_cell)
         for t in range(5):
@@ -954,6 +957,24 @@ class TestNonFiniteSinr:
             match=rf"at E_dbw = 20 in realization 2 \(large seed {seed}\)",
         ):
             engine.run_experiments([replace(config, E_dbw=(e,)) for e in (0.0, 20.0, 40.0)])
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_sinr_names_power_and_realization(self):
+        # every pilot arrives 20 symbols late, after the block, so every
+        # correlation and every beam's serving amplitude is zero
+        config = NetworkConfig(
+            num_large=3,
+            scheme="composite-async",
+            async_offsets_s=(20e-6,) * 21,
+            pilot_symbol_s=1e-6,
+        )
+        seed = engine.child_seed(1, engine._LARGE_STREAM, 0)
+        with pytest.raises(
+            ArithmeticError,
+            match=rf"zero mean min-SINR at E_dbw = 10 in realization 0 \(large seed {seed}\)",
+        ):
+            run_experiment(config)
 
 
 class TestConvergenceProperties:

@@ -5,20 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multicast_mimo.channel import complex_gaussian
-from multicast_mimo.pilots import (
-    AsyncProfile,
-    PilotBook,
-    async_kappas,
-    make_orthogonal_pilots,
-    make_pilot_book,
-    optimal_pilot_powers,
-)
+from multicast_mimo.pilots import async_kappas, make_orthogonal_pilots, optimal_pilot_powers
 from oracles import maxmin_pilot_powers_oracle
 from reference_route import (
+    AsyncProfile,
     ChannelState,
+    PilotBook,
     beamformer_from_estimate,
     estimate_composite,
     estimate_individual,
+    make_pilot_book,
     offset_and_shift,
     optimal_beamformer_perfect,
     polluted_pilot,
@@ -308,38 +304,55 @@ class TestPollutedPilot:
         assert np.allclose(out, expect)
 
 
-class TestAsyncKappas:
-    def make_setup(self, offsets, t_p=1e-6, n=3, k=2, length=8):
-        book = make_pilot_book("per-cell", n, k, length, peak_power=1.0)
-        profile = AsyncProfile.from_user_offsets(np.asarray(offsets), t_p)
-        return book, profile
+def route_kappas(offsets, t_p, length):
+    """(N, N, K) async correlations by the reference route's loop: each user's
+    ``polluted_pilot`` at each BS of a ``from_user_offsets`` profile, against
+    that BS's own row of a per-cell book."""
+    n, k = np.shape(offsets)
+    book = make_pilot_book("per-cell", n, k, length, peak_power=1.0)
+    profile = AsyncProfile.from_user_offsets(offsets, t_p)
+    return np.array(
+        [
+            [
+                [
+                    polluted_pilot(book.sequences[l], *offset_and_shift(profile, j, l, u), t_p)
+                    @ book.sequences[j].conj()
+                    for u in range(k)
+                ]
+                for l in range(n)
+            ]
+            for j in range(n)
+        ]
+    )
 
+
+class TestAsyncKappas:
     def test_synchronous_recovers_orthogonality(self):
-        book, profile = self.make_setup(np.zeros((3, 2)))
-        kappa = async_kappas(book, profile, 0)
-        assert np.allclose(kappa[0], 1.0, atol=1e-12)
-        assert np.max(np.abs(kappa[1:])) < 1e-12
+        kappa = async_kappas(np.zeros((3, 2)), 1e-6, 8)
+        assert kappa.shape == (3, 3, 2)
+        for j in range(3):
+            assert np.allclose(kappa[j, j], 1.0, atol=1e-12)
+            assert np.max(np.abs(np.delete(kappa[j], j, axis=0))) < 1e-12
 
     def test_in_cell_offset_scaling_loss(self):
         offsets = np.zeros((3, 2))
         offsets[0, 0] = 0.5e-6
-        book, profile = self.make_setup(offsets)
-        kappa = async_kappas(book, profile, 0)
+        kappa = async_kappas(offsets, 1e-6, 8)[0]
         assert abs(kappa[0, 0]) < 1.0
         assert abs(kappa[0, 1]) == pytest.approx(1.0)
 
     def test_cross_cell_offset_contaminates(self):
         offsets = np.zeros((3, 2))
         offsets[1, 0] = 0.3e-6
-        book, profile = self.make_setup(offsets)
-        kappa = async_kappas(book, profile, 0)
+        kappa = async_kappas(offsets, 1e-6, 8)[0]
         assert abs(kappa[1, 0]) > 1e-6
 
     def test_matches_explicit_inner_product(self):
         rng = np.random.default_rng(12)
         offsets = rng.uniform(0, 1e-6, (3, 2))
-        book, profile = self.make_setup(offsets)
-        kappa = async_kappas(book, profile, 1)
+        book = make_pilot_book("per-cell", 3, 2, 8, peak_power=1.0)
+        profile = AsyncProfile.from_user_offsets(offsets, 1e-6)
+        kappa = async_kappas(offsets, 1e-6, 8)[1]
         for l in range(3):
             for k in range(2):
                 offset, shift = offset_and_shift(profile, 1, l, k)
@@ -349,62 +362,123 @@ class TestAsyncKappas:
                 )
                 assert kappa[l, k] == pytest.approx(manual, rel=1e-12)
 
+    # offsets in symbols: (low, high) of a uniform draw
+    @pytest.mark.parametrize(
+        "symbols",
+        [(0.0, 1.0), (1.0, 5.0), (-5.0, 0.0)],
+        ids=["sub-symbol", "multi-symbol", "negative"],
+    )
+    @pytest.mark.parametrize("n, k, length", [(3, 2, 8), (7, 3, 8), (7, 10, 10), (3, 4, 16)])
+    def test_matches_the_reference_route_loop(self, symbols, n, k, length):
+        t_p = 1e-6
+        offsets = np.random.default_rng(length * k).uniform(*symbols, (n, k)) * t_p
+        # relative to |kappa| <= 1: cross-cell values can cancel to ~1e-17
+        assert np.allclose(
+            async_kappas(offsets, t_p, length),
+            route_kappas(offsets, t_p, length),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n, k, length", [(3, 2, 8), (7, 10, 10)])
+    def test_a_whole_block_early_or_late_reads_silence(self, n, k, length):
+        # early by length or more symbols, late by length + 1 or more (a
+        # shift of length reads symbol length - 1 with weight offset / T), or
+        # late by exactly length symbols (a binary symbol duration, so that
+        # the divmod of length symbols is exact)
+        t_p = 2.0**-20
+        rng = np.random.default_rng(length)
+        early = rng.uniform(-3 * length, -length, (n, k))
+        late = rng.uniform(length + 1, 3 * length, (n, k))
+        exact = np.full((n, k), float(length))
+        for symbols in (early, late, exact):
+            offsets = symbols * t_p
+            kappa = async_kappas(offsets, t_p, length)
+            assert np.all(kappa == 0)
+            assert np.all(route_kappas(offsets, t_p, length) == 0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         shape=st.tuples(st.sampled_from([1, 2, 3, 7]), st.integers(1, 4)),
         extra_length=st.integers(0, 4),
         data=st.data(),
     )
-    def test_matches_the_per_user_polluted_pilot_loop(self, shape, extra_length, data):
-        # per-BS delays and reference timings spanning several pilot blocks,
-        # so shifts reach past both ends of the block
+    def test_matches_the_route_loop_at_any_offsets(self, shape, extra_length, data):
+        # offsets spanning several pilot blocks either way, so shifts reach
+        # past both ends of the block
         n, k = shape
         length, t_p = n + extra_length, 1e-6
         span = 3 * length * t_p
-        delays = data.draw(
-            hnp.arrays(float, (n, n, k), elements=st.floats(-span, span))
+        offsets = data.draw(hnp.arrays(float, (n, k), elements=st.floats(-span, span)))
+        assert np.allclose(
+            async_kappas(offsets, t_p, length),
+            route_kappas(offsets, t_p, length),
+            rtol=1e-12,
+            atol=1e-12,
         )
-        reference = data.draw(hnp.arrays(float, (n,), elements=st.floats(-t_p, t_p)))
-        profile = AsyncProfile(delays, reference, t_p)
-        book = make_pilot_book("per-cell", n, k, length, peak_power=1.0)
-        for cell in range(n):
-            own = book.sequences[cell].conj()
-            loop = np.array(
-                [
-                    [
-                        polluted_pilot(
-                            book.sequences[l], *offset_and_shift(profile, cell, l, u), t_p
-                        )
-                        @ own
-                        for u in range(k)
-                    ]
-                    for l in range(n)
-                ]
-            )
-            # relative to |kappa| <= 1: cross-cell values can cancel to ~1e-17
-            assert np.allclose(async_kappas(book, profile, cell), loop, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_a_nonpositive_symbol_duration(self):
+        with pytest.raises(ValueError):
+            async_kappas(np.zeros((3, 2)), 0.0, 8)
 
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            offsets = rng.uniform(-3e-6, 3e-6, (3, 2))
-            book, profile = self.make_setup(offsets)
-            for cell in range(3):
-                kappa = async_kappas(book, profile, cell)
-                assert np.all(np.abs(kappa) <= 1.0 + 1e-12)
+            kappa = async_kappas(rng.uniform(-3e-6, 3e-6, (3, 2)), 1e-6, 8)
+            assert np.all(np.abs(kappa) <= 1.0 + 1e-12)
 
     def test_continuity_toward_synchronism(self):
-        book, _ = self.make_setup(np.zeros((3, 2)))
         deltas = 1e-6 * 10.0 ** np.arange(-1, -10, -1)
         errors = []
         for d in deltas:
             offsets = np.zeros((3, 2))
             offsets[0, 0] = d
-            profile = AsyncProfile.from_user_offsets(offsets, 1e-6)
-            kappa = async_kappas(book, profile, 0)
+            kappa = async_kappas(offsets, 1e-6, 8)[0]
             errors.append(abs(kappa[0, 0] - 1.0))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-8
+
+
+class TestRouteAsyncProfile:
+    """The reference route keeps per-BS delays and reference timings, which
+    the engine's offsets (the same at every BS, no reference) do not need."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        shape=st.tuples(st.sampled_from([1, 2, 3, 7]), st.integers(1, 4)),
+        extra_length=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_composite_estimate_is_the_polluted_pilot_sum(self, shape, extra_length, data):
+        # per-BS delays and reference timings spanning several pilot blocks:
+        # the noiseless composite estimate at BS ``cell`` weighs each user's
+        # channel by its polluted pilot's correlation at that BS
+        n, k = shape
+        length, t_p, m = n + extra_length, 1e-6, 4
+        span = 3 * length * t_p
+        delays = data.draw(hnp.arrays(float, (n, n, k), elements=st.floats(-span, span)))
+        reference = data.draw(hnp.arrays(float, (n,), elements=st.floats(-t_p, t_p)))
+        profile = AsyncProfile(delays, reference, t_p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cs = random_channels(rng, n, k, m)
+        powers = rng.uniform(0.1, 1.0, (n, k))
+        book = make_pilot_book("per-cell", n, k, length, peak_power=1.0, powers=powers)
+        for cell in range(n):
+            own = book.sequences[cell].conj()
+            terms = []
+            for l in range(n):
+                for u in range(k):
+                    arrival = offset_and_shift(profile, cell, l, u)
+                    kappa = polluted_pilot(book.sequences[l], *arrival, t_p) @ own
+                    terms.append(np.sqrt(powers[l, u] * length) * kappa * cs.vector(cell, l, u))
+            est = estimate_composite(uplink_rx(cs, book, cell, 0.0, 1, profile), book, cell)
+            # relative to the received entries, since the terms can cancel
+            scale = sum(
+                np.sqrt(powers[l, u] * length) * np.max(np.abs(cs.vector(cell, l, u)))
+                for l in range(n)
+                for u in range(k)
+            )
+            assert np.allclose(est, sum(terms), rtol=1e-10, atol=1e-12 * scale)
 
     def test_negative_delay_offsets(self):
         profile = AsyncProfile.from_user_offsets(np.full((1, 1), -0.25e-6), 1e-6)

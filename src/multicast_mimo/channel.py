@@ -11,7 +11,10 @@ not depend on the beam, and projects them onto the beam's direction to get
 the normalized amplitudes that its unit beam delivers along each channel
 (``project_beam_fading``), which computes into one complex result array
 in place.  Given a sequence of generators, the draws stack one row per
-generator: only the draws stay per realization.
+generator: only the draws stay per realization.  The engine gives
+realization t one generator per stream, ``np.random.default_rng(
+[master_seed, s, t])``: s = 2 for its shadowing (``shadowing_db``) and
+s = 3 for its fast fading.
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CellLayout, distance_m
-from .seeding import make_rng
 from .units import dbm_to_watts
 
 
@@ -138,11 +140,12 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
     return out
 
 
-def shadowing_db(fading: FadingConfig, num_cells: int, large_seed) -> np.ndarray:
+def shadowing_db(fading: FadingConfig, num_cells: int, rng_seed) -> np.ndarray:
     """(N, N) shadowing [dB] of each (BS, cell) pair, drawn in row-major
-    order from one generator: ``large_seed`` itself if it is a generator,
-    else one seeded with it."""
-    return make_rng(large_seed).normal(0.0, fading.shadow_sigma_db, (num_cells, num_cells))
+    order from ``np.random.default_rng(rng_seed)``: ``rng_seed`` itself if it
+    is a generator."""
+    rng = np.random.default_rng(rng_seed)
+    return rng.normal(0.0, fading.shadow_sigma_db, (num_cells, num_cells))
 
 
 def large_scale_gains(

@@ -238,6 +238,12 @@ def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
             raise ConfigError(
                 "pilot_symbol_s", "composite-async needs a positive symbol duration"
             )
+        # The delay model spans one symbol; a later or negative offset would
+        # read other symbols of the pilot block, discontinuously.
+        if not all(0 <= o < config.pilot_symbol_s for o in config.async_offsets_s):
+            raise ConfigError(
+                "async_offsets_s", "delay offsets must lie in [0, pilot_symbol_s)"
+            )
 
 
 def _require_finite(config: NetworkConfig) -> None:
@@ -282,6 +288,9 @@ def validate_config(config: NetworkConfig) -> None:
     """Check every cross-field invariant; raise ConfigError naming the key."""
     _require_finite(config)
     _require_counts(config)
+    # Realization t's generators take t as one 32-bit entropy word.
+    if config.num_large >= 2**32:
+        raise ConfigError("num_large", "must be below 2**32")
     if config.cells not in SUPPORTED_CELL_COUNTS:
         raise ConfigError("cells", f"must be one of {SUPPORTED_CELL_COUNTS}")
     if not config.radius_m > 0:

@@ -35,14 +35,16 @@ so every experiment in a process that shares a geometry (curves of other
 schemes, powers, pilot settings or antenna counts) evaluates the same batch
 without drawing it again; the result is the same as drawing it per curve.
 The batch is built with array operations, and at finite M the draws of a
-block of realizations fill one array.  Each stream's seeds and generators
-for a batch or block come from one array call (``seeding.child_seeds``,
-``seeding.make_rngs``), equal bit for bit to ``child_seed`` and ``make_rng``
-per realization, so no ``SeedSequence`` is built per realization.  Only the
-draws from each realization's own generators stay per realization, so no
-row depends on another and block edges change no result.  The raw draws do
-not depend on the scheme: they are keyed by the antenna count, the (N, K+1)
-beam shape, the draw count, the block's realizations and the master seed.
+block of realizations fill one array.  Realization t of stream s draws from
+one generator, ``np.random.default_rng([master_seed, s, t])``: its user
+positions (s = 1), its shadowing (s = 2) and, at finite M, its fast fading
+(s = 3).  A batch's or block's generators of one stream come from one array
+call (``seeding.make_rngs``), equal state for state to those, so no
+``SeedSequence`` is built per realization.  Only the draws from each
+realization's own generators stay per realization, so no row depends on
+another and block edges change no result.  The raw draws do not depend on
+the scheme: they are keyed by the antenna count, the (N, K+1) beam shape,
+the draw count, the block's realizations and the master seed.
 ``_cached_draws`` keeps the last ``_DRAW_CACHE_SIZE`` blocks, read-only,
 each of at most ``_BLOCK_AMPLITUDES`` amplitudes (about 1 MiB in all), and
 only for an experiment that fits in them: ``num_large * num_small * N * (K+1) <=
@@ -62,9 +64,9 @@ is the reference that the finite-antenna fast path and the correlations are
 tested against; no package code calls it, so it lives beside the tests in
 ``tests/reference_route.py``.
 
-Randomness is derived from a single master seed via counter-based seed paths,
-so any realization is reproducible in isolation and results do not depend on
-execution order.
+Every result is a function of the resolved config and its master seed alone:
+any realization can be reproduced in isolation from its generators, and
+results do not depend on execution order.
 """
 
 import functools
@@ -89,13 +91,14 @@ from .channel import (
 from .config import ConfigError, NetworkConfig, serialize_config, validate_config
 from .geometry import build_hex_layout, drop_users
 from .pilots import async_kappas, make_orthogonal_pilots, optimal_pilot_powers
-from .seeding import child_seed, child_seeds, make_rngs
+from .seeding import make_rngs
 from .units import linear_to_db
 
-# Seed stream tags (stable identifiers; changing them changes every result).
+# Stream tags s of ``default_rng([master_seed, s, t])`` (stable identifiers;
+# changing them changes every result).
 _POSITIONS_STREAM = 1
-_LARGE_STREAM = 2
-_SMALL_STREAM = 3
+_SHADOWING_STREAM = 2
+_FADING_STREAM = 3
 
 # Large-scale batches kept per process: the fig2 preset draws two geometries.
 _BATCH_CACHE_SIZE = 2
@@ -281,12 +284,9 @@ def _fingerprint(config: NetworkConfig) -> str:
 
 
 def _sinr_error(config: NetworkConfig, what: str, t: int, draw: int | None = None):
-    seed = config.master_seed
-    where = f"realization {t} (large seed {child_seed(seed, _LARGE_STREAM, t)}"
-    if config.antennas is not None:
-        where += f", small seed {child_seed(seed, _SMALL_STREAM, t)}"
-        if draw is not None:
-            where += f", draw {draw}"
+    where = f"realization {t} (master seed {config.master_seed}"
+    if config.antennas is not None and draw is not None:
+        where += f", draw {draw}"
     power = f"E_dbw = {config.E_dbw[0]:g}"
     return ArithmeticError(f"{what} at {power} in {where})")
 
@@ -295,17 +295,16 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     """Gains of realizations 0..num_large-1 stacked into a read-only
     (num_large, N, N, K) batch.
 
-    Row t is the realization keyed by ``large_seed = child_seed(master_seed,
-    LARGE, t)``: bit for bit ``large_scale_gains`` on ``drop_users`` seeded
-    with ``child_seed(large_seed, POSITIONS)`` and on
-    ``shadowing_db(large_seed)``, which is the reference route's
-    ``large_scale_tensor``.  So no row depends on another, and a batch is a
-    prefix of any longer one.  The seeds and generators of all rows are
-    derived with one array call per stream.  Only the geometry fields,
-    ``num_large`` and ``master_seed`` of ``config`` enter, and the process
-    keeps the last ``_BATCH_CACHE_SIZE`` batches: a config that differs only
-    in powers, pilot settings, scheme, antennas or draw count gets the same
-    array back.
+    Row t is realization t: bit for bit ``large_scale_gains`` on
+    ``drop_users`` with the generator ``default_rng([master_seed, POSITIONS,
+    t])`` and on ``shadowing_db`` with ``default_rng([master_seed, SHADOWING,
+    t])``, which is the reference route's ``large_scale_tensor``.  So no row
+    depends on another, and a batch is a prefix of any longer one.  The
+    generators of all rows come from one array call per stream.  Only the
+    geometry fields, ``num_large`` and ``master_seed`` of ``config`` enter,
+    and the process keeps the last ``_BATCH_CACHE_SIZE`` batches: a config
+    that differs only in powers, pilot settings, scheme, antennas or draw
+    count gets the same array back.
     """
     if config.num_large < 1:
         raise ConfigError("num_large", "trial counts must be at least 1")
@@ -325,10 +324,11 @@ def _cached_batch(
     cells, radius_m, users_per_cell, exclusion_m, fading, num_large, master_seed
 ) -> np.ndarray:
     layout = build_hex_layout(cells, radius_m)
-    large_seeds = child_seeds(master_seed, _LARGE_STREAM, np.arange(num_large))
-    positions_rngs = make_rngs(child_seeds(large_seeds, _POSITIONS_STREAM))
+    realizations = np.arange(num_large)
+    positions_rngs = make_rngs(master_seed, _POSITIONS_STREAM, realizations)
     positions = drop_users(layout, users_per_cell, exclusion_m, positions_rngs)
-    shadow_db = np.stack([shadowing_db(fading, cells, rng) for rng in make_rngs(large_seeds)])
+    shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
+    shadow_db = np.stack([shadowing_db(fading, cells, rng) for rng in shadowing_rngs])
     beta = large_scale_gains(layout, positions.pos, shadow_db, fading)
     beta.flags.writeable = False
     return beta
@@ -369,7 +369,7 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
 
 
 def _stacked_draws(antennas, cells, width, num_small, lo, hi, master_seed):
-    rngs = make_rngs(child_seeds(master_seed, _SMALL_STREAM, np.arange(lo, hi)))
+    rngs = make_rngs(master_seed, _FADING_STREAM, np.arange(lo, hi))
     g, z = draw_beam_fading(rngs, antennas, (cells, width), num_small)
     g.flags.writeable = False
     z.flags.writeable = False
@@ -415,19 +415,19 @@ def run_experiments(configs) -> list[SinrReport]:
     large-antenna limit, which is all that asymptotic mode
     (``config.antennas is None``) evaluates: no fast fading is drawn and
     ``num_small`` only counts towards validation.  With finite antennas
-    realization t takes ``num_small`` draws from one generator keyed by
-    ``child_seed(master_seed, SMALL, t)``, a block's generators derived with
-    one array call: the raw draws of ``channel.draw_beam_fading``, row s
+    realization t takes ``num_small`` draws from one generator,
+    ``default_rng([master_seed, FADING, t])``, a block's generators built
+    with one array call: the raw draws of ``channel.draw_beam_fading``, row s
     being draw s, projected onto the scheme's beam directions
     (``channel.project_beam_fading``).  An experiment of at most
     ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for later calls at the
     same antenna count, beam shape, draw count and seed (``_draw_block``).
     Each realization's minimum SINR is averaged over its draws in linear
-    scale before conversion to dB.  Seeds for realization t depend only on
-    the master seed and t, never on execution order.  A non-finite SINR
+    scale before conversion to dB.  Realization t's generators depend only
+    on the master seed and t, never on execution order.  A non-finite SINR
     raises ``ArithmeticError`` naming the power, the first bad realization,
-    its seeds and, at finite M, the draw; so does a realization whose mean
-    minimum SINR is zero, which has no dB value.
+    the master seed and, at finite M, the draw; so does a realization whose
+    mean minimum SINR is zero, which has no dB value.
     """
     configs = list(configs)
     for config in configs:
@@ -443,6 +443,9 @@ def run_experiments(configs) -> list[SinrReport]:
     return reports
 
 
+# A zero gain or noise power divides by zero on the way to the SINRs; the
+# finite and zero checks below name the realization instead of a warning.
+@np.errstate(divide="ignore", invalid="ignore")
 def _run_power_group(configs: list) -> list[SinrReport]:
     """Reports of validated configs that differ only in ``E_dbw``."""
     config = configs[0]

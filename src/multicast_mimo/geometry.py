@@ -5,13 +5,13 @@ edge, so neighboring base stations sit at distance sqrt(3) * radius.  Users
 are dropped uniformly over their hexagon minus an inner exclusion disk around
 the base station; ``drop_users`` tests the first round of a whole batch of
 realizations at once, and only the generator draws stay per realization.
+The engine gives realization t the positions generator
+``np.random.default_rng([master_seed, 1, t])``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .seeding import make_rng
 
 SQRT3 = np.sqrt(3.0)
 
@@ -84,11 +84,12 @@ def drop_users(
     order and are shifted onto their centres.  The acceptance probability is
     about 0.75, so the expected number of draws per accepted user is below 2.
 
-    ``rng_seed`` is one seed or generator, giving (N, K, 2) positions, or a
-    sequence of T of them, giving (T, N, K, 2) positions whose row t is what
-    seed t alone gives.  Each realization draws its first round from its own
-    generator; the rounds are stacked and tested at once, and only a
-    realization still short of users draws again, alone.
+    ``rng_seed`` is one int seed or generator, as ``np.random.default_rng``
+    takes it, giving (N, K, 2) positions, or a sequence of T of them, giving
+    (T, N, K, 2) positions whose row t is what seed t alone gives.  Each
+    realization draws its first round from its own generator; the rounds
+    are stacked and tested at once, and only a realization still short of
+    users draws again, alone.
     """
     if users_per_cell < 1:
         raise ValueError(f"users_per_cell must be >= 1, got {users_per_cell}")
@@ -98,7 +99,7 @@ def drop_users(
             f"cell radius {layout.radius_m}"
         )
     single = np.ndim(rng_seed) == 0
-    rngs = [make_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
+    rngs = [np.random.default_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
     r = layout.radius_m
     total = layout.num_cells * users_per_cell
     # Offsets are Generator.uniform(low, high) draws, low + (high - low) * u,

@@ -58,39 +58,31 @@ def async_kappas(offsets_s, symbol_s: float, length: int) -> np.ndarray:
     receiver's own pilot, ``kappa[j, l, k]`` at BS j.
 
     Cell l's users send row l of ``make_orthogonal_pilots(N, length)``, and
-    the pilot of user k in cell l arrives ``offsets_s[l, k]`` late at every
-    BS.  ``kappa[j, l, k]`` is the inner product of that user's polluted
-    sequence with the conjugated sequence of cell j.  With ``shift, offset =
-    divmod(offsets_s[l, k], symbol_s)``, element m of the polluted sequence
-    is ``rho(offset) seq[m + shift] + rho(T - offset) seq[m + shift - 1]``
-    for the rectangular pulse's correlation ``rho(x) = 1 - x / T``, reading
-    zero outside the block (the reference route's ``polluted_pilot``).
-    In-cell values below one mean scaling loss; nonzero out-of-cell values
-    mean the cross-cell contamination that synchronous orthogonality would
-    have removed.  |kappa| <= 1 always.  Every BS sees the same offsets, so
-    the polluted sequences are built once, each read from its cell's
-    sequence padded with ``length`` zeros on both sides: a shift by
-    ``length`` or more symbols reads only silence.
+    the pilot of user k in cell l arrives ``offsets_s[l, k]``, within one
+    symbol ``T = symbol_s``, late at every BS.  ``kappa[j, l, k]`` is the
+    inner product of that user's polluted sequence with the conjugated
+    sequence of cell j.  Element m of the polluted sequence is ``rho(offset)
+    seq[m] + rho(T - offset) seq[m - 1]`` for the rectangular pulse's
+    correlation ``rho(x) = 1 - x / T``, with ``seq[-1] = 0`` (the reference
+    route's ``polluted_pilot`` at shift 0).  In-cell values below one mean
+    scaling loss; nonzero out-of-cell values mean the cross-cell
+    contamination that synchronous orthogonality would have removed.
+    |kappa| <= 1 always.  Every BS sees the same offsets, so the polluted
+    sequences are built once.  An offset outside [0, T) raises
+    ``ValueError``.
     """
     offsets = np.asarray(offsets_s, dtype=float)
     if not symbol_s > 0:
         raise ValueError("symbol_s must be positive")
-    n = offsets.shape[0]
-    sequences = make_orthogonal_pilots(n, length)
-    shift, offset = np.divmod(offsets, symbol_s)  # (N, K) each
+    if not np.all((offsets >= 0) & (offsets < symbol_s)):
+        raise ValueError("delay offsets must lie in [0, symbol_s)")
+    sequences = make_orthogonal_pilots(offsets.shape[0], length)
+    delayed = np.zeros_like(sequences)  # each sequence one symbol late
+    delayed[:, 1:] = sequences[:, :-1]
     # the correlations of the unit-energy rectangular pulse at lags offset and
     # T - offset, in the reference route's arithmetic
-    rho_a = (symbol_s - offset) / symbol_s
-    rho_b = (symbol_s - (symbol_s - offset)) / symbol_s
-    padded = np.zeros((n, 3 * length), dtype=complex)
-    padded[:, length : 2 * length] = sequences
-    rows = np.arange(n)[:, None, None]
-    window = length + np.arange(length)
-
-    def read(lag):
-        start = np.clip(lag, -length, length).astype(int)[..., None]
-        return padded[rows, start + window]  # (N, K, L)
-
-    polluted = rho_a[..., None] * read(shift) + rho_b[..., None] * read(shift - 1)
+    rho_a = ((symbol_s - offsets) / symbol_s)[..., None]
+    rho_b = ((symbol_s - (symbol_s - offsets)) / symbol_s)[..., None]
+    polluted = rho_a * sequences[:, None] + rho_b * delayed[:, None]  # (N, K, L)
     # one product per BS: a single product over all BSs rounds differently
     return np.stack([polluted @ own.conj() for own in sequences])

@@ -1,20 +1,17 @@
-"""Deterministic seed derivation for reproducible, trial-isolated randomness.
+"""Deterministic random streams keyed by master seed, stream and realization.
 
-Every random draw in the simulator is keyed by an integer seed derived from a
-master seed and an index path, so any single trial can be regenerated without
-replaying the ones before it, and parallel trial execution cannot reorder the
-streams.
+Realization t of stream s draws from numpy's ``np.random.default_rng(
+[master_seed, s, t])`` and from nothing else.  So any single realization can
+be regenerated in isolation, without replaying the ones before it, and no
+execution order or parallel split can reorder the streams.
 
-``child_seed`` and ``make_rng`` define the streams, one seed or generator at
-a time, through ``np.random.SeedSequence``.  ``child_seeds`` and
-``make_rngs`` give the same seeds and generators for a whole array of index
-paths at once: ``SeedSequence``'s entropy mix and ``generate_state`` are a
-fixed chain of uint32 multiply, xor and shift steps, whose constants depend
-only on the step, so the chain runs as array operations over every path with
-the same number of entropy words.  They build no ``SeedSequence``.
+``make_rngs`` gives those generators for a whole array of realizations at
+once, state for state: ``SeedSequence``'s entropy mix and ``generate_state``
+are a fixed chain of uint32 multiply, xor and shift steps, whose constants
+depend only on the step, so the chain runs as array operations over every
+realization.  Each realization index is one entropy word, so every row hashes
+the same number of words.  It builds no ``SeedSequence``.
 """
-
-import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -32,32 +29,23 @@ _POOL_CALLS = _POOL_SIZE * _POOL_SIZE
 _PCG64_WORDS = 8
 
 
-def child_seed(root_seed: int, *path: int) -> int:
-    """Derive a decorrelated child seed from ``root_seed`` and an index path."""
-    ss = np.random.SeedSequence((int(root_seed),) + tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+def make_rngs(master_seed: int, stream: int, indices) -> list:
+    """Generators ``[np.random.default_rng([master_seed, stream, t]) for t in
+    indices]``, state for state.
 
-
-def make_rng(seed) -> np.random.Generator:
-    """Return ``seed`` itself if it is already a Generator, else a fresh one."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def child_seeds(root, *path) -> np.ndarray:
-    """uint64 array of ``child_seed`` over broadcast index paths.
-
-    ``root`` and each ``path`` entry are a non-negative int or an array of
-    them below 2**64; element i of the result is ``child_seed(root[i],
-    *(p[i] for p in path))``, exactly.
+    ``master_seed`` and ``stream`` are non-negative ints; ``indices`` is a
+    1-D array of integers in [0, 2**32), one entropy word each.
     """
-    return _as_uint64(_generate_state((root,) + path, 2))[..., 0]
-
-
-def make_rngs(seeds) -> list:
-    """Generators ``[make_rng(int(s)) for s in seeds]``, state for state."""
-    words = _generate_state((seeds,), _PCG64_WORDS).reshape(-1, _PCG64_WORDS)
+    t = np.asarray(indices)
+    if t.dtype.kind not in "iu":
+        raise TypeError("realization indices must be integers")
+    if t.size and not (t.min() >= 0 and t.max() <= _MASK32):
+        raise ValueError("realization indices must lie in [0, 2**32)")
+    prefix = _int_words(int(master_seed)) + _int_words(int(stream))
+    entropy = np.empty((len(prefix) + 1, t.size), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = t.reshape(-1)
+    words = np.ascontiguousarray(_hash(entropy, _PCG64_WORDS).T)
     return [
         np.random.Generator(np.random.PCG64(_PresetState(*state)))
         for state in zip(words, _as_uint64(words))
@@ -66,7 +54,7 @@ def make_rngs(seeds) -> list:
 
 class _PresetState(ISeedSequence):
     """The first uint32 words of a ``SeedSequence``'s state, computed in
-    advance by ``_generate_state``.  Each word of ``generate_state`` depends
+    advance by ``_hash``.  Each word of ``generate_state`` depends
     only on its position, so any shorter request is answered exactly, and a
     bit generator seeded with this gets the state that ``SeedSequence``
     would give it."""
@@ -174,57 +162,7 @@ def _int_words(value: int) -> list:
     return words
 
 
-def _seed_array(value) -> np.ndarray:
-    """``value`` as a uint64 array, rejecting what ``SeedSequence`` rejects."""
-    v = np.asarray(value)
-    if v.dtype == np.uint64:
-        return v
-    if v.dtype.kind not in "iu":
-        raise TypeError("seeds must be integers")
-    if v.dtype.kind == "i" and v.size and v.min() < 0:
-        raise ValueError("expected non-negative integer")
-    return v.astype(np.uint64)
-
-
-def _generate_state(entropy, n_words: int) -> np.ndarray:
-    """(*shape, n_words) uint32 states of ``SeedSequence(entropy)`` broadcast
-    over the entries of ``entropy``.
-
-    A scalar entry gives the same words to every row, whatever its size; an
-    array entry is below 2**64, so it gives each row one word or two.  Rows
-    with the same word counts hash together.
-    """
-    entries, shape = [], ()
-    for value in entropy:
-        if isinstance(value, (int, np.integer)):
-            entries.append(_int_words(int(value)))
-        else:
-            entries.append(_seed_array(value))
-            shape = np.broadcast_shapes(shape, entries[-1].shape)
-    size = math.prod(shape)
-    pattern = np.zeros(size, dtype=np.intp)  # bit i: entry i gives two words
-    for i, v in enumerate(entries):
-        if isinstance(v, np.ndarray):
-            v = (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(size)
-            entries[i] = (v.astype(np.uint32), (v >> 32).astype(np.uint32))
-            pattern += (entries[i][1] != 0) * (1 << i)
-    out = np.empty((n_words, size), dtype=np.uint32)
-    keys = np.flatnonzero(np.bincount(pattern))
-    for key in keys:
-        rows = np.flatnonzero(pattern == key) if len(keys) > 1 else slice(None)
-        count = size if len(keys) == 1 else rows.size
-        columns = []
-        for i, words in enumerate(entries):
-            columns += words[: 1 + (key >> i & 1)] if isinstance(words, tuple) else words
-        group = np.empty((len(columns), count), dtype=np.uint32)
-        for row, column in zip(group, columns):
-            row[...] = column if isinstance(column, int) else column[rows]
-        out[:, rows] = _hash(group, n_words)
-    return np.ascontiguousarray(out.T).reshape(shape + (n_words,))
-
-
 def _as_uint64(words: np.ndarray) -> np.ndarray:
-    """Pairs of little-endian uint32 words as uint64, as numpy assembles
-    ``generate_state(n, np.uint64)``."""
-    pairs = np.ascontiguousarray(words, dtype="<u4")
-    return pairs.view("<u8").astype(np.uint64).reshape(words.shape[:-1] + (-1,))
+    """(rows, 2n) little-endian uint32 words as (rows, n) uint64, as numpy
+    assembles ``generate_state(n, np.uint64)``."""
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)

@@ -16,18 +16,21 @@ from multicast_mimo.pilots import optimal_pilot_powers
 from reference_route import large_scale_tensor
 
 
-def scalar_large_scale(config, large_seed):
-    """(N, N, K) gains of the realization keyed by ``large_seed``, on the
-    reference route's one-realization form: ``drop_users`` with its
-    positions seed, then ``large_scale_tensor``."""
+def scalar_large_scale(config, t):
+    """(N, N, K) gains of realization ``t`` of ``config.master_seed``, on the
+    reference route's one-realization form: ``drop_users`` with the generator
+    ``default_rng([master_seed, POSITIONS, t])``, then ``large_scale_tensor``
+    with ``default_rng([master_seed, SHADOWING, t])``."""
     layout = build_hex_layout(config.cells, config.radius_m)
+    seed = config.master_seed
     positions = drop_users(
         layout,
         config.users_per_cell,
         config.exclusion_m,
-        engine.child_seed(large_seed, engine._POSITIONS_STREAM),
+        np.random.default_rng([seed, engine._POSITIONS_STREAM, t]),
     )
-    return large_scale_tensor(layout, positions, config.fading, large_seed)
+    shadowing = np.random.default_rng([seed, engine._SHADOWING_STREAM, t])
+    return large_scale_tensor(layout, positions, config.fading, shadowing)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,6 @@ import numpy as np
 from multicast_mimo.channel import FadingConfig, complex_gaussian, large_scale_gains, shadowing_db
 from multicast_mimo.geometry import CellLayout, UserPositions
 from multicast_mimo.pilots import make_orthogonal_pilots
-from multicast_mimo.seeding import make_rng
 
 ASSIGNMENTS = ("per-user", "per-cell")
 _GRAM_TOL = 1e-12
@@ -143,14 +142,15 @@ class ChannelState:
 
 
 def large_scale_tensor(
-    layout: CellLayout, positions: UserPositions, fading: FadingConfig, large_seed: int
+    layout: CellLayout, positions: UserPositions, fading: FadingConfig, shadowing_seed
 ) -> np.ndarray:
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
-    realization: ``large_scale_gains`` on ``shadowing_db(large_seed)``."""
+    realization: ``large_scale_gains`` on ``shadowing_db(shadowing_seed)``,
+    an int seed or a generator."""
     n = layout.num_cells
     if positions.pos.shape[:-2] != (n,):
         raise ValueError(f"positions of shape {positions.pos.shape} are not one drop of {n} cells")
-    return large_scale_gains(layout, positions.pos, shadowing_db(fading, n, large_seed), fading)
+    return large_scale_gains(layout, positions.pos, shadowing_db(fading, n, shadowing_seed), fading)
 
 
 def row_for(book: PilotBook, cell: int, user: int) -> np.ndarray:
@@ -232,7 +232,7 @@ def uplink_rx(
     g = np.sqrt(channels.beta[cell])[..., None] * channels.h[cell]  # (N, K, M)
     y = np.einsum("lkm,lkt->mt", g, scale[..., None] * rows)
     if noise_sigma_p2 > 0:
-        y = y + complex_gaussian(make_rng(rng_seed), (m, book.length), noise_sigma_p2)
+        y = y + complex_gaussian(np.random.default_rng(rng_seed), (m, book.length), noise_sigma_p2)
     return y
 
 

@@ -11,7 +11,6 @@ from multicast_mimo.channel import (
     project_beam_fading,
 )
 from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
-from multicast_mimo.seeding import make_rng
 from reference_route import ChannelState, large_scale_tensor
 
 NO_SHADOW = FadingConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
@@ -126,7 +125,7 @@ class TestShadowing:
 
 
 def fading_vector(antennas, seed):
-    return complex_gaussian(make_rng(seed), (antennas,))
+    return complex_gaussian(np.random.default_rng(seed), (antennas,))
 
 
 class TestSmallScale:
@@ -262,7 +261,7 @@ class TestGeneratorSequences:
 
     @pytest.mark.parametrize("shape", [(4, 5), 6])
     def test_complex_gaussian_of_one_generator(self, shape):
-        rng, reference = make_rng(8), make_rng(8)
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
         expected = np.sqrt(0.3 / 2.0) * (
             reference.standard_normal(shape) + 1j * reference.standard_normal(shape)
         )
@@ -271,13 +270,13 @@ class TestGeneratorSequences:
         assert rng.random() == reference.random()
 
     def test_complex_gaussian_rows_are_the_per_generator_draws(self):
-        stacked = complex_gaussian([make_rng(s) for s in self.SEEDS], (4, 5), 0.3)
+        stacked = complex_gaussian([np.random.default_rng(s) for s in self.SEEDS], (4, 5), 0.3)
         assert stacked.shape == (len(self.SEEDS), 4, 5)
         for row, seed in zip(stacked, self.SEEDS):
-            assert identical(row, complex_gaussian(make_rng(seed), (4, 5), 0.3))
+            assert identical(row, complex_gaussian(np.random.default_rng(seed), (4, 5), 0.3))
 
     def test_draw_beam_fading_of_one_generator(self):
-        rng, reference = make_rng(8), make_rng(8)
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
         g = reference.standard_gamma(16, (5, 2))
         z = np.sqrt(0.5) * (
             reference.standard_normal((5, 2, 4)) + 1j * reference.standard_normal((5, 2, 4))
@@ -287,11 +286,11 @@ class TestGeneratorSequences:
         assert rng.random() == reference.random()
 
     def test_draw_beam_fading_rows_are_the_per_generator_draws(self):
-        rngs = tuple(make_rng(s) for s in self.SEEDS)
+        rngs = tuple(np.random.default_rng(s) for s in self.SEEDS)
         g, z = draw_beam_fading(rngs, 16, (2, 4), 5)
         assert g.shape == (len(self.SEEDS), 5, 2) and z.shape == (len(self.SEEDS), 5, 2, 4)
         for t, seed in enumerate(self.SEEDS):
-            alone = make_rng(seed)
+            alone = np.random.default_rng(seed)
             g_t, z_t = draw_beam_fading(alone, 16, (2, 4), 5)
             assert identical(g[t], g_t) and identical(z[t], z_t)
             assert rngs[t].random() == alone.random()
@@ -329,11 +328,11 @@ class TestFadingConfigValidation:
 
 
 class TestChannelState:
-    def channel_state(self, cells, users, antennas, drop_seed, large_seed, small_seed):
+    def channel_state(self, cells, users, antennas, drop_seed, shadowing_seed, small_seed):
         layout = build_hex_layout(cells, 1000.0)
         positions = drop_users(layout, users, 100.0, drop_seed)
-        beta = large_scale_tensor(layout, positions, FadingConfig(), large_seed)
-        h = complex_gaussian(make_rng(small_seed), beta.shape + (antennas,))
+        beta = large_scale_tensor(layout, positions, FadingConfig(), shadowing_seed)
+        h = complex_gaussian(np.random.default_rng(small_seed), beta.shape + (antennas,))
         return ChannelState(beta=beta, h=h)
 
     def test_single_cell_single_user_shapes(self):

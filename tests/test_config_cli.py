@@ -145,6 +145,36 @@ class TestParseConfig:
             validate_scheme_requirements(replace(ASYNC, pilot_symbol_s=value), ASYNC.scheme)
         assert err.value.key == "pilot_symbol_s"
 
+    @pytest.mark.parametrize(
+        "offset, admitted",
+        [
+            (0.0, True),
+            (np.nextafter(1e-6, 0.0), True),
+            (-1e-12, False),
+            (1e-6, False),
+            (20e-6, False),
+        ],
+    )
+    def test_async_offsets_must_lie_within_one_symbol(self, offset, admitted):
+        config = replace(ASYNC, async_offsets_s=(0.0,) * 20 + (float(offset),))
+        if admitted:
+            validate_config(config)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert err.value.key == "async_offsets_s"
+
+    @pytest.mark.parametrize("num_large, admitted", [(2**32 - 1, True), (2**32, False)])
+    def test_realization_count_fits_one_entropy_word(self, num_large, admitted):
+        # realization t keys its generators with t as one 32-bit word
+        document = f"num_large = {num_large}"
+        if admitted:
+            assert parse_config(document).num_large == num_large
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(document)
+        assert err.value.key == "num_large"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["bandwidth_hz", "pilot_noise_ratio"])
     def test_fading_positive_fields_reject_non_finite(self, key, value):
@@ -436,29 +466,29 @@ class TestScenarios:
         num_large=4, num_small=2, antennas_sweep=(4, 16), master_seed=1
     )
     PINNED_DIGESTS = {
-        ("fig10-finite-M", "manifest.cfg"): "fce77758c864902b",
-        ("fig10-finite-M", "fig10_finite_M_simulated.csv"): "e89102320a90a65c",
-        ("fig10-finite-M", "fig10_finite_M_asymptotic.csv"): "a57775f1eb2f47f1",
-        ("fig2-cdf-perfect", "manifest.cfg"): "02ccfdf7f6611261",
-        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K3.csv"): "8ffc56c49685b3b0",
-        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K3.csv"): "20f8b65f1c3ab173",
-        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K10.csv"): "d7484e7f5dd6afe1",
-        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K10.csv"): "1647a3bf69341d6d",
-        ("fig3/4-cdf-schemes", "manifest.cfg"): "d1b248e6f85dbc16",
-        ("fig3/4-cdf-schemes", "fig34_cdf_perfect-optimal_K3.csv"): "8ffc56c49685b3b0",
-        ("fig3/4-cdf-schemes", "fig34_cdf_individual-pilot_K3.csv"): "d5c114fdeb8fa99b",
-        ("fig3/4-cdf-schemes", "fig34_cdf_composite_K3.csv"): "3bc9a0cd48f05c07",
-        ("fig3/4-cdf-schemes", "fig34_cdf_composite-power-controlled_K3.csv"): "107b4ddbe72686b1",
-        ("fig5/6-sweep-E", "manifest.cfg"): "33729de1fa679257",
-        ("fig5/6-sweep-E", "fig56_sweep_E_perfect-optimal_K3.csv"): "3a3629d08f5a8e09",
-        ("fig5/6-sweep-E", "fig56_sweep_E_individual-pilot_K3.csv"): "1ef914d511bc9a13",
-        ("fig5/6-sweep-E", "fig56_sweep_E_composite_K3.csv"): "eeb64edb9cfc2663",
-        ("fig5/6-sweep-E", "fig56_sweep_E_composite-power-controlled_K3.csv"): "5299e5fd89ade856",
-        ("fig7-sweep-pu", "manifest.cfg"): "fcf0203e15ae705b",
-        ("fig7-sweep-pu", "fig7_cdf_perfect-optimal.csv"): "8ffc56c49685b3b0",
-        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu2dbw.csv"): "107b4ddbe72686b1",
-        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu4dbw.csv"): "49af12c8c03d3c52",
-        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu8dbw.csv"): "bd1da010ad82b562",
+        ("fig10-finite-M", "manifest.cfg"): "e94f052660e7a0b4",
+        ("fig10-finite-M", "fig10_finite_M_simulated.csv"): "f5ae1158db75941d",
+        ("fig10-finite-M", "fig10_finite_M_asymptotic.csv"): "85f7080bb36190da",
+        ("fig2-cdf-perfect", "manifest.cfg"): "cf936e3d3a548bda",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K3.csv"): "86a0bbd9539cc489",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K3.csv"): "bc682cf23df0266f",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-optimal_K10.csv"): "d8527396c73669cc",
+        ("fig2-cdf-perfect", "fig2_cdf_perfect-equal_K10.csv"): "95b3a630f7ef5242",
+        ("fig3/4-cdf-schemes", "manifest.cfg"): "d6841677f3a85f3e",
+        ("fig3/4-cdf-schemes", "fig34_cdf_perfect-optimal_K3.csv"): "86a0bbd9539cc489",
+        ("fig3/4-cdf-schemes", "fig34_cdf_individual-pilot_K3.csv"): "1e2481c156ae2cb0",
+        ("fig3/4-cdf-schemes", "fig34_cdf_composite_K3.csv"): "e2cbc48f65f13b5f",
+        ("fig3/4-cdf-schemes", "fig34_cdf_composite-power-controlled_K3.csv"): "02c7e7bcb4a6baca",
+        ("fig5/6-sweep-E", "manifest.cfg"): "8c4305f5737fbfe6",
+        ("fig5/6-sweep-E", "fig56_sweep_E_perfect-optimal_K3.csv"): "99a9936b9e836e5b",
+        ("fig5/6-sweep-E", "fig56_sweep_E_individual-pilot_K3.csv"): "54414a68ef0a5199",
+        ("fig5/6-sweep-E", "fig56_sweep_E_composite_K3.csv"): "57c9a3c213994e23",
+        ("fig5/6-sweep-E", "fig56_sweep_E_composite-power-controlled_K3.csv"): "db6dc2bbee8c8ed1",
+        ("fig7-sweep-pu", "manifest.cfg"): "f8ab787161fbe6d3",
+        ("fig7-sweep-pu", "fig7_cdf_perfect-optimal.csv"): "86a0bbd9539cc489",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu2dbw.csv"): "02c7e7bcb4a6baca",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu4dbw.csv"): "ad3468cb3c66cdaa",
+        ("fig7-sweep-pu", "fig7_cdf_composite-power-controlled_pu8dbw.csv"): "aa4e23f87134eab4",
     }
 
     def test_preset_outputs_are_pinned(self, tmp_path):
@@ -493,9 +523,56 @@ def _top_slope(rows):
     return (y1 - y0) / (x1 - x0)
 
 
+def _cdf_samples(paths, pattern):
+    """Sorted dB samples of each CDF CSV whose name matches ``pattern``,
+    keyed by the pattern's group."""
+    curves = {}
+    for path in paths[1:]:
+        match = re.fullmatch(pattern, path.name)
+        if match:
+            lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            curves[match.group(1)] = np.array([line.split(",") for line in lines[1:]], float)[:, 0]
+    return curves
+
+
 class TestPresetClaims:
     """Each preset's CSVs show the figure's claim, with the thresholds of the
-    benchmark's preset checks (``perfbench/passes.py``)."""
+    benchmark's preset checks (``perfbench/passes.py``), at the asym-figs
+    workload's size."""
+
+    CONFIG = NetworkConfig(master_seed=1, num_large=20)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_optimal_combining_dominates_equal_combining(self, k, tmp_path):
+        # fig2: rank by rank, the optimal beam's CDF lies right of the
+        # equal-combining one
+        paths = run_scenario("fig2-cdf-perfect", self.CONFIG, out_dir=tmp_path)
+        curves = _cdf_samples(paths, rf"fig2_cdf_(.+)_K{k}\.csv")
+        assert np.all(curves["perfect-optimal"] >= curves["perfect-equal"] - 1e-6)
+
+    def test_scheme_cdfs_are_ordered(self, tmp_path):
+        # fig3/4: perfect CSI bounds the power-controlled composite pilot rank
+        # by rank, and power control > composite > per-user pilots in the mean
+        paths = run_scenario("fig3/4-cdf-schemes", self.CONFIG, out_dir=tmp_path)
+        curves = _cdf_samples(paths, r"fig34_cdf_(.+)_K3\.csv")
+        controlled = curves["composite-power-controlled"]
+        assert np.all(curves["perfect-optimal"] >= controlled - 1e-6)
+        means = {scheme: samples.mean() for scheme, samples in curves.items()}
+        assert means["composite-power-controlled"] > means["composite"]
+        assert means["composite"] > means["individual-pilot"]
+
+    def test_pilot_power_closes_the_gap_to_perfect_csi(self, tmp_path):
+        # fig7: the mean gap of the power-controlled composite pilot to
+        # perfect CSI is never negative and falls strictly with pilot power
+        paths = run_scenario("fig7-sweep-pu", self.CONFIG, out_dir=tmp_path)
+        curves = _cdf_samples(paths, r"fig7_cdf_(.+)\.csv")
+        perfect = curves["perfect-optimal"].mean()
+        gaps = [
+            perfect - curves[f"composite-power-controlled_pu{pu:g}dbw"].mean()
+            for pu in PILOT_POWER_LEVELS_DBW
+        ]
+        assert list(PILOT_POWER_LEVELS_DBW) == [2.0, 4.0, 8.0]
+        assert gaps[0] > gaps[1] > gaps[2] >= -1e-6
 
     def test_bs_power_sweep_saturates_only_under_contamination(self, tmp_path):
         # criterion 04's claim at the asym-figs workload's size: the top step

@@ -27,7 +27,6 @@ from multicast_mimo.engine import (
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import async_kappas, optimal_pilot_powers
-from multicast_mimo.seeding import make_rng
 from reference_route import (
     AsyncProfile,
     ChannelState,
@@ -152,17 +151,18 @@ def route_directions(config, scheme, cs, sigma_p2, rng):
     return estimates
 
 
-def public_route(config, scheme, large_seed, small_seed):
+def public_route(config, scheme, t, small_seed):
     """Per-user linear SINRs of cell 0 on the reference vector route
-    (ChannelState -> uplink_rx -> estimator -> beam -> downlink_sinr).
+    (ChannelState -> uplink_rx -> estimator -> beam -> downlink_sinr), on
+    large-scale realization ``t``.
 
-    ``make_rng(small_seed)`` draws the (N, N, K, M) fading tensor and then
-    each BS's pilot noise, in the order of ``fading_draw``.  Also returns the
-    channels and the beam directions before normalization.
+    ``np.random.default_rng(small_seed)`` draws the (N, N, K, M) fading
+    tensor and then each BS's pilot noise, in the order of ``fading_draw``.
+    Also returns the channels and the beam directions before normalization.
     """
-    beta = scalar_large_scale(config, large_seed)
+    beta = scalar_large_scale(config, t)
     n, k, m = config.cells, config.users_per_cell, config.antennas
-    rng = make_rng(small_seed)
+    rng = np.random.default_rng(small_seed)
     cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
     directions = route_directions(config, scheme, cs, pilot_noise_power(config.fading), rng)
     if scheme == "perfect-optimal":
@@ -212,9 +212,9 @@ def route_amplitudes(config, scheme, ctx, cs, directions):
     return amplitudes_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
 
 
-def trial_context(config, scheme, large_seed):
-    """The engine's context of ``scheme`` on one large-scale realization."""
-    beta = scalar_large_scale(config, large_seed)
+def trial_context(config, scheme, t):
+    """The engine's context of ``scheme`` on large-scale realization ``t``."""
+    beta = scalar_large_scale(config, t)
     return context(config, scheme, beta)
 
 
@@ -234,7 +234,7 @@ def fading_draw(ctx, m, small_seed):
     order, combined by its estimator into an (N, M) array (None for perfect
     CSI)."""
     n, _, k = ctx.weights.shape
-    rng = make_rng(small_seed)
+    rng = np.random.default_rng(small_seed)
     h = complex_gaussian(rng, (n, n, k, m))
     if ctx.noise_combiner is None:
         return h, None
@@ -326,7 +326,7 @@ class TestGramRoute:
         amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
         explicit = sinr_from_amplitudes(ctx, amplitudes)
         directions = engine._beam_directions(ctx)
-        g, z = draw_beam_fading(make_rng(41), 16, directions.shape, draws)
+        g, z = draw_beam_fading(np.random.default_rng(41), 16, directions.shape, draws)
         sampled = sinr_from_amplitudes(ctx, project_beam_fading(16, directions, g, z))
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
@@ -431,11 +431,10 @@ class TestRunExperiment:
         config = NetworkConfig(antennas=16, cells=3, num_large=2, num_small=3)
         report = run_experiment(config, scheme="composite")
         for t in range(2):
-            large_seed = engine.child_seed(config.master_seed, engine._LARGE_STREAM, t)
-            small_seed = engine.child_seed(config.master_seed, engine._SMALL_STREAM, t)
-            ctx = trial_context(config, "composite", large_seed)
+            ctx = trial_context(config, "composite", t)
             directions = engine._beam_directions(ctx)
-            g, z = draw_beam_fading(make_rng(small_seed), 16, directions.shape, 3)
+            rng = np.random.default_rng([config.master_seed, engine._FADING_STREAM, t])
+            g, z = draw_beam_fading(rng, 16, directions.shape, 3)
             amplitudes = project_beam_fading(16, directions, g, z)
             acc = sum(sinr_from_amplitudes(ctx, amplitudes[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
@@ -489,34 +488,18 @@ class TestRunExperiment:
         assert err.value.key == "async_offsets_s"
 
 
-def record_child_seeds(monkeypatch):
-    """Record every seed the engine derives, one ``(root, path, seed)`` of
-    ints per element of each ``child_seeds`` call, in call order."""
-    derived = []
-    original = engine.child_seeds
-
-    def recording(root, *path):
-        seeds = original(root, *path)
-        rows = zip(*(np.ravel(c) for c in np.broadcast_arrays(root, *path)))
-        for row, seed in zip(rows, np.ravel(seeds)):
-            derived.append((int(row[0]), tuple(int(p) for p in row[1:]), int(seed)))
-        return seeds
-
-    monkeypatch.setattr(engine, "child_seeds", recording)
-    return derived
-
-
 def record_make_rngs(monkeypatch):
-    """Record the seed of every generator the engine builds from a seed."""
-    seeds = []
+    """Record every generator the engine builds, one ``(master_seed, stream,
+    t)`` of ints per element of each ``make_rngs`` call, in call order."""
+    keys = []
     original = engine.make_rngs
 
-    def recording(values):
-        seeds.extend(int(v) for v in np.ravel(values))
-        return original(values)
+    def recording(master_seed, stream, indices):
+        keys.extend((int(master_seed), int(stream), int(t)) for t in np.ravel(indices))
+        return original(master_seed, stream, indices)
 
     monkeypatch.setattr(engine, "make_rngs", recording)
-    return seeds
+    return keys
 
 
 def async_config(**overrides):
@@ -580,17 +563,13 @@ class TestAsymptoticBatch:
         beta = large_scale_batch(config)
         assert beta.shape == (4, cells, cells, users)
         for t in range(4):
-            seed = engine.child_seed(9, engine._LARGE_STREAM, t)
-            assert np.array_equal(beta[t], scalar_large_scale(config, seed))
+            assert np.array_equal(beta[t], scalar_large_scale(config, t))
 
-    def test_derives_two_seeds_and_two_generators_per_realization(self, monkeypatch):
-        derived = record_child_seeds(monkeypatch)
-        generators = record_make_rngs(monkeypatch)
+    def test_builds_two_generators_per_realization(self, monkeypatch):
+        keys = record_make_rngs(monkeypatch)
         large_scale_batch(NetworkConfig(num_large=5, master_seed=3))
-        paths = [path for _, path, _ in derived]
-        large = [(engine._LARGE_STREAM, t) for t in range(5)]
-        assert sorted(paths) == sorted(large + [(engine._POSITIONS_STREAM,)] * 5)
-        assert len(generators) == 10
+        streams = (engine._POSITIONS_STREAM, engine._SHADOWING_STREAM)
+        assert keys == [(3, s, t) for s in streams for t in range(5)]
 
     def test_prefix_of_a_longer_batch(self):
         config = NetworkConfig(num_large=3)
@@ -634,7 +613,8 @@ class TestAsymptoticBatch:
         ctx = context(config, scheme, large_scale_batch(config))
         u = engine._beam_directions(ctx)
         m = 8
-        q, _ = np.linalg.qr(complex_gaussian(make_rng(5), u.shape[:-1] + (m, u.shape[-1])))
+        x = complex_gaussian(np.random.default_rng(5), u.shape[:-1] + (m, u.shape[-1]))
+        q, _ = np.linalg.qr(x)
         xu = np.sqrt(m) * (q @ u[..., None])
         amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
         amplitudes /= np.linalg.norm(xu[..., 0], axis=-1, keepdims=True) * np.sqrt(m)
@@ -704,16 +684,13 @@ class TestSharedBatch:
             assert cold.fingerprint == warm.fingerprint
 
     def test_scheme_sweep_draws_each_realization_once(self, monkeypatch):
-        derived = record_child_seeds(monkeypatch)
+        keys = record_make_rngs(monkeypatch)
         config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
         for scheme in SCHEMES:
             run_experiment(config, scheme=scheme)
-        seeds = [
-            seed
-            for root, path, seed in derived
-            if root == 7 and path[:1] == (engine._LARGE_STREAM,)
-        ]
-        assert seeds == [engine.child_seed(7, engine._LARGE_STREAM, t) for t in range(5)]
+        large = [key for key in keys if key[1] != engine._FADING_STREAM]
+        streams = (engine._POSITIONS_STREAM, engine._SHADOWING_STREAM)
+        assert large == [(7, s, t) for s in streams for t in range(5)]
 
     @pytest.mark.parametrize("per_block", [1, 2])
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -786,18 +763,14 @@ class TestSharedDraws:
             assert np.array_equal(cold.samples_db, warm.samples_db)
             assert cold.fingerprint == warm.fingerprint
 
-    def test_scheme_sweep_derives_each_small_seed_once(self, monkeypatch):
-        derived = record_child_seeds(monkeypatch)
+    def test_scheme_sweep_builds_each_fading_generator_once(self, monkeypatch):
+        keys = record_make_rngs(monkeypatch)
         config = async_config(antennas=16, num_large=5, num_small=2, master_seed=7)
         two_realization_blocks(monkeypatch, config)
         for scheme in SCHEMES:
             run_experiment(config, scheme=scheme)
-        small = [
-            path[1]
-            for root, path, _ in derived
-            if root == 7 and path[:1] == (engine._SMALL_STREAM,)
-        ]
-        assert small == list(range(5))
+        fading = [key for key in keys if key[1] == engine._FADING_STREAM]
+        assert fading == [(7, engine._FADING_STREAM, t) for t in range(5)]
 
     @pytest.mark.parametrize("num_large, kept", [(20, 4), (21, 0)])
     def test_keeps_an_experiment_only_if_it_fits(self, monkeypatch, num_large, kept):
@@ -910,18 +883,15 @@ class TestNonFiniteSinr:
 
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_row_2)
         config = NetworkConfig(num_large=4, master_seed=5)
-        seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
-        match = rf"realization 2 \(large seed {seed}\)"
+        match = r"realization 2 \(master seed 5\)"
         with pytest.raises(ArithmeticError, match=match) as err:
             run_experiment(config, scheme="composite")
-        assert "small seed" not in str(err.value)
+        assert "draw" not in str(err.value)
 
-    def test_finite_mode_names_realization_and_seeds(self, monkeypatch):
+    def test_finite_mode_names_realization_seed_and_draw(self, monkeypatch):
         # one block holds every realization; realization 1's draw 1 comes
         # before realization 2's draw 0 in realization order
         config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
-        large = engine.child_seed(6, engine._LARGE_STREAM, 1)
-        small = engine.child_seed(6, engine._SMALL_STREAM, 1)
         original = engine.sinr_from_amplitudes
         calls = []
 
@@ -935,7 +905,7 @@ class TestNonFiniteSinr:
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_draw_1_of_realization_1)
         with pytest.raises(
             ArithmeticError,
-            match=rf"realization 1 \(large seed {large}, small seed {small}, draw 1\)",
+            match=r"realization 1 \(master seed 6, draw 1\)",
         ):
             run_experiment(config, scheme="composite")
         assert len(calls) == 1
@@ -951,30 +921,33 @@ class TestNonFiniteSinr:
 
         monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_at_power_1)
         config = NetworkConfig(num_large=4, master_seed=5, scheme="composite")
-        seed = engine.child_seed(5, engine._LARGE_STREAM, 2)
         with pytest.raises(
-            ArithmeticError,
-            match=rf"at E_dbw = 20 in realization 2 \(large seed {seed}\)",
+            ArithmeticError, match=r"at E_dbw = 20 in realization 2 \(master seed 5\)"
         ):
             engine.run_experiments([replace(config, E_dbw=(e,)) for e in (0.0, 20.0, 40.0)])
 
 
     @pytest.mark.filterwarnings("error")
     def test_zero_sinr_names_power_and_realization(self):
-        # every pilot arrives 20 symbols late, after the block, so every
-        # correlation and every beam's serving amplitude is zero
-        config = NetworkConfig(
-            num_large=3,
-            scheme="composite-async",
-            async_offsets_s=(20e-6,) * 21,
-            pilot_symbol_s=1e-6,
-        )
-        seed = engine.child_seed(1, engine._LARGE_STREAM, 0)
+        # at -4000 dBW the BS power is exactly 0 W, so every SINR is zero
+        config = NetworkConfig(num_large=3, E_dbw=(-4000.0,))
+        assert config.bs_power_w == (0.0,)
         with pytest.raises(
             ArithmeticError,
-            match=rf"zero mean min-SINR at E_dbw = 10 in realization 0 \(large seed {seed}\)",
+            match=r"zero mean min-SINR at E_dbw = -4000 in realization 0 \(master seed 1\)",
         ):
             run_experiment(config)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fading",
+        [FadingConfig(noise_psd_dbm_hz=-4000.0), FadingConfig(pathloss_intercept_db=4000.0)],
+    )
+    def test_zero_noise_or_gain_raises_no_warning_first(self, fading):
+        # a zero noise power or zero gains divide by zero on the way to the
+        # SINRs; the documented error comes without a RuntimeWarning
+        with pytest.raises(ArithmeticError, match="non-finite SINR"):
+            run_experiment(NetworkConfig(num_large=3, fading=fading))
 
 
 class TestConvergenceProperties:
@@ -1001,7 +974,7 @@ class TestConvergenceProperties:
             for trial in range(30):
                 users = drop_users(layout, 2, 100.0, 1000 + trial)
                 beta = large_scale_tensor(layout, users, fading, 2000 + trial)
-                h = complex_gaussian(make_rng(3000 + trial), beta.shape + (m,))
+                h = complex_gaussian(np.random.default_rng(3000 + trial), beta.shape + (m,))
                 cs = ChannelState(beta=beta, h=h)
                 beams = [
                     optimal_beamformer_perfect(

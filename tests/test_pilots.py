@@ -362,16 +362,11 @@ class TestAsyncKappas:
                 )
                 assert kappa[l, k] == pytest.approx(manual, rel=1e-12)
 
-    # offsets in symbols: (low, high) of a uniform draw
-    @pytest.mark.parametrize(
-        "symbols",
-        [(0.0, 1.0), (1.0, 5.0), (-5.0, 0.0)],
-        ids=["sub-symbol", "multi-symbol", "negative"],
-    )
     @pytest.mark.parametrize("n, k, length", [(3, 2, 8), (7, 3, 8), (7, 10, 10), (3, 4, 16)])
-    def test_matches_the_reference_route_loop(self, symbols, n, k, length):
+    def test_matches_the_reference_route_loop(self, n, k, length):
         t_p = 1e-6
-        offsets = np.random.default_rng(length * k).uniform(*symbols, (n, k)) * t_p
+        offsets = np.random.default_rng(length * k).uniform(0.0, t_p, (n, k))
+        offsets[0, 0], offsets[-1, -1] = 0.0, np.nextafter(t_p, 0.0)  # the range's ends
         # relative to |kappa| <= 1: cross-cell values can cancel to ~1e-17
         assert np.allclose(
             async_kappas(offsets, t_p, length),
@@ -380,12 +375,24 @@ class TestAsyncKappas:
             atol=1e-12,
         )
 
+    # next to both ends of [0, T), where the reference route's model jumps
+    # (at L = 8 user (1, 0)'s in-cell kappa is 1 at offset 0 but 0.75j at
+    # -1e-12 s), several symbols late or early, and NaN
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-6, 3.5e-6, -2.5e-6, np.nan])
     @pytest.mark.parametrize("n, k, length", [(3, 2, 8), (7, 10, 10)])
-    def test_a_whole_block_early_or_late_reads_silence(self, n, k, length):
-        # early by length or more symbols, late by length + 1 or more (a
-        # shift of length reads symbol length - 1 with weight offset / T), or
-        # late by exactly length symbols (a binary symbol duration, so that
-        # the divmod of length symbols is exact)
+    def test_rejects_offsets_outside_one_symbol(self, offset, n, k, length):
+        offsets = np.zeros((n, k))
+        offsets[1, 0] = offset
+        with pytest.raises(ValueError, match=r"delay offsets must lie in \[0, symbol_s\)"):
+            async_kappas(offsets, 1e-6, length)
+
+    @pytest.mark.parametrize("n, k, length", [(3, 2, 8), (7, 10, 10)])
+    def test_a_whole_block_early_or_late_is_rejected(self, n, k, length):
+        # the reference route reads silence there: early by length or more
+        # symbols, late by length + 1 or more (a shift of length reads symbol
+        # length - 1 with weight offset / T), or late by exactly length
+        # symbols (a binary symbol duration, so that the divmod of length
+        # symbols is exact); the package rejects every such offset
         t_p = 2.0**-20
         rng = np.random.default_rng(length)
         early = rng.uniform(-3 * length, -length, (n, k))
@@ -393,9 +400,9 @@ class TestAsyncKappas:
         exact = np.full((n, k), float(length))
         for symbols in (early, late, exact):
             offsets = symbols * t_p
-            kappa = async_kappas(offsets, t_p, length)
-            assert np.all(kappa == 0)
             assert np.all(route_kappas(offsets, t_p, length) == 0)
+            with pytest.raises(ValueError):
+                async_kappas(offsets, t_p, length)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -404,12 +411,11 @@ class TestAsyncKappas:
         data=st.data(),
     )
     def test_matches_the_route_loop_at_any_offsets(self, shape, extra_length, data):
-        # offsets spanning several pilot blocks either way, so shifts reach
-        # past both ends of the block
+        # any offsets within one symbol
         n, k = shape
         length, t_p = n + extra_length, 1e-6
-        span = 3 * length * t_p
-        offsets = data.draw(hnp.arrays(float, (n, k), elements=st.floats(-span, span)))
+        elements = st.floats(0.0, t_p, exclude_max=True)
+        offsets = data.draw(hnp.arrays(float, (n, k), elements=elements))
         assert np.allclose(
             async_kappas(offsets, t_p, length),
             route_kappas(offsets, t_p, length),
@@ -424,7 +430,7 @@ class TestAsyncKappas:
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            kappa = async_kappas(rng.uniform(-3e-6, 3e-6, (3, 2)), 1e-6, 8)
+            kappa = async_kappas(rng.uniform(0.0, 1e-6, (3, 2)), 1e-6, 8)
             assert np.all(np.abs(kappa) <= 1.0 + 1e-12)
 
     def test_continuity_toward_synchronism(self):

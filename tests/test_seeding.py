@@ -1,4 +1,4 @@
-"""The array seed derivation is held to numpy's ``SeedSequence`` exactly."""
+"""The array generator construction is held to numpy's ``default_rng`` exactly."""
 
 import numpy as np
 import pytest
@@ -6,120 +6,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicast_mimo.engine as engine
+from multicast_mimo.channel import FadingConfig, shadowing_db
 from multicast_mimo.config import NetworkConfig
 from multicast_mimo.engine import large_scale_batch, run_experiment
-from multicast_mimo.seeding import child_seed, child_seeds, make_rng, make_rngs
+from multicast_mimo.geometry import build_hex_layout, drop_users
+from multicast_mimo.seeding import make_rngs
 
-# One-word and two-word values at the edges of numpy's int coercion.
-EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+# Master seeds of one, two, three and seven entropy words: with the stream
+# tag and the index, three of them fill more than numpy's pool of four words.
+MASTER_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 3**200)
+# The first, second and last realization index of one entropy word.
+INDICES = (0, 1, 2**32 - 1)
+STREAMS = (engine._POSITIONS_STREAM, engine._SHADOWING_STREAM, engine._FADING_STREAM)
 DRAWS = 8
-
-
-def reference_seed(*entropy):
-    """What ``SeedSequence`` gives for this entropy: ``child_seed``'s definition."""
-    state = np.random.SeedSequence(tuple(int(e) for e in entropy)).generate_state(1, np.uint64)
-    return int(state[0])
 
 
 def first_draws(rng):
     return rng.integers(0, 2**63, DRAWS), rng.standard_normal(DRAWS)
 
 
-def assert_same_generators(rngs, seeds):
-    assert len(rngs) == len(seeds)
-    for rng, seed in zip(rngs, seeds):
-        reference = np.random.default_rng(int(seed))
+def assert_numpy_generators(rngs, master_seed, stream, indices):
+    """Each generator is ``default_rng([master_seed, stream, t])``, state for
+    state and draw for draw."""
+    assert len(rngs) == len(indices)
+    for rng, t in zip(rngs, indices):
+        reference = np.random.default_rng([master_seed, stream, int(t)])
         assert rng.bit_generator.state == reference.bit_generator.state
         for got, expected in zip(first_draws(rng), first_draws(reference)):
             assert np.array_equal(got, expected)
 
 
-class TestChildSeeds:
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_edge_roots(self, seed):
-        got = child_seeds(np.array([seed], dtype=np.uint64), 3)
-        assert got.dtype == np.uint64
-        assert int(got[0]) == reference_seed(seed, 3) == child_seed(seed, 3)
-        assert int(child_seeds(seed)) == reference_seed(seed)
-
-    @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_edge_path_entries(self, seed):
-        got = child_seeds(5, np.array([seed, seed], dtype=np.uint64), 7)
-        assert [int(s) for s in got] == [reference_seed(5, seed, 7)] * 2
-
-    @pytest.mark.parametrize("master", [2**64, 2**64 + 9, 2**100 + 3, 3**200])
-    def test_master_seed_of_several_words(self, master):
-        got = child_seeds(master, 2, np.arange(6))
-        assert [int(s) for s in got] == [reference_seed(master, 2, t) for t in range(6)]
-
-    def test_one_and_two_word_seeds_in_one_array(self):
-        roots = np.array([2**40, 0, 2**32 - 1, 2**32, 5, 2**64 - 1, 2**33 + 1, 7], dtype=np.uint64)
-        got = child_seeds(roots, 1)
-        assert [int(s) for s in got] == [reference_seed(int(r), 1) for r in roots]
-        # word counts of root and path vary independently
-        paths = roots[::-1].copy()
-        got = child_seeds(roots, 4, paths)
-        assert [int(s) for s in got] == [
-            reference_seed(int(r), 4, int(p)) for r, p in zip(roots, paths)
-        ]
-
-    def test_broadcasts_and_keeps_the_shape(self):
-        got = child_seeds(11, np.arange(3)[:, None], np.arange(4))
-        assert got.shape == (3, 4)
-        for i in range(3):
-            for j in range(4):
-                assert int(got[i, j]) == reference_seed(11, i, j)
-
-    def test_more_than_a_pool_of_entropy_words(self):
-        # beyond four words, SeedSequence mixes each further word into the pool
-        got = child_seeds(2**64 - 1, 1, 2, np.arange(3), 2**40)
-        assert [int(s) for s in got] == [
-            reference_seed(2**64 - 1, 1, 2, t, 2**40) for t in range(3)
-        ]
-
-    def test_rejects_what_seed_sequence_rejects(self):
-        with pytest.raises(ValueError):
-            child_seeds(1, np.array([-1, 2]))
-        with pytest.raises(ValueError):
-            child_seeds(-1, 2)
-        with pytest.raises(TypeError):
-            child_seeds(1, np.array([0.5]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        roots=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-        path=st.lists(st.integers(0, 2**64 - 1), max_size=5),
-        master=st.integers(0, 2**160),
-    )
-    def test_equals_seed_sequence(self, roots, path, master):
-        array = np.array(roots, dtype=np.uint64)
-        got = child_seeds(array, *path)
-        assert [int(s) for s in got] == [reference_seed(r, *path) for r in roots]
-        got = child_seeds(master, *path, array)
-        assert [int(s) for s in got] == [reference_seed(master, *path, r) for r in roots]
-
-
 class TestMakeRngs:
-    def test_edge_seeds(self):
-        seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
-        assert_same_generators(make_rngs(seeds), seeds)
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    def test_equals_the_numpy_idiom(self, master_seed, stream):
+        indices = np.array(INDICES, dtype=np.uint64)
+        rngs = make_rngs(master_seed, stream, indices)
+        assert_numpy_generators(rngs, master_seed, stream, indices)
 
-    def test_derived_seeds(self):
-        seeds = child_seeds(1, 3, np.arange(40))
-        assert_same_generators(make_rngs(seeds), seeds)
-        for t, rng in enumerate(make_rngs(seeds)):
-            scalar = make_rng(child_seed(1, 3, t))
-            assert rng.bit_generator.state == scalar.bit_generator.state
+    def test_stream_tags_are_one_two_three_and_select_distinct_generators(self):
+        assert STREAMS == (1, 2, 3)
+        states = {make_rngs(1, s, [0])[0].bit_generator.state["state"]["state"] for s in STREAMS}
+        assert len(states) == len(STREAMS)
+
+    def test_index_dtype_does_not_matter(self):
+        signed = make_rngs(7, 3, np.arange(5))
+        for dtype in (np.uint32, np.uint64, np.int32):
+            for a, b in zip(signed, make_rngs(7, 3, np.arange(5, dtype=dtype))):
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_no_indices_give_no_generators(self):
+        assert make_rngs(1, 2, np.arange(0)) == []
+
+    @pytest.mark.parametrize(
+        "indices, error",
+        [
+            (np.array([3, -1]), ValueError),
+            (np.array([0, 2**32]), ValueError),
+            (np.array([2**64 - 1], dtype=np.uint64), ValueError),
+            (np.array([0.5]), TypeError),
+        ],
+    )
+    def test_rejects_indices_outside_one_entropy_word(self, indices, error):
+        with pytest.raises(error):
+            make_rngs(1, 2, indices)
+
+    def test_rejects_a_negative_master_seed_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 2, 0])
+        with pytest.raises(ValueError):
+            make_rngs(-1, 2, [0])
 
     def test_generators_are_independent_objects(self):
-        a, b = make_rngs(np.array([4, 4]))
+        a, b = make_rngs(4, 1, np.array([3, 3]))
         assert a is not b and a.bit_generator is not b.bit_generator
         assert np.array_equal(a.random(3), b.random(3))
 
     def test_preset_state_answers_shorter_requests_exactly(self):
-        (rng,) = make_rngs(np.array([2**32 + 5], dtype=np.uint64))
+        (rng,) = make_rngs(2**32 + 5, 2, [9])
         preset = rng.bit_generator.seed_seq
-        sequence = np.random.SeedSequence(2**32 + 5)
+        sequence = np.random.SeedSequence([2**32 + 5, 2, 9])
         for n in range(1, 9):
             assert np.array_equal(preset.generate_state(n), sequence.generate_state(n))
         for n in range(1, 5):
@@ -129,10 +95,15 @@ class TestMakeRngs:
         with pytest.raises(ValueError):
             preset.generate_state(9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=10))
-    def test_equals_default_rng(self, seeds):
-        assert_same_generators(make_rngs(np.array(seeds, dtype=np.uint64)), seeds)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**160),
+        stream=st.integers(0, 2**64 - 1),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=10),
+    )
+    def test_equals_default_rng(self, master_seed, stream, indices):
+        rngs = make_rngs(master_seed, stream, np.array(indices, dtype=np.uint64))
+        assert_numpy_generators(rngs, master_seed, stream, indices)
 
 
 class TestNoSeedSequenceOnTheEngineRoute:
@@ -158,19 +129,18 @@ class TestNoSeedSequenceOnTheEngineRoute:
         return built
 
     def test_the_counter_sees_the_scalar_route(self, sequences):
-        child_seed(1, 2)
-        make_rng(3)
-        assert len(sequences) == 2
+        shadowing_db(FadingConfig(), 3, 5)
+        drop_users(build_hex_layout(3, 1000.0), 2, 100.0, [6, 7])
+        assert len(sequences) == 3
 
     def test_large_scale_batch(self, sequences):
         large_scale_batch(NetworkConfig(num_large=7, master_seed=2))
         assert sequences == []
 
     def test_finite_antenna_experiment(self, sequences, monkeypatch):
-        # blocks of two realizations, so several blocks derive their seeds
+        # blocks of two realizations, so several blocks build their generators
         config = NetworkConfig(antennas=8, num_large=5, num_small=3, master_seed=2)
         per_realization = config.num_small * config.cells * (config.users_per_cell + 1)
         monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", 2 * per_realization)
         run_experiment(config, scheme="composite")
         assert sequences == []
-

@@ -11,7 +11,6 @@ asynchronous pilot arrival, and a seeded finite-antenna Monte Carlo engine.
 # that they can read it.  A change to any random stream bumps it.
 __version__ = "0.5.0"
 
-from .channel import FadingConfig
 from .config import SCHEMES, ConfigError, NetworkConfig, parse_config, serialize_config
 from .engine import (
     SinrReport,
@@ -28,7 +27,6 @@ from .scenarios import SCENARIOS, run_scenario
 # tests/reference_route.py.
 __all__ = [
     "ConfigError",
-    "FadingConfig",
     "NetworkConfig",
     "SCENARIOS",
     "SCHEMES",

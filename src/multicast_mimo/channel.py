@@ -18,10 +18,11 @@ s = 3 for its fast fading.
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
-does so over any leading realization axes at once.
+does so over any leading realization axes at once.  The propagation
+constants are keys of ``NetworkConfig``: the large-scale functions take
+them as plain values, and ``noise_power`` and ``pilot_noise_power`` read
+the noise keys off a config.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,48 +30,16 @@ from .geometry import CellLayout, distance_m
 from .units import dbm_to_watts
 
 
-@dataclass(frozen=True)
-class FadingConfig:
-    """Propagation constants. Defaults model an urban macro deployment."""
-
-    pathloss_intercept_db: float = 128.1
-    pathloss_slope: float = 37.6  # dB per decade of distance in km
-    shadow_sigma_db: float = 8.0
-    penetration_loss_db: float = 20.0
-    noise_psd_dbm_hz: float = -174.0
-    bandwidth_hz: float = 20e6
-    pilot_noise_ratio: float = 0.1  # sigma_p^2 / sigma^2
-
-    def __post_init__(self):
-        for name in (
-            "pathloss_intercept_db",
-            "pathloss_slope",
-            "shadow_sigma_db",
-            "penetration_loss_db",
-            "noise_psd_dbm_hz",
-            "bandwidth_hz",
-            "pilot_noise_ratio",
-        ):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.shadow_sigma_db >= 0:
-            raise ValueError("shadow_sigma_db must be non-negative")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if not self.pilot_noise_ratio > 0:
-            raise ValueError("pilot_noise_ratio must be positive")
-
-
-def noise_power(fading: FadingConfig) -> float:
-    """Receiver noise power sigma^2 in Watts over the configured bandwidth."""
+def noise_power(config) -> float:
+    """Receiver noise power sigma^2 in Watts over ``config.bandwidth_hz``."""
     return float(
-        dbm_to_watts(fading.noise_psd_dbm_hz + 10.0 * np.log10(fading.bandwidth_hz))
+        dbm_to_watts(config.noise_psd_dbm_hz + 10.0 * np.log10(config.bandwidth_hz))
     )
 
 
-def pilot_noise_power(fading: FadingConfig) -> float:
+def pilot_noise_power(config) -> float:
     """Uplink pilot noise power sigma_p^2 in Watts."""
-    return fading.pilot_noise_ratio * noise_power(fading)
+    return config.pilot_noise_ratio * noise_power(config)
 
 
 def _generators(rng):
@@ -140,16 +109,20 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
     return out
 
 
-def shadowing_db(fading: FadingConfig, num_cells: int, rng_seed) -> np.ndarray:
-    """(N, N) shadowing [dB] of each (BS, cell) pair, drawn in row-major
-    order from ``np.random.default_rng(rng_seed)``: ``rng_seed`` itself if it
-    is a generator."""
-    rng = np.random.default_rng(rng_seed)
-    return rng.normal(0.0, fading.shadow_sigma_db, (num_cells, num_cells))
+def shadowing_db(sigma_db: float, num_cells: int, rng) -> np.ndarray:
+    """(N, N) shadowing [dB] of each (BS, cell) pair with standard deviation
+    ``sigma_db``, drawn in row-major order from ``np.random.default_rng(rng)``:
+    ``rng`` itself if it is a generator."""
+    return np.random.default_rng(rng).normal(0.0, sigma_db, (num_cells, num_cells))
 
 
 def large_scale_gains(
-    layout: CellLayout, pos: np.ndarray, shadow_db: np.ndarray, fading: FadingConfig
+    layout: CellLayout,
+    pos: np.ndarray,
+    shadow_db: np.ndarray,
+    intercept_db: float,
+    slope: float,
+    penetration_db: float,
 ) -> np.ndarray:
     """Gains beta[..., i, j, k] from (..., N, K, 2) user positions and
     (..., N, N) shadowing; leading axes are realizations.
@@ -161,9 +134,9 @@ def large_scale_gains(
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
     loss_db = (
-        fading.pathloss_intercept_db
-        + fading.pathloss_slope * np.log10(d / 1000.0)
+        intercept_db
+        + slope * np.log10(d / 1000.0)
         + shadow_db[..., None]
-        + fading.penetration_loss_db
+        + penetration_db
     )
     return 10.0 ** (-loss_db / 10.0)

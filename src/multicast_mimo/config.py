@@ -5,14 +5,17 @@ The configuration format is a plain text document of ``key = value`` lines
 values are rejected with the offending key named.  Powers are configured in
 dB units with explicit suffixes (``_dbw``, ``_dbm_hz``) and converted to
 linear Watts behind accessor properties.
+
+Every key is one field of the flat ``NetworkConfig``, and
+``validate_config`` is the only validator: a parsed document and a config
+built in code pass the same type, range and cross-field checks.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import FadingConfig
 from .geometry import SUPPORTED_CELL_COUNTS
 from .units import dbw_to_watts
 
@@ -38,10 +41,12 @@ class ConfigError(ValueError):
 class NetworkConfig:
     """Complete scenario description with urban-macro defaults.
 
-    ``antennas = None`` selects asymptotic (closed-form) evaluation instead of
-    finite-antenna simulation.  ``E_dbw`` holds one or more per-BS powers; all
-    cells transmit with the same power, and multi-valued lists are only
-    consumed by sweep presets.
+    Every field is one config key.  ``antennas = None`` selects asymptotic
+    (closed-form) evaluation instead of finite-antenna simulation.  ``E_dbw``
+    holds one or more per-BS powers; all cells transmit with the same power,
+    and multi-valued lists are only consumed by sweep presets.  Path loss is
+    ``pathloss_intercept_db + pathloss_slope * log10(d_km)`` dB, and
+    ``pilot_noise_ratio`` is sigma_p^2 / sigma^2.
     """
 
     cells: int = 7
@@ -49,7 +54,13 @@ class NetworkConfig:
     antennas: int | None = None
     radius_m: float = 1000.0
     exclusion_m: float = 100.0
-    fading: FadingConfig = field(default_factory=FadingConfig)
+    pathloss_intercept_db: float = 128.1
+    pathloss_slope: float = 37.6
+    shadow_sigma_db: float = 8.0
+    penetration_loss_db: float = 20.0
+    noise_psd_dbm_hz: float = -174.0
+    bandwidth_hz: float = 20e6
+    pilot_noise_ratio: float = 0.1
     E_dbw: tuple = (10.0,)
     p_u_dbw: float = 2.0
     pilot_length: int = 8
@@ -72,15 +83,8 @@ class NetworkConfig:
         return float(dbw_to_watts(self.p_u_dbw))
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
 def _parse_float_list(text: str) -> tuple:
-    return tuple(_parse_float(part) for part in text.split(","))
+    return tuple(float(part) for part in text.split(","))
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -109,61 +113,46 @@ def _parse_str(text: str) -> str:
     return text
 
 
-# key -> (parser, attribute owner): "config" fields live on NetworkConfig,
-# "fading" fields on the nested FadingConfig.
+# key -> parser, in the order that serialize_config writes the keys.
 _KEY_SPECS = {
-    "cells": (int, "config"),
-    "users_per_cell": (int, "config"),
-    "antennas": (_parse_antennas, "config"),
-    "radius_m": (_parse_float, "config"),
-    "exclusion_m": (_parse_float, "config"),
-    "E_dbw": (_parse_float_list, "config"),
-    "p_u_dbw": (_parse_float, "config"),
-    "pilot_length": (int, "config"),
-    "scheme": (_parse_str, "config"),
-    "async_offsets_s": (_parse_float_list, "config"),
-    "pilot_symbol_s": (_parse_float, "config"),
-    "async_power_control": (_parse_bool, "config"),
-    "antennas_sweep": (_parse_int_list, "config"),
-    "num_large": (int, "config"),
-    "num_small": (int, "config"),
-    "master_seed": (int, "config"),
-    "output_dir": (_parse_str, "config"),
-    "pathloss_intercept_db": (_parse_float, "fading"),
-    "pathloss_slope": (_parse_float, "fading"),
-    "shadow_sigma_db": (_parse_float, "fading"),
-    "penetration_loss_db": (_parse_float, "fading"),
-    "noise_psd_dbm_hz": (_parse_float, "fading"),
-    "bandwidth_hz": (_parse_float, "fading"),
-    "pilot_noise_ratio": (_parse_float, "fading"),
+    "cells": int,
+    "users_per_cell": int,
+    "antennas": _parse_antennas,
+    "radius_m": float,
+    "exclusion_m": float,
+    "E_dbw": _parse_float_list,
+    "p_u_dbw": float,
+    "pilot_length": int,
+    "scheme": _parse_str,
+    "async_offsets_s": _parse_float_list,
+    "pilot_symbol_s": float,
+    "async_power_control": _parse_bool,
+    "antennas_sweep": _parse_int_list,
+    "num_large": int,
+    "num_small": int,
+    "master_seed": int,
+    "output_dir": _parse_str,
+    "pathloss_intercept_db": float,
+    "pathloss_slope": float,
+    "shadow_sigma_db": float,
+    "penetration_loss_db": float,
+    "noise_psd_dbm_hz": float,
+    "bandwidth_hz": float,
+    "pilot_noise_ratio": float,
 }
 
 
 def apply_overrides(config: NetworkConfig, pairs: dict) -> NetworkConfig:
     """Apply ``key -> value-text`` overrides and re-validate."""
-    config_updates = {}
-    fading_updates = {}
+    updates = {}
     for key, text in pairs.items():
         if key not in _KEY_SPECS:
             raise ConfigError(key, "unknown key")
-        parser, owner = _KEY_SPECS[key]
         try:
-            value = parser(str(text).strip())
+            updates[key] = _KEY_SPECS[key](str(text).strip())
         except (ValueError, TypeError) as exc:
             raise ConfigError(key, f"bad value {text!r}: {exc}") from None
-        if owner == "fading":
-            fading_updates[key] = value
-        else:
-            config_updates[key] = value
-    # One key at a time, so that the error names the key at fault: each
-    # FadingConfig check reads one field.
-    fading = config.fading
-    for key, value in fading_updates.items():
-        try:
-            fading = replace(fading, **{key: value})
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-    updated = replace(config, fading=fading, **config_updates)
+    updated = replace(config, **updates)
     validate_config(updated)
     return updated
 
@@ -204,9 +193,8 @@ def _format_value(value) -> str:
 def serialize_config(config: NetworkConfig) -> str:
     """Render a config as a parseable document (round-trips exactly)."""
     lines = []
-    for key, (_, owner) in _KEY_SPECS.items():
-        source = config.fading if owner == "fading" else config
-        value = getattr(source, key)
+    for key in _KEY_SPECS:
+        value = getattr(config, key)
         if value is None and key != "antennas":
             continue
         lines.append(f"{key} = {_format_value(value)}")
@@ -246,21 +234,41 @@ def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
             )
 
 
-def _require_finite(config: NetworkConfig) -> None:
-    """Reject NaN and infinite floats, which a config built in code can hold
-    and which every comparison below would let through."""
-    for key in (
-        "radius_m",
-        "exclusion_m",
-        "E_dbw",
-        "p_u_dbw",
-        "pilot_symbol_s",
-        "async_offsets_s",
-    ):
+# Float fields: tuples of floats among them, and those that may be unset.
+_FLOATS = (
+    "radius_m", "exclusion_m", "E_dbw", "p_u_dbw", "pilot_symbol_s",
+    "async_offsets_s", "pathloss_intercept_db", "pathloss_slope",
+    "shadow_sigma_db", "penetration_loss_db", "noise_psd_dbm_hz",
+    "bandwidth_hz", "pilot_noise_ratio",
+)
+_TUPLES = ("E_dbw", "async_offsets_s", "antennas_sweep")
+_OPTIONAL = ("async_offsets_s", "pilot_symbol_s")
+
+
+def _require_types(config: NetworkConfig) -> None:
+    """Reject what a config built in code can hold and the parser never
+    gives: a list that is not a tuple, a float field that holds no int or
+    float (a bool, str, None or float32), NaN and infinity, which every
+    comparison below would let through, and a non-bool flag or non-str
+    directory."""
+    for key in _TUPLES:
         value = getattr(config, key)
-        values = value if isinstance(value, tuple) else (value,)
-        if value is not None and not all(map(math.isfinite, values)):
-            raise ConfigError(key, "must be finite")
+        if not isinstance(value, tuple) and not (value is None and key in _OPTIONAL):
+            raise ConfigError(key, f"must be a tuple, got {value!r}")
+    for key in _FLOATS:
+        value = getattr(config, key)
+        if value is None and key in _OPTIONAL:
+            continue
+        for v in value if key in _TUPLES else (value,):
+            # A float32 serializes as its rounded decimal, not its value.
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)):
+                raise ConfigError(key, f"must be an int or float, got {v!r}")
+            if not math.isfinite(v):
+                raise ConfigError(key, "must be finite")
+    if not isinstance(config.async_power_control, bool):
+        raise ConfigError("async_power_control", "must be a bool")
+    if not isinstance(config.output_dir, str):
+        raise ConfigError("output_dir", "must be a str")
 
 
 # Count and seed fields with their least value.
@@ -286,7 +294,7 @@ def _require_counts(config: NetworkConfig) -> None:
 
 def validate_config(config: NetworkConfig) -> None:
     """Check every cross-field invariant; raise ConfigError naming the key."""
-    _require_finite(config)
+    _require_types(config)
     _require_counts(config)
     # Realization t's generators take t as one 32-bit entropy word.
     if config.num_large >= 2**32:
@@ -295,6 +303,11 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("cells", f"must be one of {SUPPORTED_CELL_COUNTS}")
     if not config.radius_m > 0:
         raise ConfigError("radius_m", "must be positive")
+    if not config.shadow_sigma_db >= 0:
+        raise ConfigError("shadow_sigma_db", "must be non-negative")
+    for key in ("bandwidth_hz", "pilot_noise_ratio"):
+        if not getattr(config, key) > 0:
+            raise ConfigError(key, "must be positive")
     # A user at the BS has no finite path gain, and the log-distance model
     # has no floor near it.  A disk wider than the hexagon's inscribed circle
     # leaves only its corners to the rejection drop, whose rounds then grow

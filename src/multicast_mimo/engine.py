@@ -29,11 +29,13 @@ directions and one block loop, their powers on a leading axis of the
 SINRs; each report equals that config's solo run bit for bit.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
-cell, exclusion radius, propagation constants, realization count and master
-seed.  ``large_scale_batch`` keeps the last few batches it built, read-only,
-so every experiment in a process that shares a geometry (curves of other
-schemes, powers, pilot settings or antenna counts) evaluates the same batch
-without drawing it again; the result is the same as drawing it per curve.
+cell, exclusion radius, the four path-loss and shadowing keys, realization
+count and master seed; the noise keys do not enter it.
+``large_scale_batch`` keeps the last few batches it built, read-only, so
+every experiment in a process that shares a geometry (curves of other
+schemes, powers, noise or pilot settings or antenna counts) evaluates the
+same batch without drawing it again; the result is the same as drawing it
+per curve.
 The batch is built with array operations, and at finite M the draws of a
 block of realizations fill one array.  Realization t of stream s draws from
 one generator, ``np.random.default_rng([master_seed, s, t])``: its user
@@ -174,6 +176,10 @@ def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: boo
     p_u = config.peak_pilot_power_w
     if not controlled:
         return np.full(own.shape, p_u)
+    # The rule divides by each gain; one that underflowed to 0 has no power.
+    zero = ~np.all(own > 0, axis=(-2, -1))
+    if np.any(zero):
+        raise _sinr_error(config, "zero own-cell gain", int(np.flatnonzero(zero)[0]))
     return optimal_pilot_powers(own, p_u)
 
 
@@ -218,8 +224,8 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
         noise_combiner=noise_combiner,
         eval_amp=sqrt_beta[..., :, 0, :],
         bs_power_w=config.bs_power_w[0],
-        sigma2=noise_power(config.fading),
-        sigma_p2=pilot_noise_power(config.fading),
+        sigma2=noise_power(config),
+        sigma_p2=pilot_noise_power(config),
         eval_cell=0,
     )
 
@@ -303,33 +309,32 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     generators of all rows come from one array call per stream.  Only the
     geometry fields, ``num_large`` and ``master_seed`` of ``config`` enter,
     and the process keeps the last ``_BATCH_CACHE_SIZE`` batches: a config
-    that differs only in powers, pilot settings, scheme, antennas or draw
-    count gets the same array back.
+    that differs only in powers, noise keys, pilot settings, scheme, antennas
+    or draw count gets the same array back.
     """
     if config.num_large < 1:
         raise ConfigError("num_large", "trial counts must be at least 1")
     return _cached_batch(
-        config.cells,
-        config.radius_m,
-        config.users_per_cell,
-        config.exclusion_m,
-        config.fading,
-        config.num_large,
-        config.master_seed,
+        config.cells, config.radius_m, config.users_per_cell, config.exclusion_m,
+        config.pathloss_intercept_db, config.pathloss_slope, config.shadow_sigma_db,
+        config.penetration_loss_db, config.num_large, config.master_seed,
     )
 
 
 @functools.lru_cache(maxsize=_BATCH_CACHE_SIZE)
 def _cached_batch(
-    cells, radius_m, users_per_cell, exclusion_m, fading, num_large, master_seed
+    cells, radius_m, users_per_cell, exclusion_m,
+    intercept_db, slope, sigma_db, penetration_db, num_large, master_seed,
 ) -> np.ndarray:
     layout = build_hex_layout(cells, radius_m)
     realizations = np.arange(num_large)
     positions_rngs = make_rngs(master_seed, _POSITIONS_STREAM, realizations)
     positions = drop_users(layout, users_per_cell, exclusion_m, positions_rngs)
     shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
-    shadow_db = np.stack([shadowing_db(fading, cells, rng) for rng in shadowing_rngs])
-    beta = large_scale_gains(layout, positions.pos, shadow_db, fading)
+    shadow_db = np.stack([shadowing_db(sigma_db, cells, rng) for rng in shadowing_rngs])
+    beta = large_scale_gains(
+        layout, positions.pos, shadow_db, intercept_db, slope, penetration_db
+    )
     beta.flags.writeable = False
     return beta
 
@@ -427,7 +432,8 @@ def run_experiments(configs) -> list[SinrReport]:
     on the master seed and t, never on execution order.  A non-finite SINR
     raises ``ArithmeticError`` naming the power, the first bad realization,
     the master seed and, at finite M, the draw; so does a realization whose
-    mean minimum SINR is zero, which has no dB value.
+    mean minimum SINR is zero, which has no dB value, and one with a zero
+    own-cell gain, which the pilot power-control rule cannot serve.
     """
     configs = list(configs)
     for config in configs:

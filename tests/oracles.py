@@ -30,7 +30,7 @@ def scalar_large_scale(config, t):
         np.random.default_rng([seed, engine._POSITIONS_STREAM, t]),
     )
     shadowing = np.random.default_rng([seed, engine._SHADOWING_STREAM, t])
-    return large_scale_tensor(layout, positions, config.fading, shadowing)
+    return large_scale_tensor(layout, positions, config, shadowing)
 
 
 @lru_cache(maxsize=None)

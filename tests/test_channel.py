@@ -3,31 +3,31 @@ import pytest
 from scipy import stats
 
 from multicast_mimo.channel import (
-    FadingConfig,
     complex_gaussian,
     draw_beam_fading,
     noise_power,
     pilot_noise_power,
     project_beam_fading,
 )
+from multicast_mimo.config import NetworkConfig
 from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
 from reference_route import ChannelState, large_scale_tensor
 
-NO_SHADOW = FadingConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
+NO_SHADOW = NetworkConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
 
 
-def single_link_gain(distance_m, fading=NO_SHADOW):
+def single_link_gain(distance_m, config=NO_SHADOW):
     """Gain from a one-cell layout's BS to one user ``distance_m`` away."""
     user = UserPositions(pos=np.array([[[distance_m, 0.0]]]))
-    return large_scale_tensor(build_hex_layout(1, 1000.0), user, fading, 0)[0, 0, 0]
+    return large_scale_tensor(build_hex_layout(1, 1000.0), user, config, 0)[0, 0, 0]
 
 
-def path_gain(distance_m, fading=NO_SHADOW):
+def path_gain(distance_m, config=NO_SHADOW):
     """Closed-form path gain without shadowing."""
     loss_db = (
-        fading.pathloss_intercept_db
-        + fading.pathloss_slope * np.log10(distance_m / 1000.0)
-        + fading.penetration_loss_db
+        config.pathloss_intercept_db
+        + config.pathloss_slope * np.log10(distance_m / 1000.0)
+        + config.penetration_loss_db
     )
     return 10.0 ** (-loss_db / 10.0)
 
@@ -63,29 +63,29 @@ class TestShadowing:
     MEAN_Z = 5.0
     CORR_Z = 5.0
 
-    def shadow_db(self, fading):
+    def shadow_db(self, config):
         layout = build_hex_layout(7, 1000.0)
         users = drop_users(layout, 3, 100.0, 5)
         d = np.linalg.norm(users.pos[None] - layout.centers[:, None, None], axis=-1)
         path_db = (
-            fading.pathloss_intercept_db
-            + fading.pathloss_slope * np.log10(d / 1000.0)
-            + fading.penetration_loss_db
+            config.pathloss_intercept_db
+            + config.pathloss_slope * np.log10(d / 1000.0)
+            + config.penetration_loss_db
         )
         return np.stack(
             [
-                -10 * np.log10(large_scale_tensor(layout, users, fading, seed)) - path_db
+                -10 * np.log10(large_scale_tensor(layout, users, config, seed)) - path_db
                 for seed in range(self.T)
             ]
         )  # (T, N, N, K)
 
     def test_shared_by_a_cells_users(self):
-        shadow = self.shadow_db(FadingConfig())
+        shadow = self.shadow_db(NetworkConfig())
         assert np.allclose(shadow, shadow[..., :1], rtol=0, atol=1e-9)
 
     def test_spread_matches_sigma_and_pairs_are_uncorrelated(self):
-        sigma = FadingConfig().shadow_sigma_db
-        pairs = self.shadow_db(FadingConfig())[..., 0].reshape(self.T, -1)
+        sigma = NetworkConfig().shadow_sigma_db
+        pairs = self.shadow_db(NetworkConfig())[..., 0].reshape(self.T, -1)
         n = pairs.size
         assert abs(pairs.mean()) < self.MEAN_Z * sigma / np.sqrt(n)
         assert abs(pairs.std(ddof=1) / sigma - 1.0) < self.SD_BAND
@@ -94,8 +94,7 @@ class TestShadowing:
         assert np.max(np.abs(off_diagonal)) < self.CORR_Z / np.sqrt(self.T)
 
     def test_follows_the_configured_sigma(self):
-        fading = FadingConfig(shadow_sigma_db=3.0)
-        pairs = self.shadow_db(fading)[..., 0]
+        pairs = self.shadow_db(NetworkConfig(shadow_sigma_db=3.0))[..., 0]
         assert abs(pairs.std(ddof=1) / 3.0 - 1.0) < self.SD_BAND
 
     def test_without_shadowing_matches_the_single_link_gain(self):
@@ -111,7 +110,7 @@ class TestShadowing:
     def test_rejects_anything_but_one_drop_of_the_layout(self, seeds):
         users = drop_users(build_hex_layout(7, 1000.0), 2, 100.0, seeds)
         with pytest.raises(ValueError, match="not one drop of 7 cells"):
-            large_scale_tensor(build_hex_layout(7, 1000.0), users, FadingConfig(), 3)
+            large_scale_tensor(build_hex_layout(7, 1000.0), users, NetworkConfig(), 3)
         one_drop = UserPositions(pos=users.pos[0])
         with pytest.raises(ValueError, match="not one drop of 3 cells"):
             large_scale_tensor(build_hex_layout(3, 1000.0), one_drop, NO_SHADOW, 3)
@@ -121,7 +120,7 @@ class TestShadowing:
         users = drop_users(layout, 2, 100.0, 1)
         users.pos[0, 1] = layout.centers[0]
         with pytest.raises(ValueError, match="distances must be positive"):
-            large_scale_tensor(layout, users, FadingConfig(), 3)
+            large_scale_tensor(layout, users, NetworkConfig(), 3)
 
 
 def fading_vector(antennas, seed):
@@ -299,39 +298,29 @@ class TestGeneratorSequences:
 class TestNoisePower:
     def test_twenty_mhz_reference(self):
         # -174 dBm/Hz over 20 MHz: -100.99 dBm
-        assert noise_power(FadingConfig()) == pytest.approx(
+        assert noise_power(NetworkConfig()) == pytest.approx(
             7.96214341106994e-14, rel=1e-12
         )
 
     def test_one_hz_is_psd(self):
-        f = FadingConfig(bandwidth_hz=1.0)
-        assert 10 * np.log10(noise_power(f) * 1000) == pytest.approx(-174.0)
+        config = NetworkConfig(bandwidth_hz=1.0)
+        assert 10 * np.log10(noise_power(config) * 1000) == pytest.approx(-174.0)
 
     def test_doubling_bandwidth_adds_3db(self):
-        a = noise_power(FadingConfig(bandwidth_hz=1e7))
-        b = noise_power(FadingConfig(bandwidth_hz=2e7))
+        a = noise_power(NetworkConfig(bandwidth_hz=1e7))
+        b = noise_power(NetworkConfig(bandwidth_hz=2e7))
         assert 10 * np.log10(b / a) == pytest.approx(10 * np.log10(2), rel=1e-12)
 
     def test_pilot_noise_ratio(self):
-        f = FadingConfig()
-        assert pilot_noise_power(f) == pytest.approx(0.1 * noise_power(f), rel=1e-12)
-
-
-class TestFadingConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            FadingConfig(bandwidth_hz=0.0)
-        with pytest.raises(ValueError):
-            FadingConfig(pilot_noise_ratio=0.0)
-        with pytest.raises(ValueError):
-            FadingConfig(shadow_sigma_db=float("nan"))
+        config = NetworkConfig()
+        assert pilot_noise_power(config) == pytest.approx(0.1 * noise_power(config), rel=1e-12)
 
 
 class TestChannelState:
     def channel_state(self, cells, users, antennas, drop_seed, shadowing_seed, small_seed):
         layout = build_hex_layout(cells, 1000.0)
         positions = drop_users(layout, users, 100.0, drop_seed)
-        beta = large_scale_tensor(layout, positions, FadingConfig(), shadowing_seed)
+        beta = large_scale_tensor(layout, positions, NetworkConfig(), shadowing_seed)
         h = complex_gaussian(np.random.default_rng(small_seed), beta.shape + (antennas,))
         return ChannelState(beta=beta, h=h)
 
@@ -345,7 +334,7 @@ class TestChannelState:
     def test_gains_positive_and_finite(self):
         layout = build_hex_layout(7, 1000.0)
         users = drop_users(layout, 3, 100.0, 11)
-        beta = large_scale_tensor(layout, users, FadingConfig(), 12)
+        beta = large_scale_tensor(layout, users, NetworkConfig(), 12)
         assert np.all(beta > 0)
         assert np.all(np.isfinite(beta))
 

@@ -2,7 +2,7 @@ import ast
 import hashlib
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import multicast_mimo
 from multicast_mimo import engine
 from multicast_mimo.cli import main
-from multicast_mimo.channel import FadingConfig
 from multicast_mimo.config import (
+    _KEY_SPECS,
     ConfigError,
     NetworkConfig,
     apply_overrides,
@@ -48,13 +48,13 @@ class TestParseConfig:
         assert config.antennas is None
         assert config.radius_m == 1000.0
         assert config.exclusion_m == 100.0
-        assert config.fading.pathloss_intercept_db == 128.1
-        assert config.fading.pathloss_slope == 37.6
-        assert config.fading.shadow_sigma_db == 8.0
-        assert config.fading.penetration_loss_db == 20.0
-        assert config.fading.noise_psd_dbm_hz == -174.0
-        assert config.fading.bandwidth_hz == 20e6
-        assert config.fading.pilot_noise_ratio == 0.1
+        assert config.pathloss_intercept_db == 128.1
+        assert config.pathloss_slope == 37.6
+        assert config.shadow_sigma_db == 8.0
+        assert config.penetration_loss_db == 20.0
+        assert config.noise_psd_dbm_hz == -174.0
+        assert config.bandwidth_hz == 20e6
+        assert config.pilot_noise_ratio == 0.1
         assert config.pilot_length == 8
         assert config.p_u_dbw == 2.0
 
@@ -131,12 +131,24 @@ class TestParseConfig:
             ("p_u_dbw", lambda v: v),
             ("pilot_symbol_s", lambda v: v),
             ("async_offsets_s", lambda v: (0.0,) * 20 + (v,)),
+            ("pathloss_intercept_db", lambda v: v),
+            ("pathloss_slope", lambda v: v),
+            ("shadow_sigma_db", lambda v: v),
+            ("penetration_loss_db", lambda v: v),
+            ("noise_psd_dbm_hz", lambda v: v),
+            ("bandwidth_hz", lambda v: v),
+            ("pilot_noise_ratio", lambda v: v),
         ],
     )
     def test_non_finite_float_names_its_key(self, key, entry, value):
-        # a config built in code bypasses the parser's finiteness check
+        # built in code or parsed from a document, one check names the key
         with pytest.raises(ConfigError) as err:
             validate_config(replace(ASYNC, **{key: entry(value)}))
+        assert err.value.key == key
+        field = entry(value)
+        text = ",".join(map(repr, field)) if isinstance(field, tuple) else repr(field)
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(ASYNC, {key: text})
         assert err.value.key == key
 
     @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-6])
@@ -178,17 +190,19 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["bandwidth_hz", "pilot_noise_ratio"])
     def test_fading_positive_fields_reject_non_finite(self, key, value):
-        with pytest.raises(ValueError, match=key):
-            FadingConfig(**{key: value})
+        with pytest.raises(ConfigError) as err:
+            validate_config(NetworkConfig(**{key: value}))
+        assert err.value.key == key
 
     @pytest.mark.parametrize("value", [-1.0, -1e-9])
     def test_negative_shadow_sigma_names_its_key(self, value):
-        with pytest.raises(ValueError, match="shadow_sigma_db"):
-            FadingConfig(shadow_sigma_db=value)
+        with pytest.raises(ConfigError) as err:
+            validate_config(NetworkConfig(shadow_sigma_db=value))
+        assert err.value.key == "shadow_sigma_db"
         with pytest.raises(ConfigError) as err:
             parse_config(f"shadow_sigma_db = {value}")
         assert err.value.key == "shadow_sigma_db"
-        assert parse_config("shadow_sigma_db = 0").fading.shadow_sigma_db == 0.0
+        assert parse_config("shadow_sigma_db = 0").shadow_sigma_db == 0.0
 
     @pytest.mark.parametrize(
         "document",
@@ -216,6 +230,35 @@ class TestParseConfig:
     )
     def test_non_integer_count_names_its_key(self, key, value):
         # a config built in code bypasses the parser's int()
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(NetworkConfig(), **{key: value}))
+        assert err.value.key == key
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("async_power_control", "no"),
+            ("async_power_control", 1),
+            ("E_dbw", 10.0),
+            ("E_dbw", [10.0]),
+            ("E_dbw", (True,)),
+            ("antennas_sweep", 100),
+            ("antennas_sweep", [100, 300]),
+            ("async_offsets_s", [0.0] * 21),
+            ("radius_m", "1000"),
+            ("p_u_dbw", None),
+            ("p_u_dbw", True),
+            ("p_u_dbw", np.float32(2.1)),
+            ("pilot_symbol_s", "1e-6"),
+            ("bandwidth_hz", "20e6"),
+            ("shadow_sigma_db", None),
+            ("pilot_noise_ratio", True),
+            ("output_dir", None),
+            ("output_dir", 5),
+        ],
+    )
+    def test_mistyped_field_names_its_key(self, key, value):
+        # a config built in code bypasses the parser's float() and types
         with pytest.raises(ConfigError) as err:
             validate_config(replace(NetworkConfig(), **{key: value}))
         assert err.value.key == key
@@ -248,6 +291,20 @@ class TestParseConfig:
         assert main(args + ["--out", str(tmp_path)]) == 1
         assert "'E_dbw'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_one_key_vocabulary(self):
+        # every field is a config key, and every key has a row of its own in
+        # the README's configuration table
+        assert set(_KEY_SPECS) == {f.name for f in fields(NetworkConfig)}
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| key | default | meaning |")
+        rows = []
+        for line in lines[start + 2 :]:
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[1])
+        documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row)}
+        assert set(_KEY_SPECS) <= documented
 
     def test_round_trip_defaults(self):
         config = NetworkConfig()

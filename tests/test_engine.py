@@ -11,7 +11,6 @@ import multicast_mimo.engine as engine
 from closed_forms import optimal_lambdas
 from oracles import scalar_large_scale
 from multicast_mimo.channel import (
-    FadingConfig,
     complex_gaussian,
     draw_beam_fading,
     noise_power,
@@ -164,7 +163,7 @@ def public_route(config, scheme, t, small_seed):
     n, k, m = config.cells, config.users_per_cell, config.antennas
     rng = np.random.default_rng(small_seed)
     cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
-    directions = route_directions(config, scheme, cs, pilot_noise_power(config.fading), rng)
+    directions = route_directions(config, scheme, cs, pilot_noise_power(config), rng)
     if scheme == "perfect-optimal":
         beams = [
             optimal_beamformer_perfect(np.stack([cs.vector(j, j, u) for u in range(k)]), beta[j, j])
@@ -173,7 +172,7 @@ def public_route(config, scheme, t, small_seed):
     else:
         beams = [beamformer_from_estimate(d) for d in directions]
     powers = np.full(n, config.bs_power_w[0] / m)
-    sigma2 = noise_power(config.fading)
+    sigma2 = noise_power(config)
     sinrs = np.array([downlink_sinr(cs, beams, powers, sigma2, 0, u) for u in range(k)])
     return sinrs, cs, directions
 
@@ -264,15 +263,16 @@ class TestReferenceRoute:
         config = NetworkConfig(cells=1, users_per_cell=1, antennas=10_000, E_dbw=(10.0,))
         beta = scalar_large_scale(config, 3)
         asym_db = 10 * np.log10(
-            config.bs_power_w[0] * beta[0, 0, 0] / noise_power(config.fading)
+            config.bs_power_w[0] * beta[0, 0, 0] / noise_power(config)
         )
         sinrs, _, _ = public_route(config, "perfect-optimal", 3, 4)
         assert 10 * np.log10(sinrs.min()) == pytest.approx(asym_db, abs=0.5)
 
     def test_clean_composite_matches_perfect_on_same_seeds(self):
         # near-noiseless pilots at high peak power reproduce the perfect-CSI beam
-        fading = FadingConfig(pilot_noise_ratio=1e-12)
-        config = NetworkConfig(antennas=10_000, fading=fading, p_u_dbw=40.0, cells=3)
+        config = NetworkConfig(
+            antennas=10_000, pilot_noise_ratio=1e-12, p_u_dbw=40.0, cells=3
+        )
         perfect, _, _ = public_route(config, "perfect-optimal", 7, 8)
         composite, _, _ = public_route(config, "composite-power-controlled", 7, 8)
         assert 10 * np.log10(composite.min()) == pytest.approx(
@@ -514,8 +514,8 @@ def scalar_closed_forms(config, scheme, beta, kappas):
     n, _, k = beta.shape
     own = beta[0, 0]
     e = config.bs_power_w[0]
-    sigma2 = noise_power(config.fading)
-    sigma_p2 = pilot_noise_power(config.fading)
+    sigma2 = noise_power(config)
+    sigma_p2 = pilot_noise_power(config)
     length, p_u = config.pilot_length, config.peak_pilot_power_w
     if scheme == "perfect-optimal":
         return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
@@ -630,7 +630,10 @@ GEOMETRY_FIELDS = {
     "users_per_cell": 2,
     "radius_m": 800.0,
     "exclusion_m": 600.0,
-    "fading": FadingConfig(shadow_sigma_db=6.0),
+    "pathloss_intercept_db": 130.0,
+    "pathloss_slope": 35.0,
+    "shadow_sigma_db": 6.0,
+    "penetration_loss_db": 10.0,
     "num_large": 3,
     "master_seed": 2,
 }
@@ -646,6 +649,9 @@ SHARING_FIELDS = {
     "antennas_sweep": (10, 20),
     "num_small": 7,
     "output_dir": "elsewhere",
+    "noise_psd_dbm_hz": -170.0,
+    "bandwidth_hz": 10e6,
+    "pilot_noise_ratio": 0.2,
 }
 
 
@@ -940,14 +946,28 @@ class TestNonFiniteSinr:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "fading",
-        [FadingConfig(noise_psd_dbm_hz=-4000.0), FadingConfig(pathloss_intercept_db=4000.0)],
+        "scheme", ["perfect-optimal", "composite-power-controlled", "composite-async"]
     )
-    def test_zero_noise_or_gain_raises_no_warning_first(self, fading):
+    @pytest.mark.parametrize(
+        "overrides", [{"noise_psd_dbm_hz": -4000.0}, {"pathloss_intercept_db": 4000.0}]
+    )
+    def test_zero_noise_or_gain_raises_no_warning_first(self, overrides, scheme):
         # a zero noise power or zero gains divide by zero on the way to the
-        # SINRs; the documented error comes without a RuntimeWarning
-        with pytest.raises(ArithmeticError, match="non-finite SINR"):
-            run_experiment(NetworkConfig(num_large=3, fading=fading))
+        # SINRs, and the pilot power-control rule divides by each own-cell
+        # gain; the documented error comes without a RuntimeWarning
+        # zero offsets: the asynchronous pilots arrive in sync
+        synchronous = NetworkConfig(
+            num_large=3, async_offsets_s=(0.0,) * 21, pilot_symbol_s=1e-6
+        )
+        controlled = scheme != "perfect-optimal"
+        if controlled and "pathloss_intercept_db" in overrides:
+            what = "zero own-cell gain"
+        else:
+            what = "non-finite SINR"
+        with pytest.raises(
+            ArithmeticError, match=rf"{what} at E_dbw = 10 in realization 0 \(master seed 1\)"
+        ):
+            run_experiment(replace(synchronous, **overrides), scheme=scheme)
 
 
 class TestConvergenceProperties:
@@ -967,13 +987,13 @@ class TestConvergenceProperties:
 
     def test_intercell_interference_vanishes_with_antennas(self):
         layout = build_hex_layout(3, 1000.0)
-        fading = FadingConfig()
+        config = NetworkConfig()
         medians = []
         for m in (100, 400, 1600):
             ratios = []
             for trial in range(30):
                 users = drop_users(layout, 2, 100.0, 1000 + trial)
-                beta = large_scale_tensor(layout, users, fading, 2000 + trial)
+                beta = large_scale_tensor(layout, users, config, 2000 + trial)
                 h = complex_gaussian(np.random.default_rng(3000 + trial), beta.shape + (m,))
                 cs = ChannelState(beta=beta, h=h)
                 beams = [

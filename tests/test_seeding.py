@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicast_mimo.engine as engine
-from multicast_mimo.channel import FadingConfig, shadowing_db
+from multicast_mimo.channel import shadowing_db
 from multicast_mimo.config import NetworkConfig
 from multicast_mimo.engine import large_scale_batch, run_experiment
 from multicast_mimo.geometry import build_hex_layout, drop_users
@@ -129,7 +129,7 @@ class TestNoSeedSequenceOnTheEngineRoute:
         return built
 
     def test_the_counter_sees_the_scalar_route(self, sequences):
-        shadowing_db(FadingConfig(), 3, 5)
+        shadowing_db(8.0, 3, 5)
         drop_users(build_hex_layout(3, 1000.0), 2, 100.0, [6, 7])
         assert len(sequences) == 3
 

@@ -178,16 +178,17 @@ def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
     return apply_overrides(base if base is not None else NetworkConfig(), pairs)
 
 
-def _format_value(value) -> str:
+def _format_value(key: str, value) -> str:
     if value is None:
         return "asymptotic"
     if isinstance(value, bool):
         return "true" if value else "false"
+    # A float key is written by value, as the parser reads it back: 1000,
+    # 1000.0 and np.float64(1000.0) all as 1000.0.
+    item = (lambda v: repr(float(v))) if key in _FLOATS else str
     if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return ",".join(item(v) for v in value)
+    return item(value)
 
 
 def serialize_config(config: NetworkConfig) -> str:
@@ -197,7 +198,7 @@ def serialize_config(config: NetworkConfig) -> str:
         value = getattr(config, key)
         if value is None and key != "antennas":
             continue
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {_format_value(key, value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -20,13 +20,18 @@ one gamma and K+1 complex normals per BS and draw
 limit to the paper's closed forms in ``tests/closed_forms.py``.
 
 An experiment's only input is its resolved config: the config with the
-call's scheme applied.  The report's fingerprint hashes it with the package
-version, so two calls that run the same experiment share a fingerprint.
-``run_experiments`` takes a list of them, and ``run_experiment`` is its
-one-config case.  The BS power enters only the last product of the SINR,
-so configs equal apart from ``E_dbw`` share one context, one set of beam
-directions and one block loop, their powers on a leading axis of the
-SINRs; each report equals that config's solo run bit for bit.
+call's scheme applied.  Not every key is read: ``_experiment_key`` resets
+the ones the experiment cannot read (the output directory and antenna
+sweep, the draw count in asymptotic mode, the pilot keys under perfect CSI
+and the async keys outside ``composite-async``) to their defaults.
+``run_experiments`` takes a list of resolved configs, and ``run_experiment``
+is its one-config case.  The BS power enters only the last product of the
+SINR, so configs whose experiment keys are equal apart from ``E_dbw`` share
+one context, one set of beam directions and one block loop, their powers on
+a leading axis of the SINRs; each report equals that config's solo run bit
+for bit.  The report's fingerprint hashes the package version, that group
+key, serialized once per group, and the config's power, so two calls that
+run the same experiment share a fingerprint.
 
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, the four path-loss and shadowing keys, realization
@@ -280,12 +285,30 @@ def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarr
     return _user_sinrs(ctx, (ctx.bs_power_w * ctx.eval_amp**2) * gains)
 
 
-def _fingerprint(config: NetworkConfig) -> str:
-    """Hash of the package version and the resolved config."""
+_DEFAULT_CONFIG = NetworkConfig()
+
+
+def _experiment_key(config: NetworkConfig) -> NetworkConfig:
+    """The resolved config with every key that its experiment cannot read
+    reset to its ``NetworkConfig()`` default.
+
+    The rule names the unread keys, so a key it forgets is kept: that can
+    give one experiment two fingerprints, never two experiments one.
+    """
+    unread = ["output_dir", "antennas_sweep"]
     if config.antennas is None:
-        # No fast fading is drawn, so the draw count cannot change the result.
-        config = replace(config, num_small=1)
-    text = f"{__version__}\n" + serialize_config(config)
+        unread.append("num_small")  # no fast fading is drawn
+    if config.scheme in ("perfect-optimal", "perfect-equal"):
+        unread += ["p_u_dbw", "pilot_length", "pilot_noise_ratio"]  # no pilots
+    if config.scheme != "composite-async":
+        unread += ["async_offsets_s", "pilot_symbol_s", "async_power_control"]
+    return replace(config, **{key: getattr(_DEFAULT_CONFIG, key) for key in unread})
+
+
+def _fingerprint(key_text: str, config: NetworkConfig) -> str:
+    """Hash of the package version, the serialized power-group key of
+    ``config`` and its BS power."""
+    text = f"{__version__}\n{key_text}power = {float(config.E_dbw[0])!r}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -408,11 +431,12 @@ def run_experiments(configs) -> list[SinrReport]:
     """One ``SinrReport`` per resolved config, in input order, each equal bit
     for bit to that config run alone.
 
-    Every config is validated before any is evaluated.  Configs equal apart
-    from ``E_dbw`` form a group, evaluated once with their powers on a
-    leading axis: the power enters only the last product of the SINR, so
-    the group shares one context, one set of beam directions and one pass
-    over the realization blocks.
+    Every config is validated before any is evaluated.  Configs whose
+    experiment keys (``_experiment_key``) are equal apart from ``E_dbw``
+    form a group, evaluated once with their powers on a leading axis: the
+    power enters only the last product of the SINR, so the group shares one
+    context, one set of beam directions and one pass over the realization
+    blocks.
 
     A group's context is built on ``large_scale_batch``, and one loop
     evaluates it over blocks of up to ``_BLOCK_AMPLITUDES`` amplitudes' worth
@@ -440,11 +464,11 @@ def run_experiments(configs) -> list[SinrReport]:
         validate_experiment(config)
     groups = {}
     for i, config in enumerate(configs):
-        groups.setdefault(replace(config, E_dbw=()), []).append(i)
+        groups.setdefault(replace(_experiment_key(config), E_dbw=()), []).append(i)
     reports = [None] * len(configs)
-    for indices in groups.values():
+    for key, indices in groups.items():
         group = [configs[i] for i in indices]
-        for i, report in zip(indices, _run_power_group(group)):
+        for i, report in zip(indices, _run_power_group(key, group)):
             reports[i] = report
     return reports
 
@@ -452,8 +476,9 @@ def run_experiments(configs) -> list[SinrReport]:
 # A zero gain or noise power divides by zero on the way to the SINRs; the
 # finite and zero checks below name the realization instead of a warning.
 @np.errstate(divide="ignore", invalid="ignore")
-def _run_power_group(configs: list) -> list[SinrReport]:
-    """Reports of validated configs that differ only in ``E_dbw``."""
+def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
+    """Reports of validated configs whose experiment keys equal ``key`` apart
+    from ``E_dbw``.  The first config is evaluated, at every config's power."""
     config = configs[0]
     ctx = _build_trial_context(config, large_scale_batch(config))
     directions = _beam_directions(ctx)
@@ -483,13 +508,14 @@ def _run_power_group(configs: list) -> list[SinrReport]:
             p, t = np.argwhere(mean <= 0)[0].tolist()
             raise _sinr_error(configs[p], "zero mean min-SINR", lo + t)
         samples[:, lo:hi] = linear_to_db(mean)
+    key_text = serialize_config(key)
     return [
         SinrReport(
             samples_db=row,
             cdf=empirical_cdf(row),
             mean_min_sinr_db=float(row.mean()),
             scheme=c.scheme,
-            fingerprint=_fingerprint(c),
+            fingerprint=_fingerprint(key_text, c),
         )
         for c, row in zip(configs, samples)
     ]

@@ -479,13 +479,24 @@ class TestScenarios:
         assert "fig34_cdf_composite-power-controlled_K3.csv" in names
         assert len(paths) == 5
 
-    def test_manifest_reproduces_byte_identical_output(self, tmp_path):
-        config = apply_overrides(NetworkConfig(), {"num_large": "6", "master_seed": "77"})
-        first = run_scenario("fig2-cdf-perfect", config, out_dir=tmp_path / "a")
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            (
+                "fig2-cdf-perfect",
+                apply_overrides(NetworkConfig(), {"num_large": "6", "master_seed": "77"}),
+            ),
+            # float keys set in code to an int or a numpy float
+            ("fig7-sweep-pu", NetworkConfig(num_large=3, p_u_dbw=2)),
+            ("fig2-cdf-perfect", NetworkConfig(num_large=3, radius_m=1000)),
+            ("fig2-cdf-perfect", NetworkConfig(num_large=3, radius_m=np.float64(1000.0))),
+        ],
+        ids=["parsed", "int-p_u", "int-radius", "np-float64-radius"],
+    )
+    def test_manifest_reproduces_byte_identical_output(self, name, config, tmp_path):
+        first = run_scenario(name, config, out_dir=tmp_path / "a")
         manifest = (tmp_path / "a" / "manifest.cfg").read_text()
-        second = run_scenario(
-            "fig2-cdf-perfect", parse_config(manifest), out_dir=tmp_path / "b"
-        )
+        second = run_scenario(name, parse_config(manifest), out_dir=tmp_path / "b")
         for p1, p2 in zip(sorted(first), sorted(second)):
             assert p1.read_bytes() == p2.read_bytes()
 
@@ -595,7 +606,8 @@ def _cdf_samples(paths, pattern):
 class TestPresetClaims:
     """Each preset's CSVs show the figure's claim, with the thresholds of the
     benchmark's preset checks (``perfbench/passes.py``), at the asym-figs
-    workload's size."""
+    workload's size; fig10's gap must shrink at every step of M, where the
+    benchmark checks only the last against the first."""
 
     CONFIG = NetworkConfig(master_seed=1, num_large=20)
 
@@ -630,6 +642,19 @@ class TestPresetClaims:
         ]
         assert list(PILOT_POWER_LEVELS_DBW) == [2.0, 4.0, 8.0]
         assert gaps[0] > gaps[1] > gaps[2] >= -1e-6
+
+    def test_finite_m_gap_shrinks(self, tmp_path):
+        # fig10: both CSVs average over the same realizations, so each row's
+        # simulated minus asymptotic value is the paired gap at that M; its
+        # size falls strictly from M = 100 to 300 to 500 (the default sweep
+        # and draw count, at which seeds 1-12 all showed it)
+        paths = run_scenario("fig10-finite-M", self.CONFIG, out_dir=tmp_path)
+        rows = {p.name: _sweep_rows(p) for p in paths[1:]}
+        simulated = rows["fig10_finite_M_simulated.csv"]
+        asymptotic = rows["fig10_finite_M_asymptotic.csv"]
+        assert list(simulated[:, 0]) == list(asymptotic[:, 0]) == [100.0, 300.0, 500.0]
+        gaps = np.abs(simulated[:, 1] - asymptotic[:, 1])
+        assert gaps[0] > gaps[1] > gaps[2]
 
     def test_bs_power_sweep_saturates_only_under_contamination(self, tmp_path):
         # criterion 04's claim at the asym-figs workload's size: the top step

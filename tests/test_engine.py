@@ -878,6 +878,123 @@ class TestRunExperiments:
         assert built == []
 
 
+# One alternative value per NetworkConfig field, valid under every scheme
+# (with one offset per user under composite-async).  Each field is either
+# reset by the experiment key, and then cannot change a sample, or kept, and
+# then changes the fingerprint.
+KEY_ALTERNATIVES = {
+    "cells": 3,
+    "users_per_cell": 2,
+    "antennas": 8,
+    "radius_m": 800.0,
+    "exclusion_m": 600.0,
+    "pathloss_intercept_db": 130.0,
+    "pathloss_slope": 35.0,
+    "shadow_sigma_db": 6.0,
+    "penetration_loss_db": 10.0,
+    "noise_psd_dbm_hz": -170.0,
+    "bandwidth_hz": 10e6,
+    "pilot_noise_ratio": 0.2,
+    "E_dbw": (20.0,),
+    "p_u_dbw": 5.0,
+    "pilot_length": 12,
+    "scheme": None,  # the next scheme of SCHEMES
+    "async_offsets_s": (1e-7,) * 21,
+    "pilot_symbol_s": 2e-6,
+    "async_power_control": False,
+    "antennas_sweep": (10, 20),
+    "num_large": 3,
+    "num_small": 7,
+    "master_seed": 2,
+    "output_dir": "elsewhere",
+}
+
+
+def vary(config, name):
+    """``config`` with field ``name`` set to its alternative value."""
+    value = KEY_ALTERNATIVES[name]
+    if name == "scheme":
+        value = SCHEMES[(SCHEMES.index(config.scheme) + 1) % len(SCHEMES)]
+    varied = replace(config, **{name: value})
+    users = varied.cells * varied.users_per_cell
+    if varied.scheme == "composite-async" and len(varied.async_offsets_s) != users:
+        varied = replace(varied, async_offsets_s=varied.async_offsets_s[:users])
+    return varied
+
+
+# Fingerprints of every scheme at one asymptotic and one finite-M config.
+# Any change to the fingerprint, declared in CHANGES.md, re-pins them.
+PINNED_FINGERPRINTS = {
+    (None, "perfect-optimal"): "75976e2e1e0678e3",
+    (None, "perfect-equal"): "86c448d5f009a3ad",
+    (None, "individual-pilot"): "1f77688261125223",
+    (None, "composite"): "465f6e1aa0250e0d",
+    (None, "composite-power-controlled"): "0f657c1b218b857c",
+    (None, "composite-async"): "76efd022cabfb851",
+    (16, "perfect-optimal"): "ddda73fc5dedf36b",
+    (16, "perfect-equal"): "ef386d9c13901504",
+    (16, "individual-pilot"): "04964bb9e485fe21",
+    (16, "composite"): "5358b5d171056da1",
+    (16, "composite-power-controlled"): "c4a2493cba096c90",
+    (16, "composite-async"): "9f67b5ade2799070",
+}
+
+
+class TestExperimentKey:
+    def test_unread_keys_and_float_spellings_share_a_fingerprint(self, monkeypatch):
+        # each config runs the default experiment: it sets a key that the
+        # experiment cannot read, or a float key to an equal value of
+        # another type
+        base = NetworkConfig(num_large=2)
+        configs = [
+            base,
+            replace(base, output_dir="elsewhere"),
+            replace(base, antennas_sweep=(10,)),
+            replace(base, p_u_dbw=5.0),
+            replace(base, pilot_length=4),
+            replace(base, radius_m=1000),
+            replace(base, radius_m=np.float64(1000.0)),
+            replace(base, E_dbw=(10,)),
+        ]
+        solo = [run_experiment(config) for config in configs]
+        for report in solo:
+            assert report.samples_db.tobytes() == solo[0].samples_db.tobytes()
+        assert {report.fingerprint for report in solo} == {solo[0].fingerprint}
+        # and form one power group
+        built = record_contexts(monkeypatch)
+        grouped = engine.run_experiments(configs)
+        assert len(built) == 1
+        assert [r.fingerprint for r in grouped] == [r.fingerprint for r in solo]
+
+    @pytest.mark.parametrize("antennas", [None, 16])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reset_keys_are_unread_and_kept_keys_are_hashed(self, scheme, antennas):
+        assert set(KEY_ALTERNATIVES) == {f.name for f in fields(NetworkConfig)}
+        base = async_config(
+            antennas=antennas, num_large=2, num_small=2, scheme=scheme, master_seed=4
+        )
+        key = engine._experiment_key(base)
+        expected = run_experiment(base)
+        for name in KEY_ALTERNATIVES:
+            varied = vary(base, name)
+            assert getattr(varied, name) != getattr(base, name), name
+            report = run_experiment(varied)
+            if engine._experiment_key(varied) == key:
+                assert report.samples_db.tobytes() == expected.samples_db.tobytes(), name
+                assert report.fingerprint == expected.fingerprint, name
+            else:
+                assert report.fingerprint != expected.fingerprint, name
+
+    def test_fingerprints_are_pinned(self):
+        configs = [
+            async_config(antennas=antennas, num_large=3, num_small=2, scheme=scheme)
+            for antennas, scheme in PINNED_FINGERPRINTS
+        ]
+        reports = engine.run_experiments(configs)
+        got = {(c.antennas, c.scheme): r.fingerprint for c, r in zip(configs, reports)}
+        assert got == PINNED_FINGERPRINTS
+
+
 class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
         original = engine.sinr_from_amplitudes

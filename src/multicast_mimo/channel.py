@@ -112,8 +112,9 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
 def shadowing_db(sigma_db: float, num_cells: int, rng) -> np.ndarray:
     """(N, N) shadowing [dB] of each (BS, cell) pair with standard deviation
     ``sigma_db``, drawn in row-major order from ``np.random.default_rng(rng)``:
-    ``rng`` itself if it is a generator."""
-    return np.random.default_rng(rng).normal(0.0, sigma_db, (num_cells, num_cells))
+    ``rng`` itself if it is a generator.  A ``sigma_db`` of -0.0 draws as 0.0,
+    which numpy's ``normal`` would reject as a negative scale."""
+    return np.random.default_rng(rng).normal(0.0, sigma_db + 0.0, (num_cells, num_cells))
 
 
 def large_scale_gains(

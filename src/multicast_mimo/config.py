@@ -6,13 +6,18 @@ values are rejected with the offending key named.  Powers are configured in
 dB units with explicit suffixes (``_dbw``, ``_dbm_hz``) and converted to
 linear Watts behind accessor properties.
 
-Every key is one field of the flat ``NetworkConfig``, and
+Every key is one field of the flat ``NetworkConfig``, and its annotation
+states its type once: parsing, writing and the type checks read the key
+table ``_KEYS`` derived from it at import.  Not in the annotations:
+``antennas = asymptotic`` means None, and ``master_seed`` may be 0.
 ``validate_config`` is the only validator: a parsed document and a config
 built in code pass the same type, range and cross-field checks.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -41,7 +46,8 @@ class ConfigError(ValueError):
 class NetworkConfig:
     """Complete scenario description with urban-macro defaults.
 
-    Every field is one config key.  ``antennas = None`` selects asymptotic
+    Every field is one config key, in the order that ``serialize_config``
+    writes the keys.  ``antennas = None`` selects asymptotic
     (closed-form) evaluation instead of finite-antenna simulation.  ``E_dbw``
     holds one or more per-BS powers; all cells transmit with the same power,
     and multi-valued lists are only consumed by sweep presets.  Path loss is
@@ -54,6 +60,18 @@ class NetworkConfig:
     antennas: int | None = None
     radius_m: float = 1000.0
     exclusion_m: float = 100.0
+    E_dbw: tuple[float, ...] = (10.0,)
+    p_u_dbw: float = 2.0
+    pilot_length: int = 8
+    scheme: str = "perfect-optimal"
+    async_offsets_s: tuple[float, ...] | None = None
+    pilot_symbol_s: float | None = None
+    async_power_control: bool = True
+    antennas_sweep: tuple[int, ...] = (100, 300, 500)
+    num_large: int = 200
+    num_small: int = 100
+    master_seed: int = 1
+    output_dir: str = "out"
     pathloss_intercept_db: float = 128.1
     pathloss_slope: float = 37.6
     shadow_sigma_db: float = 8.0
@@ -61,18 +79,6 @@ class NetworkConfig:
     noise_psd_dbm_hz: float = -174.0
     bandwidth_hz: float = 20e6
     pilot_noise_ratio: float = 0.1
-    E_dbw: tuple = (10.0,)
-    p_u_dbw: float = 2.0
-    pilot_length: int = 8
-    scheme: str = "perfect-optimal"
-    async_offsets_s: tuple | None = None
-    pilot_symbol_s: float | None = None
-    async_power_control: bool = True
-    antennas_sweep: tuple = (100, 300, 500)
-    num_large: int = 200
-    num_small: int = 100
-    master_seed: int = 1
-    output_dir: str = "out"
 
     @property
     def bs_power_w(self) -> tuple:
@@ -81,14 +87,6 @@ class NetworkConfig:
     @property
     def peak_pilot_power_w(self) -> float:
         return float(dbw_to_watts(self.p_u_dbw))
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(","))
 
 
 def _parse_bool(text: str) -> bool:
@@ -100,12 +98,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_antennas(text: str):
-    if text.strip().lower() == "asymptotic":
-        return None
-    return int(text)
-
-
 def _parse_str(text: str) -> str:
     # A '#' or a line break would not survive a serialize -> parse round trip.
     if "#" in text or len(text.splitlines()) > 1:
@@ -113,43 +105,47 @@ def _parse_str(text: str) -> str:
     return text
 
 
-# key -> parser, in the order that serialize_config writes the keys.
-_KEY_SPECS = {
-    "cells": int,
-    "users_per_cell": int,
-    "antennas": _parse_antennas,
-    "radius_m": float,
-    "exclusion_m": float,
-    "E_dbw": _parse_float_list,
-    "p_u_dbw": float,
-    "pilot_length": int,
-    "scheme": _parse_str,
-    "async_offsets_s": _parse_float_list,
-    "pilot_symbol_s": float,
-    "async_power_control": _parse_bool,
-    "antennas_sweep": _parse_int_list,
-    "num_large": int,
-    "num_small": int,
-    "master_seed": int,
-    "output_dir": _parse_str,
-    "pathloss_intercept_db": float,
-    "pathloss_slope": float,
-    "shadow_sigma_db": float,
-    "penetration_loss_db": float,
-    "noise_psd_dbm_hz": float,
-    "bandwidth_hz": float,
-    "pilot_noise_ratio": float,
-}
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: _parse_str}
+
+
+def _key_table(config_class) -> dict:
+    """key -> (item type, tuple or not, may be None) of each field, in field
+    order, read off its annotation: ``T``, ``tuple[T, ...]`` or either
+    ``| None``, with ``T`` one of the ``_PARSERS`` types."""
+    table = {}
+    for field in fields(config_class):
+        item, args = field.type, get_args(field.type)
+        optional = isinstance(item, UnionType) and len(args) == 2 and type(None) in args
+        if optional:
+            item = next(arg for arg in args if arg is not type(None))
+        is_tuple = get_origin(item) is tuple
+        if is_tuple:
+            item = get_args(item)[0] if get_args(item)[1:] == (...,) else None
+        if item not in _PARSERS:
+            raise TypeError(f"config key {field.name!r}: unreadable annotation {field.type!r}")
+        table[field.name] = (item, is_tuple, optional)
+    return table
+
+
+_KEYS = _key_table(NetworkConfig)
+
+
+def _parse_value(key: str, text: str):
+    item, is_tuple, _ = _KEYS[key]
+    if key == "antennas" and text.lower() == "asymptotic":
+        return None
+    parse = _PARSERS[item]
+    return tuple(parse(part) for part in text.split(",")) if is_tuple else parse(text)
 
 
 def apply_overrides(config: NetworkConfig, pairs: dict) -> NetworkConfig:
     """Apply ``key -> value-text`` overrides and re-validate."""
     updates = {}
     for key, text in pairs.items():
-        if key not in _KEY_SPECS:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key")
         try:
-            updates[key] = _KEY_SPECS[key](str(text).strip())
+            updates[key] = _parse_value(key, str(text).strip())
         except (ValueError, TypeError) as exc:
             raise ConfigError(key, f"bad value {text!r}: {exc}") from None
     updated = replace(config, **updates)
@@ -178,27 +174,26 @@ def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
     return apply_overrides(base if base is not None else NetworkConfig(), pairs)
 
 
-def _format_value(key: str, value) -> str:
-    if value is None:
-        return "asymptotic"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    # A float key is written by value, as the parser reads it back: 1000,
-    # 1000.0 and np.float64(1000.0) all as 1000.0.
-    item = (lambda v: repr(float(v))) if key in _FLOATS else str
-    if isinstance(value, tuple):
-        return ",".join(item(v) for v in value)
-    return item(value)
+_WRITERS = {
+    int: str,
+    # By value, as the parser reads it back: 1000, 1000.0 and np.float64(1000.0)
+    # all as 1000.0, and -0.0 as 0.0.
+    float: lambda v: repr(float(v) + 0.0),
+    bool: lambda v: "true" if v else "false",
+    str: str,
+}
 
 
 def serialize_config(config: NetworkConfig) -> str:
     """Render a config as a parseable document (round-trips exactly)."""
     lines = []
-    for key in _KEY_SPECS:
+    for key, (item, is_tuple, _) in _KEYS.items():
         value = getattr(config, key)
-        if value is None and key != "antennas":
-            continue
-        lines.append(f"{key} = {_format_value(key, value)}")
+        if value is not None:
+            text = ",".join(map(_WRITERS[item], value if is_tuple else (value,)))
+            lines.append(f"{key} = {text}")
+        elif key == "antennas":
+            lines.append("antennas = asymptotic")
     return "\n".join(lines) + "\n"
 
 
@@ -235,68 +230,36 @@ def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
             )
 
 
-# Float fields: tuples of floats among them, and those that may be unset.
-_FLOATS = (
-    "radius_m", "exclusion_m", "E_dbw", "p_u_dbw", "pilot_symbol_s",
-    "async_offsets_s", "pathloss_intercept_db", "pathloss_slope",
-    "shadow_sigma_db", "penetration_loss_db", "noise_psd_dbm_hz",
-    "bandwidth_hz", "pilot_noise_ratio",
-)
-_TUPLES = ("E_dbw", "async_offsets_s", "antennas_sweep")
-_OPTIONAL = ("async_offsets_s", "pilot_symbol_s")
+# What a config built in code may hold for each item type.  A float32
+# serializes as its rounded decimal, not its value.
+_HOLDS = {int: (int, np.integer), float: (int, float, np.integer), bool: bool, str: str}
 
 
 def _require_types(config: NetworkConfig) -> None:
     """Reject what a config built in code can hold and the parser never
-    gives: a list that is not a tuple, a float field that holds no int or
-    float (a bool, str, None or float32), NaN and infinity, which every
-    comparison below would let through, and a non-bool flag or non-str
-    directory."""
-    for key in _TUPLES:
+    gives: a list that is not a tuple, an item of another type (a bool is an
+    int to Python, but only a bool key takes one), NaN and infinity, which
+    every comparison below would let through, and a count below 1 or a seed
+    below 0."""
+    for key, (item, is_tuple, optional) in _KEYS.items():
         value = getattr(config, key)
-        if not isinstance(value, tuple) and not (value is None and key in _OPTIONAL):
+        if value is None and optional:
+            continue
+        if is_tuple and not isinstance(value, tuple):
             raise ConfigError(key, f"must be a tuple, got {value!r}")
-    for key in _FLOATS:
-        value = getattr(config, key)
-        if value is None and key in _OPTIONAL:
-            continue
-        for v in value if key in _TUPLES else (value,):
-            # A float32 serializes as its rounded decimal, not its value.
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer)):
-                raise ConfigError(key, f"must be an int or float, got {v!r}")
-            if not math.isfinite(v):
+        least = 0 if key == "master_seed" else 1
+        for v in value if is_tuple else (value,):
+            if isinstance(v, bool) != (item is bool) or not isinstance(v, _HOLDS[item]):
+                raise ConfigError(key, f"must be of type {item.__name__}, got {v!r}")
+            if item is float and not math.isfinite(v):
                 raise ConfigError(key, "must be finite")
-    if not isinstance(config.async_power_control, bool):
-        raise ConfigError("async_power_control", "must be a bool")
-    if not isinstance(config.output_dir, str):
-        raise ConfigError("output_dir", "must be a str")
-
-
-# Count and seed fields with their least value.
-_COUNTS = {
-    "cells": 1, "users_per_cell": 1, "antennas": 1, "pilot_length": 1,
-    "antennas_sweep": 1, "num_large": 1, "num_small": 1, "master_seed": 0,
-}
-
-
-def _require_counts(config: NetworkConfig) -> None:
-    """Reject counts and seeds below their least value, and any that is not
-    an integer: a config built in code can hold a float, NaN or bool there."""
-    for key, least in _COUNTS.items():
-        value = getattr(config, key)
-        if value is None:  # asymptotic antennas
-            continue
-        for v in value if key == "antennas_sweep" else (value,):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(key, f"must be an integer, got {v!r}")
-            if v < least:
+            if item is int and v < least:
                 raise ConfigError(key, f"must be at least {least}")
 
 
 def validate_config(config: NetworkConfig) -> None:
     """Check every cross-field invariant; raise ConfigError naming the key."""
     _require_types(config)
-    _require_counts(config)
     # Realization t's generators take t as one 32-bit entropy word.
     if config.num_large >= 2**32:
         raise ConfigError("num_large", "must be below 2**32")

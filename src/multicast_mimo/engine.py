@@ -307,8 +307,9 @@ def _experiment_key(config: NetworkConfig) -> NetworkConfig:
 
 def _fingerprint(key_text: str, config: NetworkConfig) -> str:
     """Hash of the package version, the serialized power-group key of
-    ``config`` and its BS power."""
-    text = f"{__version__}\n{key_text}power = {float(config.E_dbw[0])!r}\n"
+    ``config`` and its BS power, written as ``serialize_config`` writes a
+    float: -0.0 as 0.0."""
+    text = f"{__version__}\n{key_text}power = {float(config.E_dbw[0]) + 0.0!r}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -473,9 +474,10 @@ def run_experiments(configs) -> list[SinrReport]:
     return reports
 
 
-# A zero gain or noise power divides by zero on the way to the SINRs; the
-# finite and zero checks below name the realization instead of a warning.
-@np.errstate(divide="ignore", invalid="ignore")
+# A zero gain or noise power divides by zero on the way to the SINRs, and an
+# extreme loss, power or shadowing overflows; the finite and zero checks below
+# name the realization instead of a warning.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
     """Reports of validated configs whose experiment keys equal ``key`` apart
     from ``E_dbw``.  The first config is evaluated, at every config's power."""

@@ -2,7 +2,7 @@ import ast
 import hashlib
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicast_mimo
+from multicast_mimo import config as config_module
 from multicast_mimo import engine
 from multicast_mimo.cli import main
 from multicast_mimo.config import (
-    _KEY_SPECS,
     ConfigError,
     NetworkConfig,
     apply_overrides,
@@ -293,9 +293,7 @@ class TestParseConfig:
         assert not any(tmp_path.iterdir())
 
     def test_one_key_vocabulary(self):
-        # every field is a config key, and every key has a row of its own in
-        # the README's configuration table
-        assert set(_KEY_SPECS) == {f.name for f in fields(NetworkConfig)}
+        # every key has a row of its own in the README's configuration table
         lines = (ROOT / "README.md").read_text().splitlines()
         start = lines.index("| key | default | meaning |")
         rows = []
@@ -304,28 +302,58 @@ class TestParseConfig:
                 break
             rows.append(line.split("|")[1])
         documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row)}
-        assert set(_KEY_SPECS) <= documented
+        assert {f.name for f in fields(NetworkConfig)} <= documented
+
+    @pytest.mark.parametrize(
+        "annotation",
+        [tuple, list[float], tuple[int, float], int | str, "int", complex],
+        ids=["bare-tuple", "list", "pair", "union", "string", "complex"],
+    )
+    def test_unreadable_annotation_names_its_field(self, annotation):
+        # the key table is read off the annotations when the package is
+        # imported, so a field it cannot read stops the import
+        odd = make_dataclass("Odd", [("cells", int), ("odd_key", annotation)])
+        with pytest.raises(TypeError, match="'odd_key'"):
+            config_module._key_table(odd)
 
     def test_round_trip_defaults(self):
         config = NetworkConfig()
         assert parse_config(serialize_config(config)) == config
 
     def test_round_trip_custom(self):
-        offsets = tuple(float(x) for x in np.linspace(0, 9e-7, 21))
-        config = apply_overrides(
-            NetworkConfig(),
-            {
-                "cells": "7",
-                "antennas": "256",
-                "E_dbw": "0.5,12.25",
-                "scheme": "composite-async",
-                "async_offsets_s": ",".join(repr(o) for o in offsets),
-                "pilot_symbol_s": "1e-06",
-                "async_power_control": "false",
-                "shadow_sigma_db": "6.5",
-                "master_seed": "99",
-            },
-        )
+        # every key at a value other than its default, so that each kind of
+        # key is parsed and written once
+        offsets = tuple(float(x) for x in np.linspace(0, 9e-7, 6))
+        overrides = {
+            "cells": "3",
+            "users_per_cell": "2",
+            "antennas": "256",
+            "radius_m": "500.5",
+            "exclusion_m": "50.25",
+            "E_dbw": "0.5,12.25",
+            "p_u_dbw": "-3.5",
+            "pilot_length": "4",
+            "scheme": "composite-async",
+            "async_offsets_s": ",".join(repr(o) for o in offsets),
+            "pilot_symbol_s": "1e-06",
+            "async_power_control": "false",
+            "antennas_sweep": "16,64",
+            "num_large": "7",
+            "num_small": "9",
+            "master_seed": "99",
+            "output_dir": "runs/custom",
+            "pathloss_intercept_db": "130.5",
+            "pathloss_slope": "35.25",
+            "shadow_sigma_db": "6.5",
+            "penetration_loss_db": "10",
+            "noise_psd_dbm_hz": "-170.5",
+            "bandwidth_hz": "1e7",
+            "pilot_noise_ratio": "0.25",
+        }
+        assert set(overrides) == {f.name for f in fields(NetworkConfig)}
+        config = apply_overrides(NetworkConfig(), overrides)
+        for f in fields(NetworkConfig):
+            assert getattr(config, f.name) != f.default, f.name
         assert parse_config(serialize_config(config)) == config
 
     def test_asymptotic_antenna_round_trip(self):

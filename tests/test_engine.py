@@ -852,6 +852,19 @@ class TestRunExperiments:
             assert report.mean_min_sinr_db == solo.mean_min_sinr_db
             assert report.scheme == config.scheme
 
+    def test_mixed_zero_signs_in_a_group_keep_the_solo_fingerprints(self):
+        # -0.0 == 0.0, so these configs form one power group, whose key is
+        # written from the first config
+        configs = [
+            NetworkConfig(num_large=2, pathloss_slope=-0.0),
+            NetworkConfig(num_large=2, pathloss_slope=0.0, E_dbw=(20.0,)),
+        ]
+        grouped = engine.run_experiments(configs)
+        for config, report in zip(configs, grouped):
+            solo = run_experiment(config)
+            assert report.samples_db.tobytes() == solo.samples_db.tobytes()
+            assert report.fingerprint == solo.fingerprint
+
     def test_power_axis_keeps_the_solo_arithmetic(self):
         # each power's SINRs, bit for bit, as one scalar power computes them
         config = NetworkConfig(num_large=5, scheme="composite")
@@ -942,10 +955,10 @@ PINNED_FINGERPRINTS = {
 
 class TestExperimentKey:
     def test_unread_keys_and_float_spellings_share_a_fingerprint(self, monkeypatch):
-        # each config runs the default experiment: it sets a key that the
+        # each config runs the same experiment: it sets a key that the
         # experiment cannot read, or a float key to an equal value of
-        # another type
-        base = NetworkConfig(num_large=2)
+        # another type or sign
+        base = NetworkConfig(num_large=2, E_dbw=(0.0,), penetration_loss_db=0.0)
         configs = [
             base,
             replace(base, output_dir="elsewhere"),
@@ -954,7 +967,9 @@ class TestExperimentKey:
             replace(base, pilot_length=4),
             replace(base, radius_m=1000),
             replace(base, radius_m=np.float64(1000.0)),
-            replace(base, E_dbw=(10,)),
+            replace(base, E_dbw=(0,)),
+            replace(base, E_dbw=(-0.0,)),
+            replace(base, penetration_loss_db=-0.0),
         ]
         solo = [run_experiment(config) for config in configs]
         for report in solo:
@@ -984,6 +999,14 @@ class TestExperimentKey:
                 assert report.fingerprint == expected.fingerprint, name
             else:
                 assert report.fingerprint != expected.fingerprint, name
+
+    def test_negative_zero_shadowing_runs_as_zero(self):
+        # each run starts from cold caches, so neither reuses the other's batch
+        negative = run_experiment(NetworkConfig(num_large=2, shadow_sigma_db=-0.0))
+        engine._cached_batch.cache_clear()
+        positive = run_experiment(NetworkConfig(num_large=2, shadow_sigma_db=0.0))
+        assert negative.samples_db.tobytes() == positive.samples_db.tobytes()
+        assert negative.fingerprint == positive.fingerprint
 
     def test_fingerprints_are_pinned(self):
         configs = [
@@ -1066,12 +1089,18 @@ class TestNonFiniteSinr:
         "scheme", ["perfect-optimal", "composite-power-controlled", "composite-async"]
     )
     @pytest.mark.parametrize(
-        "overrides", [{"noise_psd_dbm_hz": -4000.0}, {"pathloss_intercept_db": 4000.0}]
+        "overrides",
+        [
+            {"noise_psd_dbm_hz": -4000.0},
+            {"pathloss_intercept_db": 4000.0},
+            {"penetration_loss_db": -4000.0},
+        ],
     )
     def test_zero_noise_or_gain_raises_no_warning_first(self, overrides, scheme):
         # a zero noise power or zero gains divide by zero on the way to the
-        # SINRs, and the pilot power-control rule divides by each own-cell
-        # gain; the documented error comes without a RuntimeWarning
+        # SINRs, infinite gains overflow, and the pilot power-control rule
+        # divides by each own-cell gain; the documented error comes without a
+        # RuntimeWarning
         # zero offsets: the asynchronous pilots arrive in sync
         synchronous = NetworkConfig(
             num_large=3, async_offsets_s=(0.0,) * 21, pilot_symbol_s=1e-6

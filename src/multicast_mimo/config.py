@@ -98,14 +98,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_str(text: str) -> str:
-    # A '#' or a line break would not survive a serialize -> parse round trip.
-    if "#" in text or len(text.splitlines()) > 1:
-        raise ValueError("must not contain '#' or a line break")
-    return text
-
-
-_PARSERS = {int: int, float: float, bool: _parse_bool, str: _parse_str}
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
 
 
 def _key_table(config_class) -> dict:
@@ -239,8 +232,9 @@ def _require_types(config: NetworkConfig) -> None:
     """Reject what a config built in code can hold and the parser never
     gives: a list that is not a tuple, an item of another type (a bool is an
     int to Python, but only a bool key takes one), NaN and infinity, which
-    every comparison below would let through, and a count below 1 or a seed
-    below 0."""
+    every comparison below would let through, a count below 1 or a seed
+    below 0, and text that would not survive a serialize -> parse round trip:
+    a '#', a line break, or whitespace the parser strips at either end."""
     for key, (item, is_tuple, optional) in _KEYS.items():
         value = getattr(config, key)
         if value is None and optional:
@@ -255,6 +249,10 @@ def _require_types(config: NetworkConfig) -> None:
                 raise ConfigError(key, "must be finite")
             if item is int and v < least:
                 raise ConfigError(key, f"must be at least {least}")
+            if item is str and ("#" in v or len(v.splitlines()) > 1 or v != v.strip()):
+                raise ConfigError(
+                    key, "must hold no '#' or line break, nor start or end with whitespace"
+                )
 
 
 def validate_config(config: NetworkConfig) -> None:

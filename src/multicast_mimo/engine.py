@@ -457,8 +457,9 @@ def run_experiments(configs) -> list[SinrReport]:
     on the master seed and t, never on execution order.  A non-finite SINR
     raises ``ArithmeticError`` naming the power, the first bad realization,
     the master seed and, at finite M, the draw; so does a realization whose
-    mean minimum SINR is zero, which has no dB value, and one with a zero
-    own-cell gain, which the pilot power-control rule cannot serve.
+    mean minimum SINR is zero, which has no dB value, or overflows, and one
+    with a zero own-cell gain, which the pilot power-control rule cannot
+    serve.
     """
     configs = list(configs)
     for config in configs:
@@ -475,8 +476,9 @@ def run_experiments(configs) -> list[SinrReport]:
 
 
 # A zero gain or noise power divides by zero on the way to the SINRs, and an
-# extreme loss, power or shadowing overflows; the finite and zero checks below
-# name the realization instead of a warning.
+# extreme loss, power or shadowing overflows, and finite SINRs near the float
+# limit overflow their mean; the checks below name the realization instead of
+# a warning.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
     """Reports of validated configs whose experiment keys equal ``key`` apart
@@ -506,9 +508,11 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
             p, t, draw = bad
             raise _sinr_error(configs[p], "non-finite SINR", lo + t, draw)
         mean = sinr.min(axis=-1).mean(axis=-1)  # (P, realizations)
-        if not np.all(mean > 0):
-            p, t = np.argwhere(mean <= 0)[0].tolist()
-            raise _sinr_error(configs[p], "zero mean min-SINR", lo + t)
+        in_range = (mean > 0) & (mean < np.inf)
+        if not in_range.all():
+            p, t = np.argwhere(~in_range)[0].tolist()
+            what = "zero" if mean[p, t] == 0 else "overflowing"
+            raise _sinr_error(configs[p], f"{what} mean min-SINR", lo + t)
         samples[:, lo:hi] = linear_to_db(mean)
     key_text = serialize_config(key)
     return [

@@ -368,6 +368,14 @@ class TestParseConfig:
             apply_overrides(NetworkConfig(), {key: value})
         assert err.value.key == key
 
+    @pytest.mark.parametrize(
+        "value", ["runs#2", "runs\n2", "runs\r2", "runs\u20282", " runs", "runs "]
+    )
+    def test_text_set_in_code_that_would_not_round_trip_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(NetworkConfig(), output_dir=value))
+        assert err.value.key == "output_dir"
+
     @settings(max_examples=200, deadline=None)
     @given(
         output_dir=st.one_of(st.text(), st.text(alphabet="r/ #=\t\n\r\u2028")),

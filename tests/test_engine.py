@@ -1085,6 +1085,23 @@ class TestNonFiniteSinr:
             run_experiment(config)
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_mean_names_power_and_realization(self):
+        # every SINR is finite, but 50 draws near 1e307 sum past the float range
+        config = NetworkConfig(
+            cells=1,
+            antennas=16,
+            num_large=2,
+            num_small=50,
+            noise_psd_dbm_hz=-3150.0,
+            E_dbw=(100.0,),
+        )
+        with pytest.raises(
+            ArithmeticError,
+            match=r"overflowing mean min-SINR at E_dbw = 100 in realization 0 \(master seed 1\)",
+        ):
+            run_experiment(config)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "scheme", ["perfect-optimal", "composite-power-controlled", "composite-async"]
     )

@@ -94,6 +94,10 @@ class TestMakeRngs:
             )
         with pytest.raises(ValueError):
             preset.generate_state(9)
+        for dtype in (np.int64, np.int32, np.uint16):
+            for source in (sequence, preset):
+                with pytest.raises(ValueError, match="only support uint32 or uint64"):
+                    source.generate_state(2, dtype)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -21,7 +21,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .geometry import SUPPORTED_CELL_COUNTS
+from .geometry import SUPPORTED_CELL_COUNTS, inscribed_radius
 from .units import dbw_to_watts
 
 SCHEMES = (
@@ -190,39 +190,6 @@ def serialize_config(config: NetworkConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_scheme_requirements(config: NetworkConfig, scheme: str) -> None:
-    """Check that a scheme is known and meets its pilot-length and asynchrony
-    prerequisites."""
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"must be one of {SCHEMES}")
-    if scheme == "individual-pilot" and config.pilot_length < config.users_per_cell:
-        raise ConfigError(
-            "pilot_length",
-            f"per-user pilots need length >= users_per_cell ({config.users_per_cell})",
-        )
-    if scheme.startswith("composite") and config.pilot_length < config.cells:
-        raise ConfigError(
-            "pilot_length", f"per-cell pilots need length >= cells ({config.cells})"
-        )
-    if scheme == "composite-async":
-        expected = config.cells * config.users_per_cell
-        if config.async_offsets_s is None or len(config.async_offsets_s) != expected:
-            raise ConfigError(
-                "async_offsets_s",
-                f"composite-async needs {expected} per-user delay offsets",
-            )
-        if config.pilot_symbol_s is None or not config.pilot_symbol_s > 0:
-            raise ConfigError(
-                "pilot_symbol_s", "composite-async needs a positive symbol duration"
-            )
-        # The delay model spans one symbol; a later or negative offset would
-        # read other symbols of the pilot block, discontinuously.
-        if not all(0 <= o < config.pilot_symbol_s for o in config.async_offsets_s):
-            raise ConfigError(
-                "async_offsets_s", "delay offsets must lie in [0, pilot_symbol_s)"
-            )
-
-
 # What a config built in code may hold for each item type.  A float32
 # serializes as its rounded decimal, not its value.
 _HOLDS = {int: (int, np.integer), float: (int, float, np.integer), bool: bool, str: str}
@@ -271,16 +238,42 @@ def validate_config(config: NetworkConfig) -> None:
         if not getattr(config, key) > 0:
             raise ConfigError(key, "must be positive")
     # A user at the BS has no finite path gain, and the log-distance model
-    # has no floor near it.  A disk wider than the hexagon's inscribed circle
-    # leaves only its corners to the rejection drop, whose rounds then grow
-    # without bound; at the inscribed radius 7% of the candidates are admissible.
-    if not 0 < config.exclusion_m <= math.sqrt(3) / 2 * config.radius_m:
+    # has no floor near it; ``inscribed_radius`` says why the disk must fit
+    # inside the hexagon.
+    if not 0 < config.exclusion_m <= inscribed_radius(config.radius_m):
         raise ConfigError("exclusion_m", "must lie in (0, sqrt(3)/2 * radius_m]")
     if not config.E_dbw:
         raise ConfigError("E_dbw", "needs at least one value")
     if len(set(config.E_dbw)) != len(config.E_dbw):
         raise ConfigError("E_dbw", "BS powers must be distinct")
-    validate_scheme_requirements(config, config.scheme)
+    if config.scheme not in SCHEMES:
+        raise ConfigError("scheme", f"must be one of {SCHEMES}")
+    if config.scheme == "individual-pilot" and config.pilot_length < config.users_per_cell:
+        raise ConfigError(
+            "pilot_length",
+            f"per-user pilots need length >= users_per_cell ({config.users_per_cell})",
+        )
+    if config.scheme.startswith("composite") and config.pilot_length < config.cells:
+        raise ConfigError(
+            "pilot_length", f"per-cell pilots need length >= cells ({config.cells})"
+        )
+    if config.scheme == "composite-async":
+        expected = config.cells * config.users_per_cell
+        if config.async_offsets_s is None or len(config.async_offsets_s) != expected:
+            raise ConfigError(
+                "async_offsets_s",
+                f"composite-async needs {expected} per-user delay offsets",
+            )
+        if config.pilot_symbol_s is None or not config.pilot_symbol_s > 0:
+            raise ConfigError(
+                "pilot_symbol_s", "composite-async needs a positive symbol duration"
+            )
+        # The delay model spans one symbol; a later or negative offset would
+        # read other symbols of the pilot block, discontinuously.
+        if not all(0 <= o < config.pilot_symbol_s for o in config.async_offsets_s):
+            raise ConfigError(
+                "async_offsets_s", "delay offsets must lie in [0, pilot_symbol_s)"
+            )
     if not config.antennas_sweep:
         raise ConfigError("antennas_sweep", "needs at least one antenna count")
     if len(set(config.antennas_sweep)) != len(config.antennas_sweep):

@@ -2,9 +2,9 @@
 
 Every scheme's beam at BS j is a linear combination of BS j's channels with
 coefficients that depend only on the large-scale gains.  Both evaluation
-modes share one context holding them (``_build_trial_context``), built once
-per group of experiments that differ only in BS power, on the (T, N, N, K)
-batch of large-scale realizations.  In
+modes share one context holding that recipe and nothing else
+(``_build_trial_context``), built once per group of experiments that differ
+only in BS power, on the (T, N, N, K) batch of large-scale realizations.  In
 the basis of BS j's channels to the evaluated cell's users plus one
 independent residual (other-cell channels and pilot noise), the beam has a
 unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
@@ -16,8 +16,11 @@ antennas the block's amplitudes are drawn directly, at any antenna count:
 one gamma and K+1 complex normals per BS and draw
 (``channel.draw_beam_fading``), projected onto ``u_j``
 (``channel.project_beam_fading``).  One evaluator,
-``sinr_from_amplitudes``, gives the SINRs of either; the tests hold the
-limit to the paper's closed forms in ``tests/closed_forms.py``.
+``sinr_from_amplitudes``, gives the SINRs of either from the amplitudes and
+three plain arguments, which each group computes once and each block slices:
+the large-scale amplitudes toward the evaluated cell (cell 0,
+``_EVAL_CELL``), the group's BS powers and the noise power.  The tests hold
+the limit to the paper's closed forms in ``tests/closed_forms.py``.
 
 An experiment's only input is its resolved config: the config with the
 call's scheme applied.  Not every key is read: ``_experiment_key`` resets
@@ -36,7 +39,9 @@ run the same experiment share a fingerprint.
 The large-scale batch depends only on the geometry: cells, radius, users per
 cell, exclusion radius, the four path-loss and shadowing keys, realization
 count and master seed; the noise keys do not enter it.
-``large_scale_batch`` keeps the last few batches it built, read-only, so
+``large_scale_batch`` validates its config, and the engine's groups, whose
+configs are validated already, build through the same cache, which keeps the
+last few batches built, read-only, so
 every experiment in a process that shares a geometry (curves of other
 schemes, powers, noise or pilot settings or antenna counts) evaluates the
 same batch without drawing it again; the result is the same as drawing it
@@ -107,6 +112,9 @@ _POSITIONS_STREAM = 1
 _SHADOWING_STREAM = 2
 _FADING_STREAM = 3
 
+# The cell whose users' SINRs every experiment evaluates.
+_EVAL_CELL = 0
+
 # Large-scale batches kept per process: the fig2 preset draws two geometries.
 _BATCH_CACHE_SIZE = 2
 
@@ -150,20 +158,17 @@ def empirical_cdf(samples) -> np.ndarray:
 class _TrialContext:
     """One scheme's beam recipe on a large-scale realization or a batch of them.
 
-    BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise
-    combined by ``noise_combiner[j]``, where h_jlk is the small-scale channel
-    of user (l, k).  Leading axes of ``weights`` and ``eval_amp`` are batch
-    axes: realizations, and a length-one draw axis when a block is
-    evaluated.  Nothing here depends on the antenna count.
+    BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise,
+    of power ``sigma_p2`` per entry, combined by ``noise_combiner[j]``, where
+    h_jlk is the small-scale channel of user (l, k).  Leading axes of
+    ``weights`` are realizations.  Nothing here depends on the antenna
+    count, the BS power or the data noise: ``sinr_from_amplitudes`` takes
+    those as arguments.
     """
 
     weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
     noise_combiner: np.ndarray | None  # (N, L) complex, None for perfect CSI
-    eval_amp: np.ndarray  # (..., N, K) sqrt(beta) toward the evaluated cell
-    bs_power_w: float | np.ndarray  # or powers on a leading axis ahead of eval_amp's
-    sigma2: float
     sigma_p2: float
-    eval_cell: int
 
 
 def validate_experiment(config: NetworkConfig) -> None:
@@ -224,23 +229,7 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
         weights = np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * kappas
         noise_combiner = make_orthogonal_pilots(n, length).conj()
 
-    return _TrialContext(
-        weights=weights,
-        noise_combiner=noise_combiner,
-        eval_amp=sqrt_beta[..., :, 0, :],
-        bs_power_w=config.bs_power_w[0],
-        sigma2=noise_power(config),
-        sigma_p2=pilot_noise_power(config),
-        eval_cell=0,
-    )
-
-
-def _user_sinrs(ctx: _TrialContext, received: np.ndarray) -> np.ndarray:
-    """(..., K) SINRs from the (..., N, K) powers each BS delivers to the
-    evaluated cell's users: serving-cell power over other-cell power plus noise."""
-    signal = received[..., ctx.eval_cell, :]
-    interference = received.sum(axis=-2) - signal
-    return signal / (interference + ctx.sigma2)
+    return _TrialContext(weights, noise_combiner, pilot_noise_power(config))
 
 
 def _beam_directions(ctx: _TrialContext) -> np.ndarray:
@@ -256,33 +245,36 @@ def _beam_directions(ctx: _TrialContext) -> np.ndarray:
     """
     power = np.abs(ctx.weights) ** 2  # (..., N, N, K)
     n, k = power.shape[-2:]
-    others = np.repeat(np.arange(n) != ctx.eval_cell, k).astype(float)
+    others = np.repeat(np.arange(n) != _EVAL_CELL, k).astype(float)
     residual = power.reshape(power.shape[:-2] + (n * k,)) @ others
     if ctx.noise_combiner is not None:
         residual = residual + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=-1)
     c = np.concatenate(
-        [ctx.weights[..., ctx.eval_cell, :], np.sqrt(residual)[..., None]], axis=-1
+        [ctx.weights[..., _EVAL_CELL, :], np.sqrt(residual)[..., None]], axis=-1
     )
     return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
-def sinr_from_amplitudes(ctx: _TrialContext, amplitudes: np.ndarray) -> np.ndarray:
+def sinr_from_amplitudes(amplitudes, eval_amp, bs_power_w, sigma2) -> np.ndarray:
     """(..., K) linear SINRs of the evaluated cell from (..., N, K+1)
-    normalized beam amplitudes.
+    normalized beam amplitudes, the (..., N, K) large-scale amplitudes
+    ``eval_amp = sqrt(beta[..., :, _EVAL_CELL, :])`` toward the evaluated
+    cell's users, the BS power E and the noise power ``sigma2``.
 
     ``amplitudes[..., j, k]`` is ``X_j^H b_j / sqrt(M)`` at entry k < K for
     BS j's unit beam ``b_j = X_j u_j / ||X_j u_j||`` (see ``_beam_directions``),
-    so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j.
+    so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j, and
+    its SINR is the serving BS's power over the other BSs' power plus noise.
     Exact for every scheme, whatever the amplitudes hold:
     ``channel.project_beam_fading`` makes them at finite M, and their
     limit as M grows, ``u_j`` itself, gives the large-antenna SINRs, BS j
     giving user k the share ``|u_jk|^2`` of its power.  An array
-    ``ctx.bs_power_w`` broadcasts: powers of shape (P, 1, ..., 1), one more
-    axis than ``ctx.eval_amp``, give (P, ..., K) SINRs, row p at power p.
+    ``bs_power_w`` broadcasts: powers of shape (P, 1, ..., 1), one more axis
+    than ``eval_amp``, give (P, ..., K) SINRs, row p at power p.
     """
-    k = amplitudes.shape[-1] - 1
-    gains = np.abs(amplitudes[..., :k]) ** 2
-    return _user_sinrs(ctx, (ctx.bs_power_w * ctx.eval_amp**2) * gains)
+    received = (bs_power_w * eval_amp**2) * np.abs(amplitudes[..., :-1]) ** 2
+    signal = received[..., _EVAL_CELL, :]
+    return signal / (received.sum(axis=-2) - signal + sigma2)
 
 
 _DEFAULT_CONFIG = NetworkConfig()
@@ -334,10 +326,15 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     geometry fields, ``num_large`` and ``master_seed`` of ``config`` enter,
     and the process keeps the last ``_BATCH_CACHE_SIZE`` batches: a config
     that differs only in powers, noise keys, pilot settings, scheme, antennas
-    or draw count gets the same array back.
+    or draw count gets the same array back.  ``config`` is validated first,
+    so an invalid one raises ConfigError naming its key.
     """
-    if config.num_large < 1:
-        raise ConfigError("num_large", "trial counts must be at least 1")
+    validate_config(config)
+    return _batch(config)
+
+
+def _batch(config: NetworkConfig) -> np.ndarray:
+    """``large_scale_batch`` of a validated config."""
     return _cached_batch(
         config.cells, config.radius_m, config.users_per_cell, config.exclusion_m,
         config.pathloss_intercept_db, config.pathloss_slope, config.shadow_sigma_db,
@@ -357,7 +354,7 @@ def _cached_batch(
     shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
     shadow_db = np.stack([shadowing_db(sigma_db, cells, rng) for rng in shadowing_rngs])
     beta = large_scale_gains(
-        layout, positions.pos, shadow_db, intercept_db, slope, penetration_db
+        layout, positions, shadow_db, intercept_db, slope, penetration_db
     )
     beta.flags.writeable = False
     return beta
@@ -439,7 +436,8 @@ def run_experiments(configs) -> list[SinrReport]:
     context, one set of beam directions and one pass over the realization
     blocks.
 
-    A group's context is built on ``large_scale_batch``, and one loop
+    A group's context is built on its large-scale batch, taken from
+    ``large_scale_batch``'s cache without validating again, and one loop
     evaluates it over blocks of up to ``_BLOCK_AMPLITUDES`` amplitudes' worth
     of realizations.  A block starts from the beam directions, the
     large-antenna limit, which is all that asymptotic mode
@@ -484,10 +482,14 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
     """Reports of validated configs whose experiment keys equal ``key`` apart
     from ``E_dbw``.  The first config is evaluated, at every config's power."""
     config = configs[0]
-    ctx = _build_trial_context(config, large_scale_batch(config))
+    beta = _batch(config)
+    ctx = _build_trial_context(config, beta)
     directions = _beam_directions(ctx)
+    # (realization, 1, N, K): a length-one draw axis, as in the amplitudes
+    eval_amp = np.sqrt(beta[..., :, _EVAL_CELL, :])[:, None]
     # (P, 1, 1, 1, 1): ahead of a block's (realization, draw, N, K) amplitudes
     powers = np.array([c.bs_power_w[0] for c in configs]).reshape(-1, 1, 1, 1, 1)
+    sigma2 = noise_power(config)
     block = _realizations_per_block(config)
     samples = np.empty((len(configs), config.num_large))
     for lo in range(0, config.num_large, block):
@@ -496,13 +498,7 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
         if config.antennas is not None:
             g, z = _draw_block(config, lo, hi)
             amplitudes = project_beam_fading(config.antennas, amplitudes, g, z)
-        drawn = replace(
-            ctx,
-            weights=ctx.weights[lo:hi, None],
-            eval_amp=ctx.eval_amp[lo:hi, None],
-            bs_power_w=powers,
-        )
-        sinr = sinr_from_amplitudes(drawn, amplitudes)
+        sinr = sinr_from_amplitudes(amplitudes, eval_amp[lo:hi], powers, sigma2)
         bad = _first_non_finite(sinr)
         if bad is not None:
             p, t, draw = bad

@@ -3,7 +3,10 @@
 Cells are regular hexagons (radius measured center to vertex) tiled edge to
 edge, so neighboring base stations sit at distance sqrt(3) * radius.  Users
 are dropped uniformly over their hexagon minus an inner exclusion disk around
-the base station; ``drop_users`` tests the first round of a whole batch of
+the base station.  The disk may be at most as wide as the hexagon's inscribed
+circle (``inscribed_radius``, the one bound that ``drop_users`` and
+``config.validate_config`` both read).  ``drop_users`` returns the positions
+as one plain array; it tests the first round of a whole batch of
 realizations at once, and only the generator draws stay per realization.
 The engine gives realization t the positions generator
 ``np.random.default_rng([master_seed, 1, t])``.
@@ -27,13 +30,6 @@ class CellLayout:
     centers: np.ndarray  # (num_cells, 2), meters; cell 0 at the origin
 
 
-@dataclass(frozen=True)
-class UserPositions:
-    """Per-cell user coordinates, shape (..., num_cells, users_per_cell, 2)."""
-
-    pos: np.ndarray
-
-
 def build_hex_layout(num_cells: int, radius_m: float) -> CellLayout:
     """Place ``num_cells`` hexagonal cells with the evaluated cell at the origin.
 
@@ -55,6 +51,15 @@ def build_hex_layout(num_cells: int, radius_m: float) -> CellLayout:
     return CellLayout(num_cells=num_cells, radius_m=float(radius_m), centers=centers)
 
 
+def inscribed_radius(radius_m):
+    """Radius sqrt(3)/2 * radius_m of a hexagon's inscribed circle, its
+    apothem: the widest exclusion disk a user drop takes.  A wider disk
+    leaves only the hexagon's corners, and the rejection rounds grow
+    without bound as it nears the radius; at the inscribed radius about 7%
+    of the candidates are admissible."""
+    return SQRT3 / 2.0 * radius_m
+
+
 def hexagon_contains(points, center, radius_m):
     """Vectorized point-in-hexagon test (vertices at 0, 60, ..., 300 degrees).
 
@@ -62,7 +67,7 @@ def hexagon_contains(points, center, radius_m):
     three edge-normal axes all stay within the apothem sqrt(3)/2 * radius.
     """
     p = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
-    apothem = SQRT3 / 2.0 * radius_m
+    apothem = inscribed_radius(radius_m)
     x, y = p[..., 0], p[..., 1]
     return (
         (np.abs(y) <= apothem)
@@ -76,7 +81,7 @@ def drop_users(
     users_per_cell: int,
     exclusion_radius_m: float,
     rng_seed,
-) -> UserPositions:
+) -> np.ndarray:
     """Drop users uniformly over each hexagon minus the inner exclusion disk.
 
     One rejection loop over the hexagon bounding box serves all cells: it
@@ -89,14 +94,15 @@ def drop_users(
     (T, N, K, 2) positions whose row t is what seed t alone gives.  Each
     realization draws its first round from its own generator; the rounds
     are stacked and tested at once, and only a realization still short of
-    users draws again, alone.
+    users draws again, alone.  A disk wider than ``inscribed_radius`` is
+    rejected.
     """
     if users_per_cell < 1:
         raise ValueError(f"users_per_cell must be >= 1, got {users_per_cell}")
-    if exclusion_radius_m >= layout.radius_m:
+    if not exclusion_radius_m <= inscribed_radius(layout.radius_m):
         raise ValueError(
-            f"exclusion_radius_m={exclusion_radius_m} must be smaller than "
-            f"cell radius {layout.radius_m}"
+            f"exclusion_radius_m={exclusion_radius_m} must not exceed the inscribed "
+            f"radius sqrt(3)/2 * {layout.radius_m} of the cell"
         )
     single = np.ndim(rng_seed) == 0
     rngs = [np.random.default_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
@@ -104,7 +110,7 @@ def drop_users(
     total = layout.num_cells * users_per_cell
     # Offsets are Generator.uniform(low, high) draws, low + (high - low) * u,
     # with u drawn into one block for all realizations.
-    low = np.array((-r, -SQRT3 / 2.0 * r))
+    low = np.array((-r, -inscribed_radius(r)))
     span = -low - low
 
     def admissible(xy):
@@ -129,7 +135,7 @@ def drop_users(
             offsets[t, accepted : accepted + len(more)] = more
             accepted += len(more)
     pos = offsets.reshape(-1, layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
-    return UserPositions(pos=pos[0] if single else pos)
+    return pos[0] if single else pos
 
 
 def distance_m(a, b):

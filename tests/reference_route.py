@@ -17,7 +17,7 @@ import numpy as np
 
 from multicast_mimo.channel import complex_gaussian, large_scale_gains, shadowing_db
 from multicast_mimo.config import NetworkConfig
-from multicast_mimo.geometry import CellLayout, UserPositions
+from multicast_mimo.geometry import CellLayout
 from multicast_mimo.pilots import make_orthogonal_pilots
 
 ASSIGNMENTS = ("per-user", "per-cell")
@@ -143,19 +143,20 @@ class ChannelState:
 
 
 def large_scale_tensor(
-    layout: CellLayout, positions: UserPositions, config: NetworkConfig, shadowing_seed
+    layout: CellLayout, positions: np.ndarray, config: NetworkConfig, shadowing_seed
 ) -> np.ndarray:
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
-    realization: ``large_scale_gains`` with ``config``'s path-loss and
-    penetration keys on ``shadowing_db(config.shadow_sigma_db, n,
-    shadowing_seed)``, an int seed or a generator."""
+    realization: ``large_scale_gains`` on the (N, K, 2) ``positions`` of one
+    ``drop_users`` call, with ``config``'s path-loss and penetration keys,
+    on ``shadowing_db(config.shadow_sigma_db, n, shadowing_seed)``, an int
+    seed or a generator."""
     n = layout.num_cells
-    if positions.pos.shape[:-2] != (n,):
-        raise ValueError(f"positions of shape {positions.pos.shape} are not one drop of {n} cells")
+    if positions.shape[:-2] != (n,):
+        raise ValueError(f"positions of shape {positions.shape} are not one drop of {n} cells")
     shadow_db = shadowing_db(config.shadow_sigma_db, n, shadowing_seed)
     return large_scale_gains(
         layout,
-        positions.pos,
+        positions,
         shadow_db,
         config.pathloss_intercept_db,
         config.pathloss_slope,

@@ -51,9 +51,10 @@ def test_criterion_01_equal_sinr_shares_optimal():
     # since each sees its own interference)
     for k in (3, 10):
         config = NetworkConfig(antennas=None, users_per_cell=k, num_large=200)
-        ctx = engine._build_trial_context(config, engine.large_scale_batch(config))
-        u = engine._beam_directions(ctx)[..., ctx.eval_cell, :k]
-        serving = ctx.eval_amp[..., ctx.eval_cell, :] ** 2 * np.abs(u) ** 2  # (T, K)
+        beta = engine.large_scale_batch(config)
+        e = engine._EVAL_CELL
+        u = engine._beam_directions(engine._build_trial_context(config, beta))[..., e, :k]
+        serving = beta[..., e, e, :] * np.abs(u) ** 2  # (T, K)
         assert np.allclose(serving, serving[:, :1], rtol=1e-12, atol=0)
 
 

@@ -10,7 +10,7 @@ from multicast_mimo.channel import (
     project_beam_fading,
 )
 from multicast_mimo.config import NetworkConfig
-from multicast_mimo.geometry import UserPositions, build_hex_layout, drop_users
+from multicast_mimo.geometry import build_hex_layout, drop_users
 from reference_route import ChannelState, large_scale_tensor
 
 NO_SHADOW = NetworkConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
@@ -18,7 +18,7 @@ NO_SHADOW = NetworkConfig(shadow_sigma_db=0.0, penetration_loss_db=0.0)
 
 def single_link_gain(distance_m, config=NO_SHADOW):
     """Gain from a one-cell layout's BS to one user ``distance_m`` away."""
-    user = UserPositions(pos=np.array([[[distance_m, 0.0]]]))
+    user = np.array([[[distance_m, 0.0]]])
     return large_scale_tensor(build_hex_layout(1, 1000.0), user, config, 0)[0, 0, 0]
 
 
@@ -66,7 +66,7 @@ class TestShadowing:
     def shadow_db(self, config):
         layout = build_hex_layout(7, 1000.0)
         users = drop_users(layout, 3, 100.0, 5)
-        d = np.linalg.norm(users.pos[None] - layout.centers[:, None, None], axis=-1)
+        d = np.linalg.norm(users[None] - layout.centers[:, None, None], axis=-1)
         path_db = (
             config.pathloss_intercept_db
             + config.pathloss_slope * np.log10(d / 1000.0)
@@ -103,7 +103,7 @@ class TestShadowing:
         beta = large_scale_tensor(layout, users, NO_SHADOW, 2)
         for i in range(3):
             for j in range(3):
-                d = np.linalg.norm(users.pos[j] - layout.centers[i], axis=-1)
+                d = np.linalg.norm(users[j] - layout.centers[i], axis=-1)
                 assert np.allclose(beta[i, j], path_gain(d), rtol=1e-12)
 
     @pytest.mark.parametrize("seeds", [[1, 2, 3], [1, 2, 3, 4, 5, 6, 7]])
@@ -111,14 +111,13 @@ class TestShadowing:
         users = drop_users(build_hex_layout(7, 1000.0), 2, 100.0, seeds)
         with pytest.raises(ValueError, match="not one drop of 7 cells"):
             large_scale_tensor(build_hex_layout(7, 1000.0), users, NetworkConfig(), 3)
-        one_drop = UserPositions(pos=users.pos[0])
         with pytest.raises(ValueError, match="not one drop of 3 cells"):
-            large_scale_tensor(build_hex_layout(3, 1000.0), one_drop, NO_SHADOW, 3)
+            large_scale_tensor(build_hex_layout(3, 1000.0), users[0], NO_SHADOW, 3)
 
     def test_rejects_a_user_on_a_base_station(self):
         layout = build_hex_layout(1, 1000.0)
         users = drop_users(layout, 2, 100.0, 1)
-        users.pos[0, 1] = layout.centers[0]
+        users[0, 1] = layout.centers[0]
         with pytest.raises(ValueError, match="distances must be positive"):
             large_scale_tensor(layout, users, NetworkConfig(), 3)
 

@@ -21,7 +21,6 @@ from multicast_mimo.config import (
     parse_config,
     serialize_config,
     validate_config,
-    validate_scheme_requirements,
 )
 from multicast_mimo.engine import run_experiment
 from multicast_mimo.scenarios import (
@@ -154,7 +153,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-6])
     def test_async_symbol_duration_must_be_positive(self, value):
         with pytest.raises(ConfigError) as err:
-            validate_scheme_requirements(replace(ASYNC, pilot_symbol_s=value), ASYNC.scheme)
+            validate_config(replace(ASYNC, pilot_symbol_s=value))
         assert err.value.key == "pilot_symbol_s"
 
     @pytest.mark.parametrize(
@@ -466,8 +465,8 @@ class TestScenarios:
         original = engine.sinr_from_amplitudes
         calls = []
 
-        def nan_in_third_curve(ctx, amplitudes):
-            out = original(ctx, amplitudes)
+        def nan_in_third_curve(amplitudes, eval_amp, bs_power_w, sigma2):
+            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
             calls.append(None)
             if len(calls) == 3:
                 out[0, 0, 0, 0] = np.nan
@@ -895,6 +894,19 @@ class TestPackage:
     def test_names_the_harness_reads_are_present(self):
         for name in self.HARNESS_NAMES:
             assert hasattr(multicast_mimo, name), name
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_readme_reproduces_one_realization_alone(self, t):
+        # the README's "reproduce realization t alone" block, run as written
+        text = (ROOT / "README.md").read_text()
+        after = text.split("To reproduce realization `t` alone:", 1)[1]
+        block = after.split("```python\n", 1)[1].split("```", 1)[0]
+        config = NetworkConfig(cells=3, users_per_cell=4, num_large=5, master_seed=3)
+        namespace = {"config": config, "t": t}
+        exec(block, namespace)
+        expected = multicast_mimo.large_scale_batch(config)[t]
+        assert namespace["beta"].shape == expected.shape
+        assert namespace["beta"].tobytes() == expected.tobytes()
 
     def test_test_extras_cover_the_suite_imports(self):
         # and the package itself imports only its runtime dependencies, so a

@@ -180,7 +180,7 @@ def public_route(config, scheme, t, small_seed):
 def residual_scale(ctx):
     """(..., N) standard deviation per antenna s_j of each BS's residual: its
     other-cell channel terms and its combined pilot noise."""
-    others = np.arange(ctx.weights.shape[-3]) != ctx.eval_cell
+    others = np.arange(ctx.weights.shape[-3]) != engine._EVAL_CELL
     variance = np.sum(np.abs(ctx.weights[..., others, :]) ** 2, axis=(-2, -1))
     if ctx.noise_combiner is not None:
         variance = variance + ctx.sigma_p2 * np.sum(np.abs(ctx.noise_combiner) ** 2, axis=-1)
@@ -211,20 +211,22 @@ def route_amplitudes(config, scheme, ctx, cs, directions):
     return amplitudes_of(ctx, cs.h[:, 0], np.stack(directions) - np.stack(evaluated))
 
 
-def trial_context(config, scheme, t):
-    """The engine's context of ``scheme`` on large-scale realization ``t``."""
-    beta = scalar_large_scale(config, t)
-    return context(config, scheme, beta)
-
-
 def context(config, scheme, beta):
     """The engine's context of ``scheme`` on ``beta``."""
     return engine._build_trial_context(replace(config, scheme=scheme), beta)
 
 
-def limit_sinrs(ctx):
+def sinrs(config, beta, amplitudes):
+    """The engine's evaluator on ``amplitudes``, as one experiment of
+    ``config`` on gains ``beta`` calls it: toward the evaluated cell's users,
+    at the config's BS power and noise power."""
+    eval_amp = np.sqrt(beta[..., :, engine._EVAL_CELL, :])
+    return sinr_from_amplitudes(amplitudes, eval_amp, config.bs_power_w[0], noise_power(config))
+
+
+def limit_sinrs(config, beta, ctx):
     """The engine's large-antenna SINRs: its evaluator at the beam directions."""
-    return sinr_from_amplitudes(ctx, engine._beam_directions(ctx))
+    return sinrs(config, beta, engine._beam_directions(ctx))
 
 
 def fading_draw(ctx, m, small_seed):
@@ -246,11 +248,11 @@ def explicit_residual(ctx, m, small_seed):
     """One explicit ``fading_draw`` split per BS into its (N, K, M) channels
     to the evaluated cell's users and its (N, M) residual."""
     h, noise = fading_draw(ctx, m, small_seed)
-    others = np.arange(h.shape[0]) != ctx.eval_cell
+    others = np.arange(h.shape[0]) != engine._EVAL_CELL
     residual = np.einsum("jlk,jlkm->jm", ctx.weights[:, others], h[:, others])
     if noise is not None:
         residual = residual + noise
-    return h[:, ctx.eval_cell], residual
+    return h[:, engine._EVAL_CELL], residual
 
 
 def explicit_amplitudes(ctx, m, small_seed):
@@ -301,10 +303,11 @@ class TestGramRoute:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reproduces_the_public_route_on_its_vectors(self, scheme, antennas):
         config = gram_route_config(antennas)
-        ctx = trial_context(config, scheme, 11)
+        beta = scalar_large_scale(config, 11)
+        ctx = context(config, scheme, beta)
         for small_seed in (21, 22, 23):
             expected, cs, directions = public_route(config, scheme, 11, small_seed)
-            got = sinr_from_amplitudes(ctx, route_amplitudes(config, scheme, ctx, cs, directions))
+            got = sinrs(config, beta, route_amplitudes(config, scheme, ctx, cs, directions))
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -312,7 +315,8 @@ class TestGramRoute:
         # s_j must be the residual's standard deviation, or the sampled
         # amplitudes would not have the explicit draws' distribution
         m = 20_000
-        ctx = trial_context(gram_route_config(m), scheme, 11)
+        config = gram_route_config(m)
+        ctx = context(config, scheme, scalar_large_scale(config, 11))
         _, residual = explicit_residual(ctx, m, 31)
         s = residual_scale(ctx)
         has_residual = s > 0
@@ -322,12 +326,14 @@ class TestGramRoute:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_draws_match_explicit_draws_in_distribution(self, scheme):
         draws = 3_000
-        ctx = trial_context(gram_route_config(16), scheme, 11)
+        config = gram_route_config(16)
+        beta = scalar_large_scale(config, 11)
+        ctx = context(config, scheme, beta)
         amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
-        explicit = sinr_from_amplitudes(ctx, amplitudes)
+        explicit = sinrs(config, beta, amplitudes)
         directions = engine._beam_directions(ctx)
         g, z = draw_beam_fading(np.random.default_rng(41), 16, directions.shape, draws)
-        sampled = sinr_from_amplitudes(ctx, project_beam_fading(16, directions, g, z))
+        sampled = sinrs(config, beta, project_beam_fading(16, directions, g, z))
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
     @settings(max_examples=60, deadline=None)
@@ -341,7 +347,9 @@ class TestGramRoute:
     def test_beam_scale_does_not_change_the_sinrs(self, scheme, bs, modulus, phase, seed):
         # scaling BS bs's whole beam (every channel term and its pilot noise)
         # by a complex number scales its coefficients c_j, not its direction
-        ctx = trial_context(gram_route_config(16), scheme, 7)
+        config = gram_route_config(16)
+        beta = scalar_large_scale(config, 7)
+        ctx = context(config, scheme, beta)
         weights = ctx.weights.astype(complex)
         weights[bs] *= modulus * np.exp(1j * phase)
         combiner = ctx.noise_combiner
@@ -349,9 +357,11 @@ class TestGramRoute:
             combiner = np.array(combiner)
             combiner[bs] *= modulus * np.exp(1j * phase)
         scaled = replace(ctx, weights=weights, noise_combiner=combiner)
-        assert np.allclose(limit_sinrs(scaled), limit_sinrs(ctx), rtol=1e-9, atol=0)
-        expected = sinr_from_amplitudes(ctx, explicit_amplitudes(ctx, 16, seed))
-        got = sinr_from_amplitudes(scaled, explicit_amplitudes(scaled, 16, seed))
+        assert np.allclose(
+            limit_sinrs(config, beta, scaled), limit_sinrs(config, beta, ctx), rtol=1e-9, atol=0
+        )
+        expected = sinrs(config, beta, explicit_amplitudes(ctx, 16, seed))
+        got = sinrs(config, beta, explicit_amplitudes(scaled, 16, seed))
         assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
 
@@ -431,12 +441,13 @@ class TestRunExperiment:
         config = NetworkConfig(antennas=16, cells=3, num_large=2, num_small=3)
         report = run_experiment(config, scheme="composite")
         for t in range(2):
-            ctx = trial_context(config, "composite", t)
+            beta = scalar_large_scale(config, t)
+            ctx = context(config, "composite", beta)
             directions = engine._beam_directions(ctx)
             rng = np.random.default_rng([config.master_seed, engine._FADING_STREAM, t])
             g, z = draw_beam_fading(rng, 16, directions.shape, 3)
             amplitudes = project_beam_fading(16, directions, g, z)
-            acc = sum(sinr_from_amplitudes(ctx, amplitudes[s]).min() for s in range(3))
+            acc = sum(sinrs(config, beta, amplitudes[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
             )
@@ -545,10 +556,11 @@ def scalar_closed_forms(config, scheme, beta, kappas):
 
 
 class TestAsymptoticBatch:
-    # At 950 m of a 1000 m radius under 1% of the candidates are admissible,
-    # so nearly every realization is still short of users after the batched
-    # first round of the user drop and goes on drawing alone.
-    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    # At 866 m, the widest disk a 1000 m cell takes, about 7% of the
+    # candidates are admissible, so most realizations are still short of
+    # users after the batched first round of the user drop and go on drawing
+    # alone.
+    @pytest.mark.parametrize("exclusion_m", [100.0, 866.0])
     @pytest.mark.parametrize("users", [1, 10])
     @pytest.mark.parametrize("cells", [1, 3, 7])
     def test_rows_are_the_per_trial_realizations(self, cells, users, exclusion_m):
@@ -564,6 +576,24 @@ class TestAsymptoticBatch:
         assert beta.shape == (4, cells, cells, users)
         for t in range(4):
             assert np.array_equal(beta[t], scalar_large_scale(config, t))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("exclusion_m", 867.0),
+            ("exclusion_m", 900.0),
+            ("cells", 4),
+            ("shadow_sigma_db", -1.0),
+            ("num_large", 2.5),
+            ("master_seed", -1),
+        ],
+    )
+    def test_invalid_config_names_its_key(self, key, value):
+        # the public batch validates: an exclusion disk wider than the
+        # hexagon's inscribed circle would draw users without end
+        with pytest.raises(ConfigError) as err:
+            large_scale_batch(replace(NetworkConfig(num_large=10), **{key: value}))
+        assert err.value.key == key
 
     def test_builds_two_generators_per_realization(self, monkeypatch):
         keys = record_make_rngs(monkeypatch)
@@ -584,12 +614,12 @@ class TestAsymptoticBatch:
         beta = large_scale_batch(config)
         offsets = np.reshape(config.async_offsets_s, (config.cells, config.users_per_cell))
         kappas = async_kappas(offsets, config.pilot_symbol_s, config.pilot_length)
-        batched = limit_sinrs(context(config, scheme, beta))
+        batched = limit_sinrs(config, beta, context(config, scheme, beta))
         assert batched.shape == (5, config.users_per_cell)
         for t in range(5):
             expected = scalar_closed_forms(config, scheme, beta[t], kappas)
             assert np.allclose(batched[t], expected, rtol=1e-12, atol=0)
-            single = limit_sinrs(context(config, scheme, beta[t]))
+            single = limit_sinrs(config, beta[t], context(config, scheme, beta[t]))
             assert np.allclose(single, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -598,7 +628,7 @@ class TestAsymptoticBatch:
         beta = large_scale_batch(config)
         batched = context(config, scheme, beta)
         for t in range(4):
-            row = replace(batched, weights=batched.weights[t], eval_amp=batched.eval_amp[t])
+            row = replace(batched, weights=batched.weights[t])
             single = context(config, scheme, beta[t])
             for field in fields(single):
                 got, want = getattr(row, field.name), getattr(single, field.name)
@@ -610,7 +640,8 @@ class TestAsymptoticBatch:
         # on vectors X whose Gram matrix X^H X / M is the identity, the
         # amplitudes X^H X u / ||X u|| / sqrt(M) are u, the limit's
         config = async_config(num_large=5, master_seed=4)
-        ctx = context(config, scheme, large_scale_batch(config))
+        beta = large_scale_batch(config)
+        ctx = context(config, scheme, beta)
         u = engine._beam_directions(ctx)
         m = 8
         x = complex_gaussian(np.random.default_rng(5), u.shape[:-1] + (m, u.shape[-1]))
@@ -619,7 +650,7 @@ class TestAsymptoticBatch:
         amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
         amplitudes /= np.linalg.norm(xu[..., 0], axis=-1, keepdims=True) * np.sqrt(m)
         assert np.allclose(
-            limit_sinrs(ctx), sinr_from_amplitudes(ctx, amplitudes), rtol=1e-12, atol=0
+            limit_sinrs(config, beta, ctx), sinrs(config, beta, amplitudes), rtol=1e-12, atol=0
         )
 
 
@@ -868,18 +899,34 @@ class TestRunExperiments:
     def test_power_axis_keeps_the_solo_arithmetic(self):
         # each power's SINRs, bit for bit, as one scalar power computes them
         config = NetworkConfig(num_large=5, scheme="composite")
-        ctx = engine._build_trial_context(config, large_scale_batch(config))
+        beta = large_scale_batch(config)
+        ctx = engine._build_trial_context(config, beta)
         amplitudes = engine._beam_directions(ctx)[:, None]
-        eval_amp = ctx.eval_amp[:, None]
+        eval_amp = np.sqrt(beta[..., :, 0, :])[:, None]
         powers = np.array([0.3, 10.0, 1e3])
-        grouped = replace(ctx, eval_amp=eval_amp, bs_power_w=powers.reshape(-1, 1, 1, 1, 1))
-        got = sinr_from_amplitudes(grouped, amplitudes)
+        sigma2 = noise_power(config)
+        got = sinr_from_amplitudes(amplitudes, eval_amp, powers.reshape(-1, 1, 1, 1, 1), sigma2)
         gains = np.abs(amplitudes[..., :-1]) ** 2
         for row, power in zip(got, powers):
             received = power * eval_amp**2 * gains
             signal = received[..., 0, :]
-            expected = signal / (received.sum(axis=-2) - signal + ctx.sigma2)
+            expected = signal / (received.sum(axis=-2) - signal + sigma2)
             assert row.tobytes() == expected.tobytes()
+
+    def test_validates_each_config_once(self, monkeypatch):
+        # a power group builds its batch through the cache, not through the
+        # public large_scale_batch, which would validate its config again
+        validated = []
+        original = engine.validate_config
+
+        def recording(config):
+            validated.append(config)
+            return original(config)
+
+        monkeypatch.setattr(engine, "validate_config", recording)
+        configs = [NetworkConfig(num_large=2, E_dbw=(e,)) for e in (0.0, 10.0)]
+        engine.run_experiments(configs + [replace(configs[0], antennas=4, num_small=2)])
+        assert validated == configs + [replace(configs[0], antennas=4, num_small=2)]
 
     def test_invalid_last_config_raises_before_any_context(self, monkeypatch):
         built = record_contexts(monkeypatch)
@@ -1022,8 +1069,8 @@ class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
         original = engine.sinr_from_amplitudes
 
-        def nan_in_row_2(ctx, amplitudes):
-            out = original(ctx, amplitudes)
+        def nan_in_row_2(amplitudes, eval_amp, bs_power_w, sigma2):
+            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
             out[0, 2, 0, 1] = np.nan  # the group's one power, realization 2
             return out
 
@@ -1041,8 +1088,8 @@ class TestNonFiniteSinr:
         original = engine.sinr_from_amplitudes
         calls = []
 
-        def nan_in_draw_1_of_realization_1(ctx, amplitudes):
-            out = original(ctx, amplitudes)
+        def nan_in_draw_1_of_realization_1(amplitudes, eval_amp, bs_power_w, sigma2):
+            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
             calls.append(amplitudes)
             out[0, 1, 1, 0] = np.nan
             out[0, 2, 0, 1] = np.nan
@@ -1060,8 +1107,8 @@ class TestNonFiniteSinr:
     def test_names_the_one_power_of_a_group_that_fails(self, monkeypatch):
         original = engine.sinr_from_amplitudes
 
-        def nan_at_power_1(ctx, amplitudes):
-            out = original(ctx, amplitudes)
+        def nan_at_power_1(amplitudes, eval_amp, bs_power_w, sigma2):
+            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
             out[1, 2, 0, 1] = np.nan
             return out
 

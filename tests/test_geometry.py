@@ -77,45 +77,45 @@ def uniform_rejection_drop(layout, users_per_cell, exclusion_m, seed):
 
 
 class TestDropUsers:
-    # At 950 m of a 1000 m radius under 1% of the candidates are admissible,
-    # so nearly every drop needs more than one round.
-    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    # At 866 m, the widest disk a 1000 m cell takes, about 7% of the
+    # candidates are admissible, so most drops need more than one round.
+    @pytest.mark.parametrize("exclusion_m", [100.0, 866.0])
     @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
     def test_is_the_uniform_rejection_loop(self, cells, users, exclusion_m):
         layout = build_hex_layout(cells, 1000.0)
         for seed in (0, 5, 2**63 + 11):
-            got = drop_users(layout, users, exclusion_m, seed).pos
+            got = drop_users(layout, users, exclusion_m, seed)
             assert np.array_equal(got, uniform_rejection_drop(layout, users, exclusion_m, seed))
 
-    @pytest.mark.parametrize("exclusion_m", [100.0, 950.0])
+    @pytest.mark.parametrize("exclusion_m", [100.0, 866.0])
     @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
     def test_rows_of_a_seed_sequence_are_the_single_seed_drops(self, cells, users, exclusion_m):
         layout = build_hex_layout(cells, 1000.0)
         seeds = [0, 5, 2**63 + 11, 5]
-        stacked = drop_users(layout, users, exclusion_m, seeds).pos
+        stacked = drop_users(layout, users, exclusion_m, seeds)
         assert stacked.shape == (len(seeds), cells, users, 2)
         for row, seed in zip(stacked, seeds):
-            assert np.array_equal(row, drop_users(layout, users, exclusion_m, seed).pos)
+            assert np.array_equal(row, drop_users(layout, users, exclusion_m, seed))
 
     def test_same_seed_is_bit_identical(self):
         layout = build_hex_layout(7, 1000.0)
         a = drop_users(layout, 3, 100.0, rng_seed=123)
         b = drop_users(layout, 3, 100.0, rng_seed=123)
-        assert np.array_equal(a.pos, b.pos)
+        assert np.array_equal(a, b)
 
     def test_respects_hexagon_and_exclusion_disk(self):
         layout = build_hex_layout(7, 1000.0)
         users = drop_users(layout, 200, 100.0, rng_seed=5)
         for i, center in enumerate(layout.centers):
-            inside = hexagon_contains(users.pos[i], center, 1000.0)
+            inside = hexagon_contains(users[i], center, 1000.0)
             assert np.all(inside)
-            radii = np.linalg.norm(users.pos[i] - center, axis=1)
+            radii = np.linalg.norm(users[i] - center, axis=1)
             assert np.all(radii >= 100.0)
 
     def test_halves_are_balanced(self):
         layout = build_hex_layout(1, 1000.0)
         users = drop_users(layout, 100_000, 100.0, rng_seed=17)
-        xy = users.pos[0]
+        xy = users[0]
         assert np.mean(xy[:, 0] > 0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(xy[:, 1] > 0) == pytest.approx(0.5, abs=0.01)
 
@@ -124,7 +124,7 @@ class TestDropUsers:
         # region indicator; independent of the sampler under test
         radius, r0, n = 1000.0, 100.0, 100_000
         layout = build_hex_layout(1, radius)
-        pts = drop_users(layout, n, r0, rng_seed=29).pos[0]
+        pts = drop_users(layout, n, r0, rng_seed=29)[0]
         apothem = SQRT3 / 2 * radius
         bins = 10
         xs = np.linspace(-radius, radius, 2001)
@@ -154,10 +154,14 @@ class TestDropUsers:
         result = stats.chisquare(obs, exp)
         assert result.pvalue > 0.01
 
-    def test_exclusion_must_be_smaller_than_radius(self):
+    @pytest.mark.parametrize("exclusion_m", [867.0, 900.0, 1000.0, np.nan])
+    def test_exclusion_must_fit_inside_the_hexagon(self, exclusion_m):
+        # the inscribed radius of a 1000 m hexagon is 866.03 m; a wider disk
+        # leaves only the corners, and the rejection rounds grow without bound
         layout = build_hex_layout(1, 1000.0)
-        with pytest.raises(ValueError):
-            drop_users(layout, 3, 1000.0, rng_seed=0)
+        with pytest.raises(ValueError, match="inscribed radius"):
+            drop_users(layout, 3, exclusion_m, rng_seed=0)
+        assert drop_users(layout, 3, 866.0, rng_seed=0).shape == (1, 3, 2)
 
 
 class TestDistance:

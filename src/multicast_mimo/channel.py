@@ -26,7 +26,7 @@ the noise keys off a config.
 
 import numpy as np
 
-from .geometry import CellLayout, distance_m
+from .geometry import distance_m
 from .units import dbm_to_watts
 
 
@@ -118,20 +118,21 @@ def shadowing_db(sigma_db: float, num_cells: int, rng) -> np.ndarray:
 
 
 def large_scale_gains(
-    layout: CellLayout,
+    centers: np.ndarray,
     pos: np.ndarray,
     shadow_db: np.ndarray,
     intercept_db: float,
     slope: float,
     penetration_db: float,
 ) -> np.ndarray:
-    """Gains beta[..., i, j, k] from (..., N, K, 2) user positions and
-    (..., N, N) shadowing; leading axes are realizations.
+    """Gains beta[..., i, j, k] from the (N, 2) base-station ``centers``,
+    (..., N, K, 2) user positions and (..., N, N) shadowing; leading axes
+    are realizations.
 
     beta = 10^(-(intercept + slope*log10(d_km) + shadow + penetration)/10).
     Shadowing is shared by a cell's users; distances stay per-user.
     """
-    d = distance_m(layout.centers[:, None, None, :], pos[..., None, :, :, :])
+    d = distance_m(centers[:, None, None, :], pos[..., None, :, :, :])
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
     loss_db = (

@@ -171,16 +171,6 @@ class _TrialContext:
     sigma_p2: float
 
 
-def validate_experiment(config: NetworkConfig) -> None:
-    """Check that ``config`` can run as one experiment: valid, with a single
-    BS power; raise ConfigError naming the key."""
-    validate_config(config)
-    if len(config.E_dbw) != 1:
-        raise ConfigError(
-            "E_dbw", "experiments need a single BS power; sweep presets iterate"
-        )
-
-
 def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
     """(..., N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
     p_u = config.peak_pilot_power_w
@@ -347,14 +337,14 @@ def _cached_batch(
     cells, radius_m, users_per_cell, exclusion_m,
     intercept_db, slope, sigma_db, penetration_db, num_large, master_seed,
 ) -> np.ndarray:
-    layout = build_hex_layout(cells, radius_m)
+    centers = build_hex_layout(cells, radius_m)
     realizations = np.arange(num_large)
     positions_rngs = make_rngs(master_seed, _POSITIONS_STREAM, realizations)
-    positions = drop_users(layout, users_per_cell, exclusion_m, positions_rngs)
+    positions = drop_users(centers, radius_m, users_per_cell, exclusion_m, positions_rngs)
     shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
     shadow_db = np.stack([shadowing_db(sigma_db, cells, rng) for rng in shadowing_rngs])
     beta = large_scale_gains(
-        layout, positions, shadow_db, intercept_db, slope, penetration_db
+        centers, positions, shadow_db, intercept_db, slope, penetration_db
     )
     beta.flags.writeable = False
     return beta
@@ -429,7 +419,8 @@ def run_experiments(configs) -> list[SinrReport]:
     """One ``SinrReport`` per resolved config, in input order, each equal bit
     for bit to that config run alone.
 
-    Every config is validated before any is evaluated.  Configs whose
+    Every config is validated, and must hold a single BS power (a sweep
+    lists one config per power), before any is evaluated.  Configs whose
     experiment keys (``_experiment_key``) are equal apart from ``E_dbw``
     form a group, evaluated once with their powers on a leading axis: the
     power enters only the last product of the SINR, so the group shares one
@@ -461,7 +452,11 @@ def run_experiments(configs) -> list[SinrReport]:
     """
     configs = list(configs)
     for config in configs:
-        validate_experiment(config)
+        validate_config(config)
+        if len(config.E_dbw) != 1:
+            raise ConfigError(
+                "E_dbw", "experiments need a single BS power; sweep presets iterate"
+            )
     groups = {}
     for i, config in enumerate(configs):
         groups.setdefault(replace(_experiment_key(config), E_dbw=()), []).append(i)

@@ -9,10 +9,11 @@ circle (``inscribed_radius``, the one bound that ``drop_users`` and
 as one plain array; it tests the first round of a whole batch of
 realizations at once, and only the generator draws stay per realization.
 The engine gives realization t the positions generator
-``np.random.default_rng([master_seed, 1, t])``.
+``np.random.default_rng([master_seed, 1, t])``.  A layout is the plain
+(N, 2) array of base-station centres that ``build_hex_layout`` returns;
+both functions take the cell radius itself and reject one that is not
+positive and finite.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +22,20 @@ SQRT3 = np.sqrt(3.0)
 SUPPORTED_CELL_COUNTS = (1, 3, 7)
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """Base-station positions for a cluster of hexagonal cells."""
-
-    num_cells: int
-    radius_m: float
-    centers: np.ndarray  # (num_cells, 2), meters; cell 0 at the origin
+def _check_radius(radius_m) -> None:
+    if not 0 < radius_m < np.inf:  # a NaN fails both comparisons
+        raise ValueError(f"radius_m must be positive and finite, got {radius_m}")
 
 
-def build_hex_layout(num_cells: int, radius_m: float) -> CellLayout:
-    """Place ``num_cells`` hexagonal cells with the evaluated cell at the origin.
+def build_hex_layout(num_cells: int, radius_m: float) -> np.ndarray:
+    """(num_cells, 2) centres [m] of hexagonal cells, the evaluated cell 0 at
+    the origin.
 
     The six first-ring neighbors of an edge-to-edge hexagonal tiling lie at
     distance sqrt(3) * radius_m, at 60 degree spacing starting from 30 degrees.
     A 3-cell layout keeps the first two neighbors (mutually adjacent triple).
     """
-    if radius_m <= 0:
-        raise ValueError(f"radius_m must be positive, got {radius_m}")
+    _check_radius(radius_m)
     if num_cells not in SUPPORTED_CELL_COUNTS:
         raise ValueError(
             f"unsupported num_cells={num_cells}; supported: {SUPPORTED_CELL_COUNTS}"
@@ -48,7 +45,7 @@ def build_hex_layout(num_cells: int, radius_m: float) -> CellLayout:
     angles = np.deg2rad(30.0 + 60.0 * np.arange(num_cells - 1))
     centers[1:, 0] = spacing * np.cos(angles)
     centers[1:, 1] = spacing * np.sin(angles)
-    return CellLayout(num_cells=num_cells, radius_m=float(radius_m), centers=centers)
+    return centers
 
 
 def inscribed_radius(radius_m):
@@ -77,12 +74,14 @@ def hexagon_contains(points, center, radius_m):
 
 
 def drop_users(
-    layout: CellLayout,
+    centers: np.ndarray,
+    radius_m: float,
     users_per_cell: int,
     exclusion_radius_m: float,
     rng_seed,
 ) -> np.ndarray:
-    """Drop users uniformly over each hexagon minus the inner exclusion disk.
+    """Drop users uniformly over each hexagon of radius ``radius_m`` around
+    the (N, 2) ``centers`` minus the inner exclusion disk.
 
     One rejection loop over the hexagon bounding box serves all cells: it
     draws the N*K offsets from a cell centre, which then fill the cells in
@@ -97,24 +96,24 @@ def drop_users(
     users draws again, alone.  A disk wider than ``inscribed_radius`` is
     rejected.
     """
+    _check_radius(radius_m)
     if users_per_cell < 1:
         raise ValueError(f"users_per_cell must be >= 1, got {users_per_cell}")
-    if not exclusion_radius_m <= inscribed_radius(layout.radius_m):
+    if not exclusion_radius_m <= inscribed_radius(radius_m):
         raise ValueError(
             f"exclusion_radius_m={exclusion_radius_m} must not exceed the inscribed "
-            f"radius sqrt(3)/2 * {layout.radius_m} of the cell"
+            f"radius sqrt(3)/2 * {radius_m} of the cell"
         )
     single = np.ndim(rng_seed) == 0
     rngs = [np.random.default_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
-    r = layout.radius_m
-    total = layout.num_cells * users_per_cell
+    total = len(centers) * users_per_cell
     # Offsets are Generator.uniform(low, high) draws, low + (high - low) * u,
     # with u drawn into one block for all realizations.
-    low = np.array((-r, -inscribed_radius(r)))
+    low = np.array((-radius_m, -inscribed_radius(radius_m)))
     span = -low - low
 
     def admissible(xy):
-        return hexagon_contains(xy, (0.0, 0.0), r) & (
+        return hexagon_contains(xy, (0.0, 0.0), radius_m) & (
             np.hypot(xy[..., 0], xy[..., 1]) >= exclusion_radius_m
         )
 
@@ -134,7 +133,7 @@ def drop_users(
             more = more[admissible(more)][: total - accepted]
             offsets[t, accepted : accepted + len(more)] = more
             accepted += len(more)
-    pos = offsets.reshape(-1, layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
+    pos = offsets.reshape(-1, len(centers), users_per_cell, 2) + centers[:, None]
     return pos[0] if single else pos
 
 

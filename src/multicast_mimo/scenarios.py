@@ -16,6 +16,9 @@ The engine keeps one read-only large-scale batch per geometry, shared by
 every experiment in the process, so curves of one geometry (in one preset or
 across presets) draw it once.  Each CSV is byte-identical to the one built
 from ``run_experiment`` for that curve alone in a fresh process.
+Every CSV is one ``emit_csv`` call on plain (x, y) rows under two named
+columns: ``_emit_curve`` passes a CDF curve's report CDF as it is and
+sorts a sweep curve's (swept value, mean min-SINR) rows by x.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import NetworkConfig, serialize_config, validate_config
-from .engine import SinrReport, run_experiments
+from .engine import run_experiments
 
 #: Illustrative BS power sweep used when the config carries a single value.
 DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -32,40 +35,33 @@ DEFAULT_E_SWEEP_DBW = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 PILOT_POWER_LEVELS_DBW = (2.0, 4.0, 8.0)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """One sweep curve: mean min-SINR against a swept quantity."""
-
-    x_name: str
-    rows: tuple  # ((x, mean_min_sinr_db), ...) sorted by x
+#: (name, meaning) of the two columns of a CDF curve's CSV.
+CDF_COLUMNS = (("sinr_db", "min-user SINR sample [dB]"), ("probability", "empirical CDF"))
 
 
-def emit_csv(report, path, description: str = "") -> Path:
-    """Write a CDF report or sweep table as a deterministic CSV file.
+def sweep_columns(x_name: str) -> tuple:
+    """(name, meaning) of the two columns of a CSV sweeping ``x_name``."""
+    return (
+        (x_name, "swept value"),
+        ("mean_min_sinr_db", "mean over realizations of the min-user SINR [dB]"),
+    )
 
-    UTF-8, one header row, six decimal places, rows in ascending order of the
-    first column.
+
+def emit_csv(path, columns, rows, description: str = "") -> Path:
+    """Write (x, y) ``rows`` as a deterministic CSV file under the two
+    (name, meaning) ``columns``; returns the path.
+
+    UTF-8: a description line, a note on the columns, a header of their
+    names, then the rows in the given order with six decimal places.
     """
+    if len(rows) == 0:
+        raise ValueError("refusing to emit an empty curve")
     path = Path(path)
-    if isinstance(report, SinrReport):
-        if report.cdf.shape[0] == 0:
-            raise ValueError("refusing to emit an empty report")
-        header = "sinr_db,probability"
-        note = "columns: sinr_db = min-user SINR sample [dB]; probability = empirical CDF"
-        rows = [f"{v:.6f},{p:.6f}" for v, p in report.cdf]
-    elif isinstance(report, SweepTable):
-        if not report.rows:
-            raise ValueError("refusing to emit an empty sweep table")
-        header = f"{report.x_name},mean_min_sinr_db"
-        note = (
-            f"columns: {report.x_name} = swept value; "
-            "mean_min_sinr_db = mean over realizations of the min-user SINR [dB]"
-        )
-        rows = [f"{x:.6f},{y:.6f}" for x, y in sorted(report.rows)]
-    else:
-        raise TypeError(f"cannot emit {type(report).__name__} as CSV")
-    lines = [f"# {description}" if description else "#", f"# {note}", header]
-    path.write_text("\n".join(lines + rows) + "\n", encoding="utf-8", newline="\n")
+    note = "; ".join(f"{name} = {meaning}" for name, meaning in columns)
+    lines = [f"# {description}" if description else "#", f"# columns: {note}"]
+    lines.append(",".join(name for name, _ in columns))
+    lines += [f"{x:.6f},{y:.6f}" for x, y in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
@@ -190,15 +186,16 @@ def _scenario_finite_antennas(config: NetworkConfig):
 
 
 def _emit_curve(curve: _Curve, out_dir: Path, reports: dict) -> Path:
-    """Write the curve's CSV from the reports of its experiments' configs."""
+    """Write the curve's CSV from the reports of its experiments' configs: a
+    CDF curve's sorted (sinr_db, probability) rows, or a sweep curve's
+    (x, mean min-SINR) rows sorted by x."""
     path = out_dir / curve.filename
     if curve.x_name is None:
         report = reports[curve.points[0][1]]
         description = f"{curve.description} (fingerprint {report.fingerprint})"
-        return emit_csv(report, path, description=description)
-    rows = tuple((x, reports[cfg].mean_min_sinr_db) for x, cfg in curve.points)
-    table = SweepTable(x_name=curve.x_name, rows=rows)
-    return emit_csv(table, path, description=curve.description)
+        return emit_csv(path, CDF_COLUMNS, report.cdf, description)
+    rows = sorted((x, reports[cfg].mean_min_sinr_db) for x, cfg in curve.points)
+    return emit_csv(path, sweep_columns(curve.x_name), rows, curve.description)
 
 
 SCENARIOS = {

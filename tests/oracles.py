@@ -21,16 +21,17 @@ def scalar_large_scale(config, t):
     reference route's one-realization form: ``drop_users`` with the generator
     ``default_rng([master_seed, POSITIONS, t])``, then ``large_scale_tensor``
     with ``default_rng([master_seed, SHADOWING, t])``."""
-    layout = build_hex_layout(config.cells, config.radius_m)
+    centers = build_hex_layout(config.cells, config.radius_m)
     seed = config.master_seed
     positions = drop_users(
-        layout,
+        centers,
+        config.radius_m,
         config.users_per_cell,
         config.exclusion_m,
         np.random.default_rng([seed, engine._POSITIONS_STREAM, t]),
     )
     shadowing = np.random.default_rng([seed, engine._SHADOWING_STREAM, t])
-    return large_scale_tensor(layout, positions, config, shadowing)
+    return large_scale_tensor(centers, positions, config, shadowing)
 
 
 @lru_cache(maxsize=None)

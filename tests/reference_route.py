@@ -8,7 +8,8 @@ arrival-delay profiles (``AsyncProfile``): the engine reads every scheme's
 beam off its large-scale coefficients (``engine._beam_directions``) and
 samples the beam amplitudes directly.  The tests tie
 ``engine.sinr_from_amplitudes`` to this route exactly on the amplitudes of
-the same vectors, and the sampler to explicit draws by KS tests.
+the same vectors, the projection to explicit draws exactly, and the law of
+the sampler's raw draws to explicit draws by KS tests.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 
 from multicast_mimo.channel import complex_gaussian, large_scale_gains, shadowing_db
 from multicast_mimo.config import NetworkConfig
-from multicast_mimo.geometry import CellLayout
 from multicast_mimo.pilots import make_orthogonal_pilots
 
 ASSIGNMENTS = ("per-user", "per-cell")
@@ -143,19 +143,20 @@ class ChannelState:
 
 
 def large_scale_tensor(
-    layout: CellLayout, positions: np.ndarray, config: NetworkConfig, shadowing_seed
+    centers: np.ndarray, positions: np.ndarray, config: NetworkConfig, shadowing_seed
 ) -> np.ndarray:
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
-    realization: ``large_scale_gains`` on the (N, K, 2) ``positions`` of one
-    ``drop_users`` call, with ``config``'s path-loss and penetration keys,
+    realization: ``large_scale_gains`` on the (N, 2) base-station
+    ``centers`` and the (N, K, 2) ``positions`` of one ``drop_users`` call
+    on them, with ``config``'s path-loss and penetration keys,
     on ``shadowing_db(config.shadow_sigma_db, n, shadowing_seed)``, an int
     seed or a generator."""
-    n = layout.num_cells
+    n = len(centers)
     if positions.shape[:-2] != (n,):
         raise ValueError(f"positions of shape {positions.shape} are not one drop of {n} cells")
     shadow_db = shadowing_db(config.shadow_sigma_db, n, shadowing_seed)
     return large_scale_gains(
-        layout,
+        centers,
         positions,
         shadow_db,
         config.pathloss_intercept_db,

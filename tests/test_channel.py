@@ -64,9 +64,9 @@ class TestShadowing:
     CORR_Z = 5.0
 
     def shadow_db(self, config):
-        layout = build_hex_layout(7, 1000.0)
-        users = drop_users(layout, 3, 100.0, 5)
-        d = np.linalg.norm(users[None] - layout.centers[:, None, None], axis=-1)
+        centers = build_hex_layout(7, 1000.0)
+        users = drop_users(centers, 1000.0, 3, 100.0, 5)
+        d = np.linalg.norm(users[None] - centers[:, None, None], axis=-1)
         path_db = (
             config.pathloss_intercept_db
             + config.pathloss_slope * np.log10(d / 1000.0)
@@ -74,7 +74,7 @@ class TestShadowing:
         )
         return np.stack(
             [
-                -10 * np.log10(large_scale_tensor(layout, users, config, seed)) - path_db
+                -10 * np.log10(large_scale_tensor(centers, users, config, seed)) - path_db
                 for seed in range(self.T)
             ]
         )  # (T, N, N, K)
@@ -98,28 +98,28 @@ class TestShadowing:
         assert abs(pairs.std(ddof=1) / 3.0 - 1.0) < self.SD_BAND
 
     def test_without_shadowing_matches_the_single_link_gain(self):
-        layout = build_hex_layout(3, 1000.0)
-        users = drop_users(layout, 2, 100.0, 1)
-        beta = large_scale_tensor(layout, users, NO_SHADOW, 2)
+        centers = build_hex_layout(3, 1000.0)
+        users = drop_users(centers, 1000.0, 2, 100.0, 1)
+        beta = large_scale_tensor(centers, users, NO_SHADOW, 2)
         for i in range(3):
             for j in range(3):
-                d = np.linalg.norm(users[j] - layout.centers[i], axis=-1)
+                d = np.linalg.norm(users[j] - centers[i], axis=-1)
                 assert np.allclose(beta[i, j], path_gain(d), rtol=1e-12)
 
     @pytest.mark.parametrize("seeds", [[1, 2, 3], [1, 2, 3, 4, 5, 6, 7]])
     def test_rejects_anything_but_one_drop_of_the_layout(self, seeds):
-        users = drop_users(build_hex_layout(7, 1000.0), 2, 100.0, seeds)
+        users = drop_users(build_hex_layout(7, 1000.0), 1000.0, 2, 100.0, seeds)
         with pytest.raises(ValueError, match="not one drop of 7 cells"):
             large_scale_tensor(build_hex_layout(7, 1000.0), users, NetworkConfig(), 3)
         with pytest.raises(ValueError, match="not one drop of 3 cells"):
             large_scale_tensor(build_hex_layout(3, 1000.0), users[0], NO_SHADOW, 3)
 
     def test_rejects_a_user_on_a_base_station(self):
-        layout = build_hex_layout(1, 1000.0)
-        users = drop_users(layout, 2, 100.0, 1)
-        users[0, 1] = layout.centers[0]
+        centers = build_hex_layout(1, 1000.0)
+        users = drop_users(centers, 1000.0, 2, 100.0, 1)
+        users[0, 1] = centers[0]
         with pytest.raises(ValueError, match="distances must be positive"):
-            large_scale_tensor(layout, users, NetworkConfig(), 3)
+            large_scale_tensor(centers, users, NetworkConfig(), 3)
 
 
 def fading_vector(antennas, seed):
@@ -317,9 +317,9 @@ class TestNoisePower:
 
 class TestChannelState:
     def channel_state(self, cells, users, antennas, drop_seed, shadowing_seed, small_seed):
-        layout = build_hex_layout(cells, 1000.0)
-        positions = drop_users(layout, users, 100.0, drop_seed)
-        beta = large_scale_tensor(layout, positions, NetworkConfig(), shadowing_seed)
+        centers = build_hex_layout(cells, 1000.0)
+        positions = drop_users(centers, 1000.0, users, 100.0, drop_seed)
+        beta = large_scale_tensor(centers, positions, NetworkConfig(), shadowing_seed)
         h = complex_gaussian(np.random.default_rng(small_seed), beta.shape + (antennas,))
         return ChannelState(beta=beta, h=h)
 
@@ -331,9 +331,9 @@ class TestChannelState:
         assert np.allclose(state.vector(0, 0, 0), np.sqrt(state.beta[0, 0, 0]) * state.h[0, 0, 0])
 
     def test_gains_positive_and_finite(self):
-        layout = build_hex_layout(7, 1000.0)
-        users = drop_users(layout, 3, 100.0, 11)
-        beta = large_scale_tensor(layout, users, NetworkConfig(), 12)
+        centers = build_hex_layout(7, 1000.0)
+        users = drop_users(centers, 1000.0, 3, 100.0, 11)
+        beta = large_scale_tensor(centers, users, NetworkConfig(), 12)
         assert np.all(beta > 0)
         assert np.all(np.isfinite(beta))
 

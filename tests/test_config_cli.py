@@ -24,12 +24,13 @@ from multicast_mimo.config import (
 )
 from multicast_mimo.engine import run_experiment
 from multicast_mimo.scenarios import (
+    CDF_COLUMNS,
     DEFAULT_E_SWEEP_DBW,
     PILOT_POWER_LEVELS_DBW,
     SCENARIOS,
-    SweepTable,
     emit_csv,
     run_scenario,
+    sweep_columns,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -407,33 +408,35 @@ class TestEmitCsv:
         report = run_experiment(
             NetworkConfig(antennas=None, num_large=5), scheme="perfect-optimal"
         )
-        path = emit_csv(report, tmp_path / "cdf.csv", description="test curve")
+        path = emit_csv(tmp_path / "cdf.csv", CDF_COLUMNS, report.cdf, "test curve")
         lines = path.read_text().splitlines()
         assert lines[0] == "# test curve"
+        assert lines[1] == (
+            "# columns: sinr_db = min-user SINR sample [dB]; probability = empirical CDF"
+        )
         assert lines[2] == "sinr_db,probability"
         values = [float(line.split(",")[0]) for line in lines[3:]]
         assert values == sorted(values)
         assert all(len(part.split(".")[1]) == 6 for part in lines[3].split(","))
 
-    def test_sweep_rows_sorted_by_x(self, tmp_path):
-        table = SweepTable(x_name="E_dbw", rows=((20.0, 5.0), (0.0, 1.0), (10.0, 3.0)))
-        path = emit_csv(table, tmp_path / "sweep.csv")
-        lines = path.read_text().splitlines()
-        assert lines[2] == "E_dbw,mean_min_sinr_db"
-        xs = [float(line.split(",")[0]) for line in lines[3:]]
-        assert xs == [0.0, 10.0, 20.0]
-
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(SweepTable(x_name="E_dbw", rows=()), tmp_path / "bad.csv")
-        with pytest.raises(TypeError):
-            emit_csv({"not": "a report"}, tmp_path / "bad.csv")
+            emit_csv(tmp_path / "bad.csv", sweep_columns("E_dbw"), ())
+        assert not (tmp_path / "bad.csv").exists()
 
 
 class TestScenarios:
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(ValueError):
             run_scenario("fig99", NetworkConfig(), out_dir=tmp_path)
+
+    def test_sweep_rows_sorted_by_x(self, tmp_path):
+        # the preset lists its curve's points in the config's E_dbw order
+        config = NetworkConfig(E_dbw=(20.0, 0.0, 10.0), num_large=2)
+        path = run_scenario("fig5/6-sweep-E", config, out_dir=tmp_path)[1]
+        lines = path.read_text().splitlines()
+        assert lines[2] == "E_dbw,mean_min_sinr_db"
+        assert list(_sweep_rows(path)[:, 0]) == [0.0, 10.0, 20.0]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_invalid_config_writes_nothing(self, name, tmp_path):
@@ -712,9 +715,10 @@ class TestPresetClaims:
 def _cdf_csv(config, scheme, path, prefix, label):
     report = run_experiment(config, scheme=scheme)
     return emit_csv(
-        report,
         path / f"{prefix}_{label}.csv",
-        description=f"{prefix} curve: {label} (fingerprint {report.fingerprint})",
+        CDF_COLUMNS,
+        report.cdf,
+        f"{prefix} curve: {label} (fingerprint {report.fingerprint})",
     )
 
 
@@ -761,9 +765,10 @@ class TestSharedBatchPresets:
             rows = tuple((e, report.mean_min_sinr_db) for e, report in rows)
             expected.append(
                 emit_csv(
-                    SweepTable(x_name="E_dbw", rows=rows),
                     ref / f"fig56_sweep_E_{scheme}_K3.csv",
-                    description=f"fig56 sweep: {scheme}, K=3",
+                    sweep_columns("E_dbw"),
+                    rows,
+                    f"fig56 sweep: {scheme}, K=3",
                 )
             )
         self.assert_same_files(got, expected)

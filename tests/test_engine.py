@@ -310,6 +310,25 @@ class TestGramRoute:
             got = sinrs(config, beta, route_amplitudes(config, scheme, ctx, cs, directions))
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("antennas", [1, 2, 4, 16, 300])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_projection_is_the_gram_route_on_explicit_vectors(self, scheme, antennas):
+        # given explicit X, g = ||X u||^2 and z = t - sqrt(g) u with
+        # t = X^H X u / ||X u|| are draws that the projection turns into
+        # t / sqrt(M); the KS tests then check only the law of (g, z)
+        config = replace(gram_route_config(antennas), num_large=3)
+        u = engine._beam_directions(context(config, scheme, large_scale_batch(config)))
+        rng = np.random.default_rng(antennas)
+        x = complex_gaussian(rng, u.shape[:-1] + (antennas, u.shape[-1]))  # (T, N, M, K+1)
+        xu = np.einsum("...mp,...p->...m", x, u)
+        norm = np.linalg.norm(xu, axis=-1)
+        t = np.einsum("...mp,...m->...p", x.conj(), xu) / norm[..., None]
+        g = norm**2
+        z = t - np.sqrt(g)[..., None] * u
+        expected = t / np.sqrt(antennas)
+        got = project_beam_fading(antennas, u, g, z)
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-12
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_residual_column_has_unit_variance(self, scheme):
         # s_j must be the residual's standard deviation, or the sampled
@@ -1195,15 +1214,28 @@ class TestConvergenceProperties:
             gaps.append(asym.mean_min_sinr_db - report.mean_min_sinr_db)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
+    def test_gap_to_asymptote_falls_as_one_over_sqrt_m(self):
+        # the mean paired gap in dB falls as 1/sqrt(M) to first order, so a
+        # hundredfold M divides it by about ten; the band, fixed before the
+        # first run, leaves room for the O(1/M) term
+        base = NetworkConfig(
+            scheme="composite-power-controlled", num_large=200, num_small=100, master_seed=1
+        )
+        asym, *finite = engine.run_experiments(
+            [replace(base, antennas=m) for m in (None, 10**4, 10**6)]
+        )
+        gaps = [np.mean(asym.samples_db - report.samples_db) for report in finite]
+        assert 0.07 <= gaps[1] / gaps[0] <= 0.15
+
     def test_intercell_interference_vanishes_with_antennas(self):
-        layout = build_hex_layout(3, 1000.0)
+        centers = build_hex_layout(3, 1000.0)
         config = NetworkConfig()
         medians = []
         for m in (100, 400, 1600):
             ratios = []
             for trial in range(30):
-                users = drop_users(layout, 2, 100.0, 1000 + trial)
-                beta = large_scale_tensor(layout, users, config, 2000 + trial)
+                users = drop_users(centers, 1000.0, 2, 100.0, 1000 + trial)
+                beta = large_scale_tensor(centers, users, config, 2000 + trial)
                 h = complex_gaussian(np.random.default_rng(3000 + trial), beta.shape + (m,))
                 cs = ChannelState(beta=beta, h=h)
                 beams = [

@@ -14,13 +14,11 @@ SQRT3 = np.sqrt(3.0)
 
 class TestBuildHexLayout:
     def test_single_cell_at_origin(self):
-        layout = build_hex_layout(1, 1000.0)
-        assert layout.num_cells == 1
-        assert np.allclose(layout.centers, [[0.0, 0.0]])
+        assert np.array_equal(build_hex_layout(1, 1000.0), [[0.0, 0.0]])
 
     def test_seven_cell_hand_computed_coordinates(self):
         # hand-derived: neighbors at sqrt(3)*1000 on angles 30, 90, ..., 330
-        layout = build_hex_layout(7, 1000.0)
+        centers = build_hex_layout(7, 1000.0)
         d = SQRT3 * 1000.0
         expected = np.array(
             [
@@ -33,15 +31,15 @@ class TestBuildHexLayout:
                 [1500.0, -d / 2.0],
             ]
         )
-        assert np.allclose(layout.centers, expected, atol=1e-9)
-        dists = np.linalg.norm(layout.centers[1:], axis=1)
+        assert np.allclose(centers, expected, atol=1e-9)
+        dists = np.linalg.norm(centers[1:], axis=1)
         assert np.allclose(dists, 1000.0 * SQRT3)
 
     def test_three_cell_mutually_adjacent(self):
-        layout = build_hex_layout(3, 500.0)
+        centers = build_hex_layout(3, 500.0)
         for a in range(3):
             for b in range(a + 1, 3):
-                assert distance_m(layout.centers[a], layout.centers[b]) == pytest.approx(
+                assert distance_m(centers[a], centers[b]) == pytest.approx(
                     500.0 * SQRT3
                 )
 
@@ -50,30 +48,33 @@ class TestBuildHexLayout:
         big = build_hex_layout(7, 1400.0)
         for a in range(7):
             for b in range(7):
-                assert distance_m(big.centers[a], big.centers[b]) == pytest.approx(
-                    2 * distance_m(small.centers[a], small.centers[b])
+                assert distance_m(big[a], big[b]) == pytest.approx(
+                    2 * distance_m(small[a], small[b])
                 )
 
     def test_rejects_unsupported_counts_and_radius(self):
         with pytest.raises(ValueError):
             build_hex_layout(5, 1000.0)
-        with pytest.raises(ValueError):
-            build_hex_layout(7, 0.0)
+        for radius_m in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius_m must be positive and finite"):
+                build_hex_layout(7, radius_m)
+            # an infinite radius would draw users without end
+            with pytest.raises(ValueError, match="radius_m must be positive and finite"):
+                drop_users(build_hex_layout(1, 1000.0), radius_m, 3, 100.0, rng_seed=0)
 
 
-def uniform_rejection_drop(layout, users_per_cell, exclusion_m, seed):
+def uniform_rejection_drop(centers, r, users_per_cell, exclusion_m, seed):
     """(N, K, 2) positions of the rejection loop one round at a time, each
     round a ``Generator.uniform`` draw over the hexagon's bounding box."""
     rng = np.random.default_rng(seed)
-    r = layout.radius_m
     apothem = SQRT3 / 2.0 * r
-    total = layout.num_cells * users_per_cell
+    total = len(centers) * users_per_cell
     accepted = np.empty((0, 2))
     while len(accepted) < total:
         xy = rng.uniform((-r, -apothem), (r, apothem), (2 * (total - len(accepted)) + 8, 2))
         keep = hexagon_contains(xy, (0.0, 0.0), r) & (np.hypot(xy[:, 0], xy[:, 1]) >= exclusion_m)
         accepted = np.concatenate([accepted, xy[keep][: total - len(accepted)]])
-    return accepted.reshape(layout.num_cells, users_per_cell, 2) + layout.centers[:, None]
+    return accepted.reshape(len(centers), users_per_cell, 2) + centers[:, None]
 
 
 class TestDropUsers:
@@ -82,39 +83,40 @@ class TestDropUsers:
     @pytest.mark.parametrize("exclusion_m", [100.0, 866.0])
     @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
     def test_is_the_uniform_rejection_loop(self, cells, users, exclusion_m):
-        layout = build_hex_layout(cells, 1000.0)
+        centers = build_hex_layout(cells, 1000.0)
         for seed in (0, 5, 2**63 + 11):
-            got = drop_users(layout, users, exclusion_m, seed)
-            assert np.array_equal(got, uniform_rejection_drop(layout, users, exclusion_m, seed))
+            got = drop_users(centers, 1000.0, users, exclusion_m, seed)
+            expected = uniform_rejection_drop(centers, 1000.0, users, exclusion_m, seed)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("exclusion_m", [100.0, 866.0])
     @pytest.mark.parametrize("cells, users", [(1, 1), (3, 4), (7, 10)])
     def test_rows_of_a_seed_sequence_are_the_single_seed_drops(self, cells, users, exclusion_m):
-        layout = build_hex_layout(cells, 1000.0)
+        centers = build_hex_layout(cells, 1000.0)
         seeds = [0, 5, 2**63 + 11, 5]
-        stacked = drop_users(layout, users, exclusion_m, seeds)
+        stacked = drop_users(centers, 1000.0, users, exclusion_m, seeds)
         assert stacked.shape == (len(seeds), cells, users, 2)
         for row, seed in zip(stacked, seeds):
-            assert np.array_equal(row, drop_users(layout, users, exclusion_m, seed))
+            assert np.array_equal(row, drop_users(centers, 1000.0, users, exclusion_m, seed))
 
     def test_same_seed_is_bit_identical(self):
-        layout = build_hex_layout(7, 1000.0)
-        a = drop_users(layout, 3, 100.0, rng_seed=123)
-        b = drop_users(layout, 3, 100.0, rng_seed=123)
+        centers = build_hex_layout(7, 1000.0)
+        a = drop_users(centers, 1000.0, 3, 100.0, rng_seed=123)
+        b = drop_users(centers, 1000.0, 3, 100.0, rng_seed=123)
         assert np.array_equal(a, b)
 
     def test_respects_hexagon_and_exclusion_disk(self):
-        layout = build_hex_layout(7, 1000.0)
-        users = drop_users(layout, 200, 100.0, rng_seed=5)
-        for i, center in enumerate(layout.centers):
+        centers = build_hex_layout(7, 1000.0)
+        users = drop_users(centers, 1000.0, 200, 100.0, rng_seed=5)
+        for i, center in enumerate(centers):
             inside = hexagon_contains(users[i], center, 1000.0)
             assert np.all(inside)
             radii = np.linalg.norm(users[i] - center, axis=1)
             assert np.all(radii >= 100.0)
 
     def test_halves_are_balanced(self):
-        layout = build_hex_layout(1, 1000.0)
-        users = drop_users(layout, 100_000, 100.0, rng_seed=17)
+        centers = build_hex_layout(1, 1000.0)
+        users = drop_users(centers, 1000.0, 100_000, 100.0, rng_seed=17)
         xy = users[0]
         assert np.mean(xy[:, 0] > 0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(xy[:, 1] > 0) == pytest.approx(0.5, abs=0.01)
@@ -123,8 +125,8 @@ class TestDropUsers:
         # expected bin masses from a midpoint quadrature of the admissible
         # region indicator; independent of the sampler under test
         radius, r0, n = 1000.0, 100.0, 100_000
-        layout = build_hex_layout(1, radius)
-        pts = drop_users(layout, n, r0, rng_seed=29)[0]
+        centers = build_hex_layout(1, radius)
+        pts = drop_users(centers, radius, n, r0, rng_seed=29)[0]
         apothem = SQRT3 / 2 * radius
         bins = 10
         xs = np.linspace(-radius, radius, 2001)
@@ -158,10 +160,10 @@ class TestDropUsers:
     def test_exclusion_must_fit_inside_the_hexagon(self, exclusion_m):
         # the inscribed radius of a 1000 m hexagon is 866.03 m; a wider disk
         # leaves only the corners, and the rejection rounds grow without bound
-        layout = build_hex_layout(1, 1000.0)
+        centers = build_hex_layout(1, 1000.0)
         with pytest.raises(ValueError, match="inscribed radius"):
-            drop_users(layout, 3, exclusion_m, rng_seed=0)
-        assert drop_users(layout, 3, 866.0, rng_seed=0).shape == (1, 3, 2)
+            drop_users(centers, 1000.0, 3, exclusion_m, rng_seed=0)
+        assert drop_users(centers, 1000.0, 3, 866.0, rng_seed=0).shape == (1, 3, 2)
 
 
 class TestDistance:

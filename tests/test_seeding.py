@@ -134,7 +134,7 @@ class TestNoSeedSequenceOnTheEngineRoute:
 
     def test_the_counter_sees_the_scalar_route(self, sequences):
         shadowing_db(8.0, 3, 5)
-        drop_users(build_hex_layout(3, 1000.0), 2, 100.0, [6, 7])
+        drop_users(build_hex_layout(3, 1000.0), 1000.0, 2, 100.0, [6, 7])
         assert len(sequences) == 3
 
     def test_large_scale_batch(self, sequences):

@@ -146,7 +146,7 @@ def apply_overrides(config: NetworkConfig, pairs: dict) -> NetworkConfig:
     return updated
 
 
-def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
+def parse_config(text: str) -> NetworkConfig:
     """Parse a key-value document into a validated NetworkConfig.
 
     An empty document yields the defaults.  Duplicate and unknown keys are
@@ -164,7 +164,7 @@ def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
         if key in pairs:
             raise ConfigError(key, f"line {lineno}: duplicate key")
         pairs[key] = value.strip()
-    return apply_overrides(base if base is not None else NetworkConfig(), pairs)
+    return apply_overrides(NetworkConfig(), pairs)
 
 
 _WRITERS = {
@@ -197,8 +197,9 @@ _HOLDS = {int: (int, np.integer), float: (int, float, np.integer), bool: bool, s
 
 def _require_types(config: NetworkConfig) -> None:
     """Reject what a config built in code can hold and the parser never
-    gives: a list that is not a tuple, an item of another type (a bool is an
-    int to Python, but only a bool key takes one), NaN and infinity, which
+    gives: a list that is not a tuple, an empty tuple, whose manifest line
+    would not parse, an item of another type (a bool is an int to Python,
+    but only a bool key takes one), NaN and infinity, which
     every comparison below would let through, a count below 1 or a seed
     below 0, and text that would not survive a serialize -> parse round trip:
     a '#', a line break, or whitespace the parser strips at either end."""
@@ -208,6 +209,8 @@ def _require_types(config: NetworkConfig) -> None:
             continue
         if is_tuple and not isinstance(value, tuple):
             raise ConfigError(key, f"must be a tuple, got {value!r}")
+        if is_tuple and not value:
+            raise ConfigError(key, "needs at least one value")
         least = 0 if key == "master_seed" else 1
         for v in value if is_tuple else (value,):
             if isinstance(v, bool) != (item is bool) or not isinstance(v, _HOLDS[item]):
@@ -242,8 +245,6 @@ def validate_config(config: NetworkConfig) -> None:
     # inside the hexagon.
     if not 0 < config.exclusion_m <= inscribed_radius(config.radius_m):
         raise ConfigError("exclusion_m", "must lie in (0, sqrt(3)/2 * radius_m]")
-    if not config.E_dbw:
-        raise ConfigError("E_dbw", "needs at least one value")
     if len(set(config.E_dbw)) != len(config.E_dbw):
         raise ConfigError("E_dbw", "BS powers must be distinct")
     if config.scheme not in SCHEMES:
@@ -274,7 +275,5 @@ def validate_config(config: NetworkConfig) -> None:
             raise ConfigError(
                 "async_offsets_s", "delay offsets must lie in [0, pilot_symbol_s)"
             )
-    if not config.antennas_sweep:
-        raise ConfigError("antennas_sweep", "needs at least one antenna count")
     if len(set(config.antennas_sweep)) != len(config.antennas_sweep):
         raise ConfigError("antennas_sweep", "antenna counts must be distinct")

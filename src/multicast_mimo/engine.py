@@ -36,16 +36,8 @@ for bit.  The report's fingerprint hashes the package version, that group
 key, serialized once per group, and the config's power, so two calls that
 run the same experiment share a fingerprint.
 
-The large-scale batch depends only on the geometry: cells, radius, users per
-cell, exclusion radius, the four path-loss and shadowing keys, realization
-count and master seed; the noise keys do not enter it.
-``large_scale_batch`` validates its config, and the engine's groups, whose
-configs are validated already, build through the same cache, which keeps the
-last few batches built, read-only, so
-every experiment in a process that shares a geometry (curves of other
-schemes, powers, noise or pilot settings or antenna counts) evaluates the
-same batch without drawing it again; the result is the same as drawing it
-per curve.
+A group evaluates the large-scale batch of its geometry, which
+``large_scale_batch`` builds and keeps.
 The batch is built with array operations, and at finite M the draws of a
 block of realizations fill one array.  Realization t of stream s draws from
 one generator, ``np.random.default_rng([master_seed, s, t])``: its user
@@ -54,18 +46,8 @@ positions (s = 1), its shadowing (s = 2) and, at finite M, its fast fading
 call (``seeding.make_rngs``), equal state for state to those, so no
 ``SeedSequence`` is built per realization.  Only the draws from each
 realization's own generators stay per realization, so no row depends on
-another and block edges change no result.  The raw draws do not depend on
-the scheme: they are keyed by the antenna count, the (N, K+1) beam shape,
-the draw count, the block's realizations and the master seed.
-``_cached_draws`` keeps the last ``_DRAW_CACHE_SIZE`` blocks, read-only,
-each of at most ``_BLOCK_AMPLITUDES`` amplitudes (about 1 MiB in all), and
-only for an experiment that fits in them: ``num_large * num_small * N * (K+1) <=
-_DRAW_CACHE_SIZE * _BLOCK_AMPLITUDES`` in whole blocks.  Then the other
-schemes of a comparison at the same M project the same draws onto their
-own beams without deriving a seed or running a generator.  A larger
-experiment, such as a comparison at the default counts, draws each block
-and drops it, as each scheme would evict the blocks before the next one
-reached them.
+another and block edges change no result.  A block's raw draws come from
+``_draw_block``, which keeps them for other schemes when they fit.
 
 The async scheme's weights carry the (N, N, K) pilot correlations that
 ``pilots.async_kappas`` computes straight from the config's offsets, symbol
@@ -115,7 +97,8 @@ _FADING_STREAM = 3
 # The cell whose users' SINRs every experiment evaluates.
 _EVAL_CELL = 0
 
-# Large-scale batches kept per process: the fig2 preset draws two geometries.
+# Large-scale batches kept per process (``large_scale_batch``): the fig2
+# preset draws two geometries.
 _BATCH_CACHE_SIZE = 2
 
 # Complex beam amplitudes evaluated at once: whole realizations of their
@@ -123,26 +106,31 @@ _BATCH_CACHE_SIZE = 2
 # Bounds the working set whatever the trial counts.
 _BLOCK_AMPLITUDES = 2**14
 
-# Blocks of raw finite-M draws kept per process, each of at most
-# ``_BLOCK_AMPLITUDES`` complex amplitudes (256 KiB) and its gammas: about
-# 1 MiB in all.
+# Blocks of raw finite-M draws kept per process (``_draw_block``).
 _DRAW_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
 class SinrReport:
-    """Aggregate of an experiment: one min-SINR sample per large-scale trial.
+    """Result of an experiment: its read-only min-SINR samples in dB, one per
+    large-scale realization, and its fingerprint.
 
     Within a realization the minimum SINR is averaged over fast-fading draws
-    in linear scale; across realizations the summary mean is taken over the
+    in linear scale; ``cdf`` and ``mean_min_sinr_db`` are computed from the
     per-realization dB samples, so no single lucky realization dominates.
     """
 
     samples_db: np.ndarray
-    cdf: np.ndarray  # (n, 2): (sinr_db, probability), sorted ascending
-    mean_min_sinr_db: float
-    scheme: str
     fingerprint: str
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """(n, 2) ``empirical_cdf`` of the samples: (sinr_db, probability)."""
+        return empirical_cdf(self.samples_db)
+
+    @property
+    def mean_min_sinr_db(self) -> float:
+        return float(self.samples_db.mean())
 
 
 def empirical_cdf(samples) -> np.ndarray:
@@ -313,11 +301,15 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     t])``, which is the reference route's ``large_scale_tensor``.  So no row
     depends on another, and a batch is a prefix of any longer one.  The
     generators of all rows come from one array call per stream.  Only the
-    geometry fields, ``num_large`` and ``master_seed`` of ``config`` enter,
-    and the process keeps the last ``_BATCH_CACHE_SIZE`` batches: a config
-    that differs only in powers, noise keys, pilot settings, scheme, antennas
-    or draw count gets the same array back.  ``config`` is validated first,
-    so an invalid one raises ConfigError naming its key.
+    geometry fields (cells, radius, users per cell, exclusion radius and the
+    four path-loss and shadowing keys), ``num_large`` and ``master_seed`` of
+    ``config`` enter, and the process keeps the last ``_BATCH_CACHE_SIZE``
+    batches: a config that differs only in powers, noise keys, pilot
+    settings, scheme, antennas or draw count gets the same array back.  So
+    every experiment in a process that shares a geometry, the engine's
+    groups included (``_batch``), evaluates one batch, drawn once, as if it
+    were drawn per curve.  ``config`` is validated first, so an invalid one
+    raises ConfigError naming its key.
     """
     validate_config(config)
     return _batch(config)
@@ -361,12 +353,15 @@ def _realizations_per_block(config: NetworkConfig) -> int:
 def _draw_block(config: NetworkConfig, lo: int, hi: int):
     """Read-only raw draws ``(g, z)`` of realizations lo..hi-1, stacked:
     ``(hi - lo, num_small, N)`` gammas and ``(hi - lo, num_small, N, K+1)``
-    complex normals.  Only the antenna count, the beam shape, the draw count
-    and the master seed of ``config`` select them.  They are kept only when
-    every block of the experiment can be: at most ``_DRAW_CACHE_SIZE`` blocks
-    of at most ``_BLOCK_AMPLITUDES`` amplitudes each.  A larger experiment
-    would evict each block before another scheme reaches it, so its blocks
-    are drawn and dropped."""
+    complex normals.  They do not depend on the scheme: only the antenna
+    count, the beam shape, the draw count and the master seed of ``config``
+    select them.  The process keeps the last ``_DRAW_CACHE_SIZE`` blocks
+    (about 1 MiB), but only when every block of the experiment fits: at most
+    ``_DRAW_CACHE_SIZE`` blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
+    each.  Then the other schemes of a comparison at the same M project the
+    same draws without running a generator.  A larger experiment would evict
+    each block before another scheme reaches it, so its blocks are drawn and
+    dropped."""
     width = config.users_per_cell + 1
     kept = (
         config.num_small * config.cells * width <= _BLOCK_AMPLITUDES
@@ -427,20 +422,17 @@ def run_experiments(configs) -> list[SinrReport]:
     context, one set of beam directions and one pass over the realization
     blocks.
 
-    A group's context is built on its large-scale batch, taken from
-    ``large_scale_batch``'s cache without validating again, and one loop
-    evaluates it over blocks of up to ``_BLOCK_AMPLITUDES`` amplitudes' worth
-    of realizations.  A block starts from the beam directions, the
-    large-antenna limit, which is all that asymptotic mode
-    (``config.antennas is None``) evaluates: no fast fading is drawn and
-    ``num_small`` only counts towards validation.  With finite antennas
+    A group's context is built on its large-scale batch
+    (``large_scale_batch``), and one loop evaluates it over blocks of up to
+    ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations.  A block starts
+    from the beam directions, the large-antenna limit, which is all that
+    asymptotic mode (``config.antennas is None``) evaluates: no fast fading
+    is drawn and ``num_small`` only counts towards validation.  With finite antennas
     realization t takes ``num_small`` draws from one generator,
     ``default_rng([master_seed, FADING, t])``, a block's generators built
     with one array call: the raw draws of ``channel.draw_beam_fading``, row s
     being draw s, projected onto the scheme's beam directions
-    (``channel.project_beam_fading``).  An experiment of at most
-    ``_DRAW_CACHE_SIZE`` blocks keeps its raw draws for later calls at the
-    same antenna count, beam shape, draw count and seed (``_draw_block``).
+    (``channel.project_beam_fading``); ``_draw_block`` gives the raw draws.
     Each realization's minimum SINR is averaged over its draws in linear
     scale before conversion to dB.  Realization t's generators depend only
     on the master seed and t, never on execution order.  A non-finite SINR
@@ -505,14 +497,6 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
             what = "zero" if mean[p, t] == 0 else "overflowing"
             raise _sinr_error(configs[p], f"{what} mean min-SINR", lo + t)
         samples[:, lo:hi] = linear_to_db(mean)
+    samples.flags.writeable = False  # so each report's row is read-only too
     key_text = serialize_config(key)
-    return [
-        SinrReport(
-            samples_db=row,
-            cdf=empirical_cdf(row),
-            mean_min_sinr_db=float(row.mean()),
-            scheme=c.scheme,
-            fingerprint=_fingerprint(key_text, c),
-        )
-        for c, row in zip(configs, samples)
-    ]
+    return [SinrReport(row, _fingerprint(key_text, c)) for c, row in zip(configs, samples)]

@@ -12,9 +12,8 @@ any and runs each power sweep of one scheme as one evaluation.  Only then
 does it create the output directory and write the files, so a config that
 makes any curve invalid, or a SINR in any curve that is not finite or has
 no dB value, writes nothing.
-The engine keeps one read-only large-scale batch per geometry, shared by
-every experiment in the process, so curves of one geometry (in one preset or
-across presets) draw it once.  Each CSV is byte-identical to the one built
+Curves of one geometry share its large-scale batch (see
+``engine.large_scale_batch``), and each CSV is byte-identical to the one built
 from ``run_experiment`` for that curve alone in a fresh process.
 Every CSV is one ``emit_csv`` call on plain (x, y) rows under two named
 columns: ``_emit_curve`` passes a CDF curve's report CDF as it is and

@@ -3,16 +3,12 @@
 import numpy as np
 
 
-def db_to_linear(value_db):
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
 def linear_to_db(value):
     return 10.0 * np.log10(value)
 
 
 def dbw_to_watts(value_dbw):
-    return db_to_linear(value_dbw)
+    return 10.0 ** (np.asarray(value_dbw, dtype=float) / 10.0)
 
 
 def dbm_to_watts(value_dbm):

@@ -263,6 +263,18 @@ class TestParseConfig:
             validate_config(replace(NetworkConfig(), **{key: value}))
         assert err.value.key == key
 
+    @pytest.mark.parametrize("key", ["E_dbw", "async_offsets_s", "antennas_sweep"])
+    def test_empty_tuple_names_its_key(self, key, tmp_path):
+        # the manifest would write "key = ", which does not parse back
+        config = replace(NetworkConfig(num_large=2), **{key: ()})
+        with pytest.raises(ConfigError, match="needs at least one value") as err:
+            validate_config(config)
+        assert err.value.key == key
+        with pytest.raises(ConfigError) as err:
+            run_scenario("fig2-cdf-perfect", config, tmp_path)
+        assert err.value.key == key
+        assert not any(tmp_path.iterdir())
+
     def test_numpy_integers_are_counts(self):
         validate_config(
             NetworkConfig(antennas=np.int64(16), antennas_sweep=(np.int64(100), 300))

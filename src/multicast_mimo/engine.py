@@ -47,7 +47,7 @@ call (``seeding.make_rngs``), equal state for state to those, so no
 ``SeedSequence`` is built per realization.  Only the draws from each
 realization's own generators stay per realization, so no row depends on
 another and block edges change no result.  A block's raw draws come from
-``_draw_block``, which keeps them for other schemes when they fit.
+``_draw_block``, which keeps the last few blocks for other schemes.
 
 The async scheme's weights carry the (N, N, K) pilot correlations that
 ``pilots.async_kappas`` computes straight from the config's offsets, symbol
@@ -110,10 +110,11 @@ _BLOCK_AMPLITUDES = 2**14
 _DRAW_CACHE_SIZE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinrReport:
     """Result of an experiment: its read-only min-SINR samples in dB, one per
-    large-scale realization, and its fingerprint.
+    large-scale realization, and its fingerprint.  Reports compare and hash
+    by identity; compare two runs by ``samples_db`` or ``fingerprint``.
 
     Within a realization the minimum SINR is averaged over fast-fading draws
     in linear scale; ``cdf`` and ``mean_min_sinr_db`` are computed from the
@@ -142,7 +143,7 @@ def empirical_cdf(samples) -> np.ndarray:
     return np.column_stack([s, probs])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TrialContext:
     """One scheme's beam recipe on a large-scale realization or a batch of them.
 
@@ -356,18 +357,14 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
     complex normals.  They do not depend on the scheme: only the antenna
     count, the beam shape, the draw count and the master seed of ``config``
     select them.  The process keeps the last ``_DRAW_CACHE_SIZE`` blocks
-    (about 1 MiB), but only when every block of the experiment fits: at most
-    ``_DRAW_CACHE_SIZE`` blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
-    each.  Then the other schemes of a comparison at the same M project the
-    same draws without running a generator.  A larger experiment would evict
-    each block before another scheme reaches it, so its blocks are drawn and
-    dropped."""
+    (about 1 MiB), so the other schemes of a comparison at the same M
+    project the same draws without running a generator; only a block whose
+    single realization holds more than ``_BLOCK_AMPLITUDES`` amplitudes is
+    drawn and dropped, which bounds what a large ``num_small`` keeps."""
     width = config.users_per_cell + 1
-    kept = (
-        config.num_small * config.cells * width <= _BLOCK_AMPLITUDES
-        and config.num_large <= _DRAW_CACHE_SIZE * _realizations_per_block(config)
-    )
-    draws = _cached_draws if kept else _stacked_draws
+    draws = _cached_draws
+    if config.num_small * config.cells * width > _BLOCK_AMPLITUDES:
+        draws = _cached_draws.__wrapped__
     return draws(
         config.antennas,
         config.cells,
@@ -379,15 +376,13 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
     )
 
 
-def _stacked_draws(antennas, cells, width, num_small, lo, hi, master_seed):
+@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _cached_draws(antennas, cells, width, num_small, lo, hi, master_seed):
     rngs = make_rngs(master_seed, _FADING_STREAM, np.arange(lo, hi))
     g, z = draw_beam_fading(rngs, antennas, (cells, width), num_small)
     g.flags.writeable = False
     z.flags.writeable = False
     return g, z
-
-
-_cached_draws = functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)(_stacked_draws)
 
 
 def _first_non_finite(sinr: np.ndarray):

@@ -208,9 +208,12 @@ SCENARIOS = {
 
 def run_scenario(name: str, config: NetworkConfig, out_dir=None) -> list:
     """Run every experiment of a named preset, then write its files; returns
-    them, manifest first.  An invalid config, one that makes any curve
-    invalid, or a SINR in any curve that is not finite or has no dB value
-    creates and writes nothing."""
+    them, manifest first.  The files go to ``out_dir`` if given, else to
+    ``config.output_dir``; the manifest records ``config.output_dir`` either
+    way, so two runs into different ``out_dir`` write identical manifests,
+    and a re-run from one without ``out_dir`` writes to ``output_dir``.  An
+    invalid config, one that makes any curve invalid, or a SINR in any curve
+    that is not finite or has no dB value creates and writes nothing."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"

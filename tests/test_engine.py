@@ -402,6 +402,21 @@ class TestRunExperiment:
             assert report.cdf.tobytes() == empirical_cdf(samples).tobytes()
             assert report.mean_min_sinr_db == float(samples.mean())
 
+    def test_reports_and_contexts_compare_and_hash_by_identity(self):
+        # equality over an array field was ambiguous and hashing it failed
+        config = NetworkConfig(num_large=3)
+        a, b = run_experiment(config), run_experiment(config)
+        assert np.array_equal(a.samples_db, b.samples_db)
+        assert a.fingerprint == b.fingerprint
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert {a: 1, b: 2}[a] == 1
+        beta = large_scale_batch(config)
+        composite = replace(config, scheme="composite")
+        c, d = (engine._build_trial_context(composite, beta) for _ in range(2))
+        assert c == c and c != d
+        assert len({c, d}) == 2
+
     def test_reproducible_and_seed_sensitive(self):
         config = NetworkConfig(antennas=None, num_large=20)
         a = run_experiment(config, scheme="perfect-optimal")
@@ -845,8 +860,18 @@ class TestSharedDraws:
         fading = [key for key in keys if key[1] == engine._FADING_STREAM]
         assert fading == [(7, engine._FADING_STREAM, t) for t in range(5)]
 
-    @pytest.mark.parametrize("num_large, kept", [(20, 4), (21, 0)])
-    def test_keeps_an_experiment_only_if_it_fits(self, monkeypatch, num_large, kept):
+    @pytest.mark.parametrize("num_large, hits", [(20, 4), (21, 0)])
+    def test_keeps_the_last_blocks_of_any_experiment(self, monkeypatch, num_large, hits):
+        # 2800 amplitudes per realization: five per block, so 20 realizations
+        # fill the kept blocks and 21 need one more, which evicts each block
+        # before the second scheme reaches it
+        config = NetworkConfig(antennas=16, num_large=num_large, num_small=100)
+        schemes = ("composite", "perfect-equal")
+        cold = {}
+        for scheme in schemes:
+            engine._cached_draws.cache_clear()
+            cold[scheme] = run_experiment(config, scheme=scheme)
+        engine._cached_draws.cache_clear()
         sizes = []
         original = engine._draw_block
 
@@ -856,15 +881,14 @@ class TestSharedDraws:
             return g, z
 
         monkeypatch.setattr(engine, "_draw_block", recording)
-        # 2800 amplitudes per realization: five per block, so 20 realizations
-        # fill the kept blocks and 21 need one more
-        config = NetworkConfig(antennas=16, num_large=num_large, num_small=100)
-        for scheme in ("composite", "perfect-equal"):
-            run_experiment(config, scheme=scheme)
+        for scheme in schemes:
+            report = run_experiment(config, scheme=scheme)
+            assert np.array_equal(report.samples_db, cold[scheme].samples_db)
+            assert report.fingerprint == cold[scheme].fingerprint
         assert max(sizes) <= engine._BLOCK_AMPLITUDES
         info = engine._cached_draws.cache_info()
         assert info.maxsize == engine._DRAW_CACHE_SIZE
-        assert (info.currsize, info.hits) == (kept, kept)
+        assert (info.currsize, info.hits) == (engine._DRAW_CACHE_SIZE, hits)
 
     def test_oversized_realization_is_not_kept(self, monkeypatch):
         config = async_config(antennas=16, num_large=3, num_small=3, master_seed=3)

@@ -19,27 +19,13 @@ s = 3 for its fast fading.
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
 does so over any leading realization axes at once.  The propagation
-constants are keys of ``NetworkConfig``: the large-scale functions take
-them as plain values, and ``noise_power`` and ``pilot_noise_power`` read
-the noise keys off a config.
+constants are keys of ``NetworkConfig``, and the large-scale functions take
+them as plain values.
 """
 
 import numpy as np
 
 from .geometry import distance_m
-from .units import dbm_to_watts
-
-
-def noise_power(config) -> float:
-    """Receiver noise power sigma^2 in Watts over ``config.bandwidth_hz``."""
-    return float(
-        dbm_to_watts(config.noise_psd_dbm_hz + 10.0 * np.log10(config.bandwidth_hz))
-    )
-
-
-def pilot_noise_power(config) -> float:
-    """Uplink pilot noise power sigma_p^2 in Watts."""
-    return config.pilot_noise_ratio * noise_power(config)
 
 
 def _generators(rng):

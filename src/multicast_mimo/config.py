@@ -3,8 +3,10 @@
 The configuration format is a plain text document of ``key = value`` lines
 (``#`` starts a comment).  Parsing is strict: unknown keys and malformed
 values are rejected with the offending key named.  Powers are configured in
-dB units with explicit suffixes (``_dbw``, ``_dbm_hz``) and converted to
-linear Watts behind accessor properties.
+dB units with explicit suffixes (``_dbw``, ``_dbm_hz``), and this module
+alone turns them into linear Watts, behind the four properties
+``bs_power_w``, ``peak_pilot_power_w``, ``noise_power_w`` and
+``pilot_noise_power_w``; every module below it takes plain values.
 
 Every key is one field of the flat ``NetworkConfig``, and its annotation
 states its type once: parsing, writing and the type checks read the key
@@ -21,8 +23,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .geometry import SUPPORTED_CELL_COUNTS, inscribed_radius
-from .units import dbw_to_watts
+from .geometry import MAX_RADIUS_M, SUPPORTED_CELL_COUNTS, inscribed_radius
 
 SCHEMES = (
     "perfect-optimal",
@@ -82,11 +83,26 @@ class NetworkConfig:
 
     @property
     def bs_power_w(self) -> tuple:
-        return tuple(float(dbw_to_watts(e)) for e in self.E_dbw)
+        return tuple(float(_db_to_watts(e)) for e in self.E_dbw)
 
     @property
     def peak_pilot_power_w(self) -> float:
-        return float(dbw_to_watts(self.p_u_dbw))
+        return float(_db_to_watts(self.p_u_dbw))
+
+    @property
+    def noise_power_w(self) -> float:
+        """Receiver noise power sigma^2 over ``bandwidth_hz``."""
+        noise_dbm = self.noise_psd_dbm_hz + 10.0 * np.log10(self.bandwidth_hz)
+        return float(_db_to_watts(noise_dbm - 30.0))
+
+    @property
+    def pilot_noise_power_w(self) -> float:
+        """Uplink pilot noise power sigma_p^2."""
+        return self.pilot_noise_ratio * self.noise_power_w
+
+
+def _db_to_watts(value_dbw):
+    return 10.0 ** (np.asarray(value_dbw, dtype=float) / 10.0)
 
 
 def _parse_bool(text: str) -> bool:
@@ -200,9 +216,10 @@ def _require_types(config: NetworkConfig) -> None:
     gives: a list that is not a tuple, an empty tuple, whose manifest line
     would not parse, an item of another type (a bool is an int to Python,
     but only a bool key takes one), NaN and infinity, which
-    every comparison below would let through, a count below 1 or a seed
-    below 0, and text that would not survive a serialize -> parse round trip:
-    a '#', a line break, or whitespace the parser strips at either end."""
+    every comparison below would let through, a count outside [1, 2**63) or
+    a seed below 0, and text that would not survive a serialize -> parse
+    round trip: a '#', a line break, or whitespace the parser strips at
+    either end."""
     for key, (item, is_tuple, optional) in _KEYS.items():
         value = getattr(config, key)
         if value is None and optional:
@@ -211,14 +228,15 @@ def _require_types(config: NetworkConfig) -> None:
             raise ConfigError(key, f"must be a tuple, got {value!r}")
         if is_tuple and not value:
             raise ConfigError(key, "needs at least one value")
-        least = 0 if key == "master_seed" else 1
+        # numpy computes a count in int64; a seed is only hashed, at any size
+        least, most = (0, math.inf) if key == "master_seed" else (1, 2**63 - 1)
         for v in value if is_tuple else (value,):
             if isinstance(v, bool) != (item is bool) or not isinstance(v, _HOLDS[item]):
                 raise ConfigError(key, f"must be of type {item.__name__}, got {v!r}")
             if item is float and not math.isfinite(v):
                 raise ConfigError(key, "must be finite")
-            if item is int and v < least:
-                raise ConfigError(key, f"must be at least {least}")
+            if item is int and not least <= v <= most:
+                raise ConfigError(key, f"must lie in [{least}, {most}]")
             if item is str and ("#" in v or len(v.splitlines()) > 1 or v != v.strip()):
                 raise ConfigError(
                     key, "must hold no '#' or line break, nor start or end with whitespace"
@@ -233,8 +251,8 @@ def validate_config(config: NetworkConfig) -> None:
         raise ConfigError("num_large", "must be below 2**32")
     if config.cells not in SUPPORTED_CELL_COUNTS:
         raise ConfigError("cells", f"must be one of {SUPPORTED_CELL_COUNTS}")
-    if not config.radius_m > 0:
-        raise ConfigError("radius_m", "must be positive")
+    if not 0 < config.radius_m <= MAX_RADIUS_M:
+        raise ConfigError("radius_m", f"must lie in (0, {MAX_RADIUS_M}]")
     if not config.shadow_sigma_db >= 0:
         raise ConfigError("shadow_sigma_db", "must be non-negative")
     for key in ("bandwidth_hz", "pilot_noise_ratio"):
@@ -245,6 +263,10 @@ def validate_config(config: NetworkConfig) -> None:
     # inside the hexagon.
     if not 0 < config.exclusion_m <= inscribed_radius(config.radius_m):
         raise ConfigError("exclusion_m", "must lie in (0, sqrt(3)/2 * radius_m]")
+    # 0 W or an overflow would fail the SINR under the name of E_dbw.
+    with np.errstate(over="ignore"):
+        if not 0 < config.peak_pilot_power_w < np.inf:
+            raise ConfigError("p_u_dbw", "must give a positive, finite power in Watts")
     if len(set(config.E_dbw)) != len(config.E_dbw):
         raise ConfigError("E_dbw", "BS powers must be distinct")
     if config.scheme not in SCHEMES:

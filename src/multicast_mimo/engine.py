@@ -77,8 +77,6 @@ from .channel import (
     complex_gaussian,  # noqa: F401
     draw_beam_fading,
     large_scale_gains,
-    noise_power,
-    pilot_noise_power,
     project_beam_fading,
     shadowing_db,
 )
@@ -86,7 +84,6 @@ from .config import ConfigError, NetworkConfig, serialize_config, validate_confi
 from .geometry import build_hex_layout, drop_users
 from .pilots import async_kappas, make_orthogonal_pilots, optimal_pilot_powers
 from .seeding import make_rngs
-from .units import linear_to_db
 
 # Stream tags s of ``default_rng([master_seed, s, t])`` (stable identifiers;
 # changing them changes every result).
@@ -208,7 +205,7 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
         weights = np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * kappas
         noise_combiner = make_orthogonal_pilots(n, length).conj()
 
-    return _TrialContext(weights, noise_combiner, pilot_noise_power(config))
+    return _TrialContext(weights, noise_combiner, config.pilot_noise_power_w)
 
 
 def _beam_directions(ctx: _TrialContext) -> np.ndarray:
@@ -471,7 +468,7 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
     eval_amp = np.sqrt(beta[..., :, _EVAL_CELL, :])[:, None]
     # (P, 1, 1, 1, 1): ahead of a block's (realization, draw, N, K) amplitudes
     powers = np.array([c.bs_power_w[0] for c in configs]).reshape(-1, 1, 1, 1, 1)
-    sigma2 = noise_power(config)
+    sigma2 = config.noise_power_w
     block = _realizations_per_block(config)
     samples = np.empty((len(configs), config.num_large))
     for lo in range(0, config.num_large, block):
@@ -491,7 +488,7 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
             p, t = np.argwhere(~in_range)[0].tolist()
             what = "zero" if mean[p, t] == 0 else "overflowing"
             raise _sinr_error(configs[p], f"{what} mean min-SINR", lo + t)
-        samples[:, lo:hi] = linear_to_db(mean)
+        samples[:, lo:hi] = 10.0 * np.log10(mean)
     samples.flags.writeable = False  # so each report's row is read-only too
     key_text = serialize_config(key)
     return [SinrReport(row, _fingerprint(key_text, c)) for c, row in zip(configs, samples)]

@@ -12,7 +12,8 @@ The engine gives realization t the positions generator
 ``np.random.default_rng([master_seed, 1, t])``.  A layout is the plain
 (N, 2) array of base-station centres that ``build_hex_layout`` returns;
 both functions take the cell radius itself and reject one that is not
-positive and finite.
+positive or above ``MAX_RADIUS_M``, the one bound on it that
+``config.validate_config`` reads too.
 """
 
 import numpy as np
@@ -21,10 +22,14 @@ SQRT3 = np.sqrt(3.0)
 
 SUPPORTED_CELL_COUNTS = (1, 3, 7)
 
+# The largest cell radius: the user drop's bounding box spans 2 * radius_m,
+# and above this that span overflows to inf and no candidate is admissible.
+MAX_RADIUS_M = float(np.finfo(float).max) / 2.0
+
 
 def _check_radius(radius_m) -> None:
-    if not 0 < radius_m < np.inf:  # a NaN fails both comparisons
-        raise ValueError(f"radius_m must be positive and finite, got {radius_m}")
+    if not 0 < radius_m <= MAX_RADIUS_M:  # a NaN fails both comparisons
+        raise ValueError(f"radius_m must be positive and finite, 2 * radius_m too, got {radius_m}")
 
 
 def build_hex_layout(num_cells: int, radius_m: float) -> np.ndarray:

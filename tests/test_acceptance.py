@@ -116,7 +116,7 @@ def test_criterion_03_identity_chain():
         own,
         config.peak_pilot_power_w,
         config.pilot_length,
-        engine.pilot_noise_power(config),
+        config.pilot_noise_power_w,
     )
     assert np.allclose(
         10 ** (controlled / 10), 10 ** ((perfect - gap) / 10), rtol=1e-9, atol=0
@@ -127,8 +127,8 @@ def test_criterion_04_contamination_ceiling_vs_composite_growth():
     """Shared-pilot estimates cap the SINR at high power; the composite scheme
     keeps gaining exactly 10 dB per power decade."""
     config = NetworkConfig()
-    sigma2 = engine.noise_power(config)
-    sigma_p2 = engine.pilot_noise_power(config)
+    sigma2 = config.noise_power_w
+    sigma_p2 = config.pilot_noise_power_w
     p_u, tau = config.peak_pilot_power_w, config.pilot_length
     xis = np.ones((7, 3))
     for instance in range(10):

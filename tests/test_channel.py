@@ -5,8 +5,6 @@ from scipy import stats
 from multicast_mimo.channel import (
     complex_gaussian,
     draw_beam_fading,
-    noise_power,
-    pilot_noise_power,
     project_beam_fading,
 )
 from multicast_mimo.config import NetworkConfig
@@ -292,27 +290,6 @@ class TestGeneratorSequences:
             g_t, z_t = draw_beam_fading(alone, 16, (2, 4), 5)
             assert identical(g[t], g_t) and identical(z[t], z_t)
             assert rngs[t].random() == alone.random()
-
-
-class TestNoisePower:
-    def test_twenty_mhz_reference(self):
-        # -174 dBm/Hz over 20 MHz: -100.99 dBm
-        assert noise_power(NetworkConfig()) == pytest.approx(
-            7.96214341106994e-14, rel=1e-12
-        )
-
-    def test_one_hz_is_psd(self):
-        config = NetworkConfig(bandwidth_hz=1.0)
-        assert 10 * np.log10(noise_power(config) * 1000) == pytest.approx(-174.0)
-
-    def test_doubling_bandwidth_adds_3db(self):
-        a = noise_power(NetworkConfig(bandwidth_hz=1e7))
-        b = noise_power(NetworkConfig(bandwidth_hz=2e7))
-        assert 10 * np.log10(b / a) == pytest.approx(10 * np.log10(2), rel=1e-12)
-
-    def test_pilot_noise_ratio(self):
-        config = NetworkConfig()
-        assert pilot_noise_power(config) == pytest.approx(0.1 * noise_power(config), rel=1e-12)
 
 
 class TestChannelState:

@@ -23,6 +23,7 @@ from multicast_mimo.config import (
     validate_config,
 )
 from multicast_mimo.engine import run_experiment
+from multicast_mimo.geometry import MAX_RADIUS_M
 from multicast_mimo.scenarios import (
     CDF_COLUMNS,
     DEFAULT_E_SWEEP_DBW,
@@ -186,6 +187,60 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(document)
         assert err.value.key == "num_large"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("antennas", 2**64), ("antennas_sweep", (100, 2**64)), ("num_small", 2**63)],
+    )
+    def test_count_fits_int64(self, key, value):
+        # numpy computes counts in int64: 2**64 antennas failed in np.sqrt
+        with pytest.raises(ConfigError) as err:
+            validate_config(replace(NetworkConfig(), **{key: value}))
+        assert err.value.key == key
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(NetworkConfig(), {key: text})
+        assert err.value.key == key
+
+    def test_largest_count_and_any_seed_admitted(self):
+        largest = 2**63 - 1
+        validate_config(NetworkConfig(antennas=largest, antennas_sweep=(largest,)))
+        validate_config(NetworkConfig(antennas=np.uint64(largest)))
+        validate_config(NetworkConfig(master_seed=2**64))  # a seed is only hashed
+        with pytest.raises(ConfigError) as err:
+            validate_config(NetworkConfig(antennas=np.uint64(2**64 - 1)))
+        assert err.value.key == "antennas"
+
+    @pytest.mark.parametrize(
+        "radius_m, admitted",
+        [(MAX_RADIUS_M, True), (np.nextafter(MAX_RADIUS_M, np.inf), False), (9e307, False)],
+    )
+    def test_radius_keeps_the_drop_box_finite(self, radius_m, admitted):
+        # the user drop's box spans 2 * radius_m; past the bound that span
+        # is inf, no candidate is admissible, and the drop never returned
+        config = NetworkConfig(radius_m=float(radius_m))
+        if admitted:
+            validate_config(config)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert err.value.key == "radius_m"
+
+    @pytest.mark.parametrize(
+        "p_u_dbw, admitted", [(-3000.0, True), (3000.0, True), (-4000.0, False), (4000.0, False)]
+    )
+    def test_pilot_power_in_watts_is_positive_and_finite(self, p_u_dbw, admitted):
+        # 0 W failed as a "zero mean min-SINR", an infinite power as a
+        # "non-finite SINR", both at E_dbw = 10, and power control raised a
+        # ValueError that named no key
+        config = NetworkConfig(num_large=2, scheme="composite-power-controlled", p_u_dbw=p_u_dbw)
+        if admitted:
+            validate_config(config)
+            return
+        for check in (validate_config, run_experiment):
+            with pytest.raises(ConfigError) as err:
+                check(config)
+            assert err.value.key == "p_u_dbw"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["bandwidth_hz", "pilot_noise_ratio"])
@@ -413,6 +468,27 @@ class TestParseConfig:
         except ConfigError:
             return
         assert parse_config(serialize_config(config)) == config
+
+
+class TestNoisePower:
+    def test_twenty_mhz_reference(self):
+        # -174 dBm/Hz over 20 MHz: -100.99 dBm
+        assert NetworkConfig().noise_power_w == pytest.approx(
+            7.96214341106994e-14, rel=1e-12
+        )
+
+    def test_one_hz_is_psd(self):
+        config = NetworkConfig(bandwidth_hz=1.0)
+        assert 10 * np.log10(config.noise_power_w * 1000) == pytest.approx(-174.0)
+
+    def test_doubling_bandwidth_adds_3db(self):
+        a = NetworkConfig(bandwidth_hz=1e7).noise_power_w
+        b = NetworkConfig(bandwidth_hz=2e7).noise_power_w
+        assert 10 * np.log10(b / a) == pytest.approx(10 * np.log10(2), rel=1e-12)
+
+    def test_pilot_noise_ratio(self):
+        config = NetworkConfig()
+        assert config.pilot_noise_power_w == pytest.approx(0.1 * config.noise_power_w, rel=1e-12)
 
 
 class TestEmitCsv:
@@ -832,6 +908,22 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key '{key}': ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "scenario, override, key",
+        [
+            ("fig10-finite-M", "antennas_sweep=18446744073709551616", "antennas_sweep"),
+            ("fig3/4-cdf-schemes", "p_u_dbw=-4000", "p_u_dbw"),
+            ("fig3/4-cdf-schemes", "p_u_dbw=4000", "p_u_dbw"),
+        ],
+    )
+    def test_out_of_range_override_names_its_key(
+        self, scenario, override, key, tmp_path, capsys
+    ):
+        args = [scenario, "--set", override, "--set", "num_large=2", "--set", "num_small=2"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value, code", [("866", 0), ("867", 1)])

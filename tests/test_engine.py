@@ -13,8 +13,6 @@ from oracles import scalar_large_scale
 from multicast_mimo.channel import (
     complex_gaussian,
     draw_beam_fading,
-    noise_power,
-    pilot_noise_power,
     project_beam_fading,
 )
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
@@ -164,7 +162,7 @@ def public_route(config, scheme, t, small_seed):
     n, k, m = config.cells, config.users_per_cell, config.antennas
     rng = np.random.default_rng(small_seed)
     cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
-    directions = route_directions(config, scheme, cs, pilot_noise_power(config), rng)
+    directions = route_directions(config, scheme, cs, config.pilot_noise_power_w, rng)
     if scheme == "perfect-optimal":
         beams = [
             optimal_beamformer_perfect(np.stack([cs.vector(j, j, u) for u in range(k)]), beta[j, j])
@@ -173,7 +171,7 @@ def public_route(config, scheme, t, small_seed):
     else:
         beams = [beamformer_from_estimate(d) for d in directions]
     powers = np.full(n, config.bs_power_w[0] / m)
-    sigma2 = noise_power(config)
+    sigma2 = config.noise_power_w
     sinrs = np.array([downlink_sinr(cs, beams, powers, sigma2, 0, u) for u in range(k)])
     return sinrs, cs, directions
 
@@ -222,7 +220,7 @@ def sinrs(config, beta, amplitudes):
     ``config`` on gains ``beta`` calls it: toward the evaluated cell's users,
     at the config's BS power and noise power."""
     eval_amp = np.sqrt(beta[..., :, engine._EVAL_CELL, :])
-    return sinr_from_amplitudes(amplitudes, eval_amp, config.bs_power_w[0], noise_power(config))
+    return sinr_from_amplitudes(amplitudes, eval_amp, config.bs_power_w[0], config.noise_power_w)
 
 
 def limit_sinrs(config, beta, ctx):
@@ -266,7 +264,7 @@ class TestReferenceRoute:
         config = NetworkConfig(cells=1, users_per_cell=1, antennas=10_000, E_dbw=(10.0,))
         beta = scalar_large_scale(config, 3)
         asym_db = 10 * np.log10(
-            config.bs_power_w[0] * beta[0, 0, 0] / noise_power(config)
+            config.bs_power_w[0] * beta[0, 0, 0] / config.noise_power_w
         )
         sinrs, _, _ = public_route(config, "perfect-optimal", 3, 4)
         assert 10 * np.log10(sinrs.min()) == pytest.approx(asym_db, abs=0.5)
@@ -576,8 +574,8 @@ def scalar_closed_forms(config, scheme, beta, kappas):
     n, _, k = beta.shape
     own = beta[0, 0]
     e = config.bs_power_w[0]
-    sigma2 = noise_power(config)
-    sigma_p2 = pilot_noise_power(config)
+    sigma2 = config.noise_power_w
+    sigma_p2 = config.pilot_noise_power_w
     length, p_u = config.pilot_length, config.peak_pilot_power_w
     if scheme == "perfect-optimal":
         return asymptotic.sinr_perfect_csi(optimal_lambdas(own), own, e, sigma2)
@@ -705,36 +703,65 @@ class TestAsymptoticBatch:
         )
 
 
-# One alternative value per NetworkConfig field.  Geometry fields select
-# another large-scale batch; every other field must share the cached one.
-GEOMETRY_FIELDS = {
+# One alternative value per NetworkConfig field, valid under every scheme
+# (with one offset per user under composite-async); every key and cache test
+# reads it through ``vary``.  Each field is either reset by the experiment
+# key, and then cannot change a sample, or kept, and then changes the
+# fingerprint.
+KEY_ALTERNATIVES = {
     "cells": 3,
     "users_per_cell": 2,
+    "antennas": 8,
     "radius_m": 800.0,
     "exclusion_m": 600.0,
     "pathloss_intercept_db": 130.0,
     "pathloss_slope": 35.0,
     "shadow_sigma_db": 6.0,
     "penetration_loss_db": 10.0,
-    "num_large": 3,
-    "master_seed": 2,
-}
-SHARING_FIELDS = {
-    "antennas": 16,
-    "E_dbw": (20.0, 30.0),
-    "p_u_dbw": 5.0,
-    "pilot_length": 12,
-    "scheme": "composite",
-    "async_offsets_s": (1e-7,) * 21,
-    "pilot_symbol_s": 1e-6,
-    "async_power_control": False,
-    "antennas_sweep": (10, 20),
-    "num_small": 7,
-    "output_dir": "elsewhere",
     "noise_psd_dbm_hz": -170.0,
     "bandwidth_hz": 10e6,
     "pilot_noise_ratio": 0.2,
+    "E_dbw": (20.0,),
+    "p_u_dbw": 5.0,
+    "pilot_length": 12,
+    "scheme": None,  # the next scheme of SCHEMES
+    "async_offsets_s": (1e-7,) * 21,
+    "pilot_symbol_s": 2e-6,
+    "async_power_control": False,
+    "antennas_sweep": (10, 20),
+    "num_large": 3,
+    "num_small": 7,
+    "master_seed": 2,
+    "output_dir": "elsewhere",
 }
+
+
+def vary(config, name):
+    """``config`` with field ``name`` set to its alternative value."""
+    value = KEY_ALTERNATIVES[name]
+    if name == "scheme":
+        value = SCHEMES[(SCHEMES.index(config.scheme) + 1) % len(SCHEMES)]
+    varied = replace(config, **{name: value})
+    users = varied.cells * varied.users_per_cell
+    if varied.scheme == "composite-async" and len(varied.async_offsets_s) != users:
+        varied = replace(varied, async_offsets_s=varied.async_offsets_s[:users])
+    return varied
+
+
+# NetworkConfig fields that select another large-scale batch; every other
+# field shares the cached one.
+GEOMETRY_FIELDS = (
+    "cells",
+    "users_per_cell",
+    "radius_m",
+    "exclusion_m",
+    "pathloss_intercept_db",
+    "pathloss_slope",
+    "shadow_sigma_db",
+    "penetration_loss_db",
+    "num_large",
+    "master_seed",
+)
 
 
 class TestSharedBatch:
@@ -745,13 +772,14 @@ class TestSharedBatch:
 
     def test_key_is_exactly_the_geometry(self):
         names = [f.name for f in fields(NetworkConfig)]
-        assert sorted(names) == sorted(list(GEOMETRY_FIELDS) + list(SHARING_FIELDS))
+        assert sorted(names) == sorted(KEY_ALTERNATIVES)
+        assert set(GEOMETRY_FIELDS) <= set(names)
         base = NetworkConfig(num_large=2)
         for name in names:
-            alternative = {**GEOMETRY_FIELDS, **SHARING_FIELDS}[name]
-            assert getattr(base, name) != alternative, name
+            varied = vary(base, name)
+            assert getattr(base, name) != getattr(varied, name), name
             first = large_scale_batch(base)
-            other = large_scale_batch(replace(base, **{name: alternative}))
+            other = large_scale_batch(varied)
             if name in GEOMETRY_FIELDS:
                 assert other is not first, name
                 assert other.shape != first.shape or not np.array_equal(other, first), name
@@ -814,13 +842,14 @@ class TestSharedDraws:
             z[0, 0, 0, 0] = 1.0
 
     def test_key_is_exactly_the_draw_fields(self):
-        alternatives = {**GEOMETRY_FIELDS, **SHARING_FIELDS, "antennas": 8}
-        assert sorted(alternatives) == sorted(f.name for f in fields(NetworkConfig))
+        names = [f.name for f in fields(NetworkConfig)]
+        assert sorted(names) == sorted(KEY_ALTERNATIVES)
         base = NetworkConfig(antennas=16, num_small=2)
-        for name, alternative in alternatives.items():
-            assert getattr(base, name) != alternative, name
+        for name in names:
+            varied = vary(base, name)
+            assert getattr(base, name) != getattr(varied, name), name
             first = engine._draw_block(base, 0, 2)
-            other = engine._draw_block(replace(base, **{name: alternative}), 0, 2)
+            other = engine._draw_block(varied, 0, 2)
             if name in DRAW_FIELDS:
                 assert other is not first, name
                 assert not all(
@@ -963,7 +992,7 @@ class TestRunExperiments:
         amplitudes = engine._beam_directions(ctx)[:, None]
         eval_amp = np.sqrt(beta[..., :, 0, :])[:, None]
         powers = np.array([0.3, 10.0, 1e3])
-        sigma2 = noise_power(config)
+        sigma2 = config.noise_power_w
         got = sinr_from_amplitudes(amplitudes, eval_amp, powers.reshape(-1, 1, 1, 1, 1), sigma2)
         gains = np.abs(amplitudes[..., :-1]) ** 2
         for row, power in zip(got, powers):
@@ -995,50 +1024,6 @@ class TestRunExperiments:
             engine.run_experiments(configs + [replace(base, num_large=0)])
         assert err.value.key == "num_large"
         assert built == []
-
-
-# One alternative value per NetworkConfig field, valid under every scheme
-# (with one offset per user under composite-async).  Each field is either
-# reset by the experiment key, and then cannot change a sample, or kept, and
-# then changes the fingerprint.
-KEY_ALTERNATIVES = {
-    "cells": 3,
-    "users_per_cell": 2,
-    "antennas": 8,
-    "radius_m": 800.0,
-    "exclusion_m": 600.0,
-    "pathloss_intercept_db": 130.0,
-    "pathloss_slope": 35.0,
-    "shadow_sigma_db": 6.0,
-    "penetration_loss_db": 10.0,
-    "noise_psd_dbm_hz": -170.0,
-    "bandwidth_hz": 10e6,
-    "pilot_noise_ratio": 0.2,
-    "E_dbw": (20.0,),
-    "p_u_dbw": 5.0,
-    "pilot_length": 12,
-    "scheme": None,  # the next scheme of SCHEMES
-    "async_offsets_s": (1e-7,) * 21,
-    "pilot_symbol_s": 2e-6,
-    "async_power_control": False,
-    "antennas_sweep": (10, 20),
-    "num_large": 3,
-    "num_small": 7,
-    "master_seed": 2,
-    "output_dir": "elsewhere",
-}
-
-
-def vary(config, name):
-    """``config`` with field ``name`` set to its alternative value."""
-    value = KEY_ALTERNATIVES[name]
-    if name == "scheme":
-        value = SCHEMES[(SCHEMES.index(config.scheme) + 1) % len(SCHEMES)]
-    varied = replace(config, **{name: value})
-    users = varied.cells * varied.users_per_cell
-    if varied.scheme == "composite-async" and len(varied.async_offsets_s) != users:
-        varied = replace(varied, async_offsets_s=varied.async_offsets_s[:users])
-    return varied
 
 
 # Fingerprints of every scheme at one asymptotic and one finite-M config.

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from multicast_mimo.geometry import (
+    MAX_RADIUS_M,
     build_hex_layout,
     distance_m,
     drop_users,
@@ -61,6 +62,18 @@ class TestBuildHexLayout:
             # an infinite radius would draw users without end
             with pytest.raises(ValueError, match="radius_m must be positive and finite"):
                 drop_users(build_hex_layout(1, 1000.0), radius_m, 3, 100.0, rng_seed=0)
+
+    def test_radius_bound_keeps_the_drop_box_finite(self):
+        # the drop's bounding box spans 2 * radius_m: finite at the bound,
+        # inf just past it, where no candidate was admissible and the drop
+        # never returned
+        assert np.isfinite(2 * MAX_RADIUS_M)
+        assert np.isfinite(build_hex_layout(7, MAX_RADIUS_M)).all()
+        pos = drop_users(build_hex_layout(1, MAX_RADIUS_M), MAX_RADIUS_M, 3, 100.0, rng_seed=0)
+        assert np.isfinite(pos).all()
+        for radius_m in (np.nextafter(MAX_RADIUS_M, np.inf), 9e307):
+            with pytest.raises(ValueError, match="radius_m must be positive and finite"):
+                build_hex_layout(7, radius_m)
 
 
 def uniform_rejection_drop(centers, r, users_per_cell, exclusion_m, seed):

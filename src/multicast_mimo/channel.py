@@ -10,11 +10,12 @@ gamma and one complex normal per channel (``draw_beam_fading``), which do
 not depend on the beam, and projects them onto the beam's direction to get
 the normalized amplitudes that its unit beam delivers along each channel
 (``project_beam_fading``), which computes into one complex result array
-in place.  Given a sequence of generators, the draws stack one row per
-generator: only the draws stay per realization.  The engine gives
-realization t one generator per stream, ``np.random.default_rng(
-[master_seed, s, t])``: s = 2 for its shadowing (``shadowing_db``) and
-s = 3 for its fast fading.
+in place.  The three samplers take a sequence of T generators, as
+``seeding.make_rngs`` returns them, and stack one row per generator: row t
+is what generator t alone gives, and only the draws stay per realization.
+The engine gives realization t one generator per stream,
+``np.random.default_rng([master_seed, s, t])``: s = 2 for its shadowing
+(``shadowing_db``) and s = 3 for its fast fading.
 
 Loss terms are combined in the dB domain and converted to linear once, since
 typical gains near 1e-15 would otherwise lose precision; ``large_scale_gains``
@@ -28,19 +29,10 @@ import numpy as np
 from .geometry import distance_m
 
 
-def _generators(rng):
-    """``(generators, single)``: one generator as a list of one, or a sequence."""
-    single = np.ndim(rng) == 0
-    return ([rng] if single else list(rng)), single
-
-
-def complex_gaussian(rng, shape, variance: float = 1.0):
-    """Circularly symmetric complex Gaussian array, per-entry variance ``variance``.
-
-    ``rng`` is one generator, or a sequence of T generators stacked on a
-    leading axis: row t is what generator t alone gives, real parts first.
-    """
-    rngs, single = _generators(rng)
+def complex_gaussian(rngs, shape, variance: float = 1.0):
+    """(T, *shape) circularly symmetric complex Gaussian draws of per-entry
+    variance ``variance`` from T generators ``rngs``: row t is generator
+    t's, real parts first."""
     parts = np.empty((len(rngs), 2, *np.atleast_1d(shape)))
     for generator, (real, imag) in zip(rngs, parts):
         generator.standard_normal(out=real)
@@ -48,26 +40,24 @@ def complex_gaussian(rng, shape, variance: float = 1.0):
     z = np.empty(parts[:, 0].shape, dtype=complex)
     z.real, z.imag = parts[:, 0], parts[:, 1]
     z *= np.sqrt(variance / 2.0)
-    return z[0] if single else z
+    return z
 
 
-def draw_beam_fading(rng, m: int, shape, count: int):
-    """Raw fast fading of ``count`` draws of unit beams of ``shape``: ``(g, z)``.
+def draw_beam_fading(rngs, m: int, shape, count: int):
+    """Raw fast fading of ``count`` draws of unit beams of ``shape`` from
+    each of T generators ``rngs``: ``(g, z)``.
 
-    ``g ~ Gamma(m, 1)`` has shape ``(count, *shape[:-1])`` and is drawn
-    first; ``z ~ CN(0, I)`` has shape ``(count, *shape)``.  Nothing here
+    ``g ~ Gamma(m, 1)`` has shape ``(T, count, *shape[:-1])`` and is drawn
+    first; ``z ~ CN(0, I)`` has shape ``(T, count, *shape)``.  Nothing here
     depends on the beam directions, so one draw serves every beam of that
-    shape; ``project_beam_fading`` turns it into amplitudes.  A sequence of
-    generators, as in ``complex_gaussian``, stacks one row per generator.
+    shape; ``project_beam_fading`` turns it into amplitudes.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    rngs, single = _generators(rng)
     g = np.empty((len(rngs), count) + tuple(shape[:-1]))
     for generator, row in zip(rngs, g):
         generator.standard_gamma(m, out=row)
-    z = complex_gaussian(rngs, (count,) + tuple(shape))
-    return (g[0], z[0]) if single else (g, z)
+    return g, complex_gaussian(rngs, (count,) + tuple(shape))
 
 
 def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -95,12 +85,14 @@ def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> 
     return out
 
 
-def shadowing_db(sigma_db: float, num_cells: int, rng) -> np.ndarray:
-    """(N, N) shadowing [dB] of each (BS, cell) pair with standard deviation
-    ``sigma_db``, drawn in row-major order from ``np.random.default_rng(rng)``:
-    ``rng`` itself if it is a generator.  A ``sigma_db`` of -0.0 draws as 0.0,
-    which numpy's ``normal`` would reject as a negative scale."""
-    return np.random.default_rng(rng).normal(0.0, sigma_db + 0.0, (num_cells, num_cells))
+def shadowing_db(sigma_db: float, num_cells: int, rngs) -> np.ndarray:
+    """(T, N, N) shadowing [dB] of each (BS, cell) pair with standard
+    deviation ``sigma_db`` from T generators ``rngs``, each row drawn in
+    row-major order.  A ``sigma_db`` of -0.0 draws as 0.0, which numpy's
+    ``normal`` would reject as a negative scale."""
+    return np.stack(
+        [rng.normal(0.0, sigma_db + 0.0, (num_cells, num_cells)) for rng in rngs]
+    )
 
 
 def large_scale_gains(

@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="override a single config key (repeatable; wins over --config)",
     )
-    parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     return parser
 
@@ -47,8 +46,6 @@ def _resolve_config(args) -> NetworkConfig:
             raise ConfigError(item, "expected KEY=VALUE")
         key, _, value = item.partition("=")
         pairs[key.strip()] = value.strip()
-    if args.seed is not None:
-        pairs["master_seed"] = str(args.seed)
     if pairs:
         config = apply_overrides(config, pairs)
     return config

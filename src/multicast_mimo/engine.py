@@ -157,16 +157,21 @@ class _TrialContext:
     sigma_p2: float
 
 
+def _nonzero_own_gains(config: NetworkConfig, own: np.ndarray) -> np.ndarray:
+    """The (..., N, K) own-cell gains ``own`` of a rule that divides by each
+    of them; one that underflowed to 0 raises, naming its realization."""
+    zero = ~np.all(own > 0, axis=(-2, -1))
+    if np.any(zero):
+        raise _sinr_error(config, "zero own-cell gain", int(np.flatnonzero(zero)[0]))
+    return own
+
+
 def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
     """(..., N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
     p_u = config.peak_pilot_power_w
     if not controlled:
         return np.full(own.shape, p_u)
-    # The rule divides by each gain; one that underflowed to 0 has no power.
-    zero = ~np.all(own > 0, axis=(-2, -1))
-    if np.any(zero):
-        raise _sinr_error(config, "zero own-cell gain", int(np.flatnonzero(zero)[0]))
-    return optimal_pilot_powers(own, p_u)
+    return optimal_pilot_powers(_nonzero_own_gains(config, own), p_u)
 
 
 def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialContext:
@@ -184,7 +189,7 @@ def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialConte
     weights = np.zeros(beta.shape)
     noise_combiner = None
     if scheme == "perfect-optimal":
-        weights[..., cells, cells, :] = 1.0 / np.sqrt(own)
+        weights[..., cells, cells, :] = 1.0 / np.sqrt(_nonzero_own_gains(config, own))
     elif scheme == "perfect-equal":
         weights[..., cells, cells, :] = np.sqrt(own)
     elif scheme == "individual-pilot":
@@ -332,7 +337,7 @@ def _cached_batch(
     positions_rngs = make_rngs(master_seed, _POSITIONS_STREAM, realizations)
     positions = drop_users(centers, radius_m, users_per_cell, exclusion_m, positions_rngs)
     shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
-    shadow_db = np.stack([shadowing_db(sigma_db, cells, rng) for rng in shadowing_rngs])
+    shadow_db = shadowing_db(sigma_db, cells, shadowing_rngs)
     beta = large_scale_gains(
         centers, positions, shadow_db, intercept_db, slope, penetration_db
     )
@@ -431,8 +436,8 @@ def run_experiments(configs) -> list[SinrReport]:
     raises ``ArithmeticError`` naming the power, the first bad realization,
     the master seed and, at finite M, the draw; so does a realization whose
     mean minimum SINR is zero, which has no dB value, or overflows, and one
-    with a zero own-cell gain, which the pilot power-control rule cannot
-    serve.
+    with a zero own-cell gain, which the pilot power-control rule and the
+    perfect-CSI optimal beam divide by.
     """
     configs = list(configs)
     for config in configs:

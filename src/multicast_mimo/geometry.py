@@ -5,15 +5,16 @@ edge, so neighboring base stations sit at distance sqrt(3) * radius.  Users
 are dropped uniformly over their hexagon minus an inner exclusion disk around
 the base station.  The disk may be at most as wide as the hexagon's inscribed
 circle (``inscribed_radius``, the one bound that ``drop_users`` and
-``config.validate_config`` both read).  ``drop_users`` returns the positions
-as one plain array; it tests the first round of a whole batch of
-realizations at once, and only the generator draws stay per realization.
-The engine gives realization t the positions generator
-``np.random.default_rng([master_seed, 1, t])``.  A layout is the plain
-(N, 2) array of base-station centres that ``build_hex_layout`` returns;
-both functions take the cell radius itself and reject one that is not
-positive or above ``MAX_RADIUS_M``, the one bound on it that
-``config.validate_config`` reads too.
+``config.validate_config`` both read).  ``drop_users`` takes a sequence of
+T generators, as ``seeding.make_rngs`` returns them, and returns the (T, N,
+K, 2) positions as one plain array, row t being what generator t alone
+gives; it tests the first round of every realization at once, and only the
+generator draws stay per realization.  The engine gives realization t the
+positions generator ``np.random.default_rng([master_seed, 1, t])``.  A
+layout is the plain (N, 2) array of base-station centres that
+``build_hex_layout`` returns; both functions take the cell radius itself
+and reject one that is not positive or above ``MAX_RADIUS_M``, the one
+bound on it that ``config.validate_config`` reads too.
 """
 
 import numpy as np
@@ -83,7 +84,7 @@ def drop_users(
     radius_m: float,
     users_per_cell: int,
     exclusion_radius_m: float,
-    rng_seed,
+    rngs,
 ) -> np.ndarray:
     """Drop users uniformly over each hexagon of radius ``radius_m`` around
     the (N, 2) ``centers`` minus the inner exclusion disk.
@@ -93,13 +94,11 @@ def drop_users(
     order and are shifted onto their centres.  The acceptance probability is
     about 0.75, so the expected number of draws per accepted user is below 2.
 
-    ``rng_seed`` is one int seed or generator, as ``np.random.default_rng``
-    takes it, giving (N, K, 2) positions, or a sequence of T of them, giving
-    (T, N, K, 2) positions whose row t is what seed t alone gives.  Each
-    realization draws its first round from its own generator; the rounds
-    are stacked and tested at once, and only a realization still short of
-    users draws again, alone.  A disk wider than ``inscribed_radius`` is
-    rejected.
+    The T generators ``rngs`` give (T, N, K, 2) positions whose row t is
+    what generator t alone gives.  Each realization draws its first round
+    from its own generator; the rounds are stacked and tested at once, and
+    only a realization still short of users draws again, alone.  A disk
+    wider than ``inscribed_radius`` is rejected.
     """
     _check_radius(radius_m)
     if users_per_cell < 1:
@@ -109,8 +108,6 @@ def drop_users(
             f"exclusion_radius_m={exclusion_radius_m} must not exceed the inscribed "
             f"radius sqrt(3)/2 * {radius_m} of the cell"
         )
-    single = np.ndim(rng_seed) == 0
-    rngs = [np.random.default_rng(seed) for seed in ([rng_seed] if single else rng_seed)]
     total = len(centers) * users_per_cell
     # Offsets are Generator.uniform(low, high) draws, low + (high - low) * u,
     # with u drawn into one block for all realizations.
@@ -138,8 +135,7 @@ def drop_users(
             more = more[admissible(more)][: total - accepted]
             offsets[t, accepted : accepted + len(more)] = more
             accepted += len(more)
-    pos = offsets.reshape(-1, len(centers), users_per_cell, 2) + centers[:, None]
-    return pos[0] if single else pos
+    return offsets.reshape(-1, len(centers), users_per_cell, 2) + centers[:, None]
 
 
 def distance_m(a, b):

@@ -18,9 +18,10 @@ from reference_route import large_scale_tensor
 
 def scalar_large_scale(config, t):
     """(N, N, K) gains of realization ``t`` of ``config.master_seed``, on the
-    reference route's one-realization form: ``drop_users`` with the generator
-    ``default_rng([master_seed, POSITIONS, t])``, then ``large_scale_tensor``
-    with ``default_rng([master_seed, SHADOWING, t])``."""
+    reference route's one-realization form: the one-row stack of
+    ``drop_users`` with the generator ``default_rng([master_seed, POSITIONS,
+    t])``, then ``large_scale_tensor`` with ``default_rng([master_seed,
+    SHADOWING, t])``."""
     centers = build_hex_layout(config.cells, config.radius_m)
     seed = config.master_seed
     positions = drop_users(
@@ -28,10 +29,10 @@ def scalar_large_scale(config, t):
         config.radius_m,
         config.users_per_cell,
         config.exclusion_m,
-        np.random.default_rng([seed, engine._POSITIONS_STREAM, t]),
+        [np.random.default_rng([seed, engine._POSITIONS_STREAM, t])],
     )
     shadowing = np.random.default_rng([seed, engine._SHADOWING_STREAM, t])
-    return large_scale_tensor(centers, positions, config, shadowing)
+    return large_scale_tensor(centers, positions[0], config, shadowing)
 
 
 @lru_cache(maxsize=None)

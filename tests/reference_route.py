@@ -143,18 +143,18 @@ class ChannelState:
 
 
 def large_scale_tensor(
-    centers: np.ndarray, positions: np.ndarray, config: NetworkConfig, shadowing_seed
+    centers: np.ndarray, positions: np.ndarray, config: NetworkConfig, shadowing_rng
 ) -> np.ndarray:
     """Gains beta[i, j, k] for every (BS i, user k of cell j) pair of one
     realization: ``large_scale_gains`` on the (N, 2) base-station
-    ``centers`` and the (N, K, 2) ``positions`` of one ``drop_users`` call
-    on them, with ``config``'s path-loss and penetration keys,
-    on ``shadowing_db(config.shadow_sigma_db, n, shadowing_seed)``, an int
-    seed or a generator."""
+    ``centers`` and the (N, K, 2) positions of one realization of
+    ``drop_users`` on them, with ``config``'s path-loss and penetration
+    keys, on the one-row stack ``shadowing_db(config.shadow_sigma_db, n,
+    [shadowing_rng])`` of the generator ``shadowing_rng``."""
     n = len(centers)
     if positions.shape[:-2] != (n,):
         raise ValueError(f"positions of shape {positions.shape} are not one drop of {n} cells")
-    shadow_db = shadowing_db(config.shadow_sigma_db, n, shadowing_seed)
+    shadow_db = shadowing_db(config.shadow_sigma_db, n, [shadowing_rng])[0]
     return large_scale_gains(
         centers,
         positions,
@@ -244,7 +244,8 @@ def uplink_rx(
     g = np.sqrt(channels.beta[cell])[..., None] * channels.h[cell]  # (N, K, M)
     y = np.einsum("lkm,lkt->mt", g, scale[..., None] * rows)
     if noise_sigma_p2 > 0:
-        y = y + complex_gaussian(np.random.default_rng(rng_seed), (m, book.length), noise_sigma_p2)
+        rngs = [np.random.default_rng(rng_seed)]
+        y = y + complex_gaussian(rngs, (m, book.length), noise_sigma_p2)[0]
     return y
 
 

@@ -173,7 +173,7 @@ def test_criterion_05_composite_estimate_contamination_free():
         n, k, m = 3, 2, 64
         beta = rng.lognormal(0, 1, (n, n, k))
         assert np.all(beta > 0)  # cross-cell channels really present
-        cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
+        cs = ChannelState(beta=beta, h=complex_gaussian([rng], (n, n, k, m))[0])
         powers = rng.uniform(0.1, 1.0, (n, k))
         book = make_pilot_book("per-cell", n, k, 8, peak_power=1.0, powers=powers)
         y = uplink_rx(cs, book, 0, 0.0, 1)
@@ -358,8 +358,8 @@ def test_criterion_11_law_of_large_numbers():
     self_ok, cross_ok = 0, 0
     for _ in range(100):
         var_x, var_y = rng.uniform(0.5, 2.0, 2)
-        x = complex_gaussian(rng, (n,), var_x)
-        y = complex_gaussian(rng, (n,), var_y)
+        x = complex_gaussian([rng], (n,), var_x)[0]
+        y = complex_gaussian([rng], (n,), var_y)[0]
         if abs(np.vdot(x, x).real / n - var_x) < 0.02 * var_x:
             self_ok += 1
         if abs(np.vdot(x, y)) / n < 0.02 * np.sqrt(var_x * var_y):

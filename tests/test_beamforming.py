@@ -46,13 +46,13 @@ class TestOptimalLambdas:
 class TestBeamformers:
     def test_single_user_is_matched_filter(self):
         rng = np.random.default_rng(0)
-        g = complex_gaussian(rng, (1, 32))
+        g = complex_gaussian([rng], (1, 32))[0]
         bf = optimal_beamformer_perfect(g, [0.5])
         assert np.allclose(bf, g[0] / np.linalg.norm(g[0]))
 
     def test_equal_gains_equal_weights(self):
         rng = np.random.default_rng(1)
-        g = complex_gaussian(rng, (2, 32))
+        g = complex_gaussian([rng], (2, 32))[0]
         bf = optimal_beamformer_perfect(g, [1.0, 1.0])
         expect = g.sum(axis=0)
         assert np.allclose(bf, expect / np.linalg.norm(expect))
@@ -63,7 +63,7 @@ class TestBeamformers:
         rng = np.random.default_rng(2)
         m = 10_000
         betas = np.array([1.0, 0.25, 2.0])
-        g = np.sqrt(betas)[:, None] * complex_gaussian(rng, (3, m))
+        g = np.sqrt(betas)[:, None] * complex_gaussian([rng], (3, m))[0]
         combined = (g / betas[:, None]).sum(axis=0)
         mu = 1.0 / np.sqrt(m * np.sum(1.0 / betas))
         assert np.linalg.norm(mu * combined) == pytest.approx(1.0, abs=0.05)
@@ -74,7 +74,7 @@ class TestBeamformers:
         rng = np.random.default_rng(3)
         m = 100_000
         betas = np.array([1.0, 0.25, 2.0])
-        g = np.sqrt(betas)[:, None] * complex_gaussian(rng, (3, m))
+        g = np.sqrt(betas)[:, None] * complex_gaussian([rng], (3, m))[0]
         bf = optimal_beamformer_perfect(g, betas)
         gains = np.abs(g.conj() @ bf) ** 2 / m
         expected = np.min(optimal_lambdas(betas) * betas)
@@ -82,7 +82,7 @@ class TestBeamformers:
 
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(4)
-        g = complex_gaussian(rng, (3, 16))
+        g = complex_gaussian([rng], (3, 16))[0]
         betas = rng.lognormal(0, 1, 3)
         bf = optimal_beamformer_perfect(g, betas)
         for scale in (1e-6, 3.0, 1e6):
@@ -91,7 +91,7 @@ class TestBeamformers:
     def test_basis_weight_selects_single_channel(self):
         # a user far weaker than the rest takes the whole beam
         rng = np.random.default_rng(5)
-        g = complex_gaussian(rng, (3, 16))
+        g = complex_gaussian([rng], (3, 16))[0]
         bf = optimal_beamformer_perfect(g, [1e-12, 1.0, 1.0])
         assert np.allclose(bf, g[0] / np.linalg.norm(g[0]), rtol=0, atol=1e-9)
 
@@ -99,7 +99,7 @@ class TestBeamformers:
         rng = np.random.default_rng(6)
         for _ in range(50):
             k, m = rng.integers(1, 6), rng.integers(2, 40)
-            g = complex_gaussian(rng, (k, m))
+            g = complex_gaussian([rng], (k, m))[0]
             betas = rng.lognormal(0, 1, k)
             assert np.linalg.norm(optimal_beamformer_perfect(g, betas)) == pytest.approx(
                 1.0, abs=1e-9
@@ -107,7 +107,7 @@ class TestBeamformers:
 
     def test_estimate_normalization_and_scale_invariance(self):
         rng = np.random.default_rng(7)
-        est = complex_gaussian(rng, (24,))
+        est = complex_gaussian([rng], (24,))[0]
         a = beamformer_from_estimate(est)
         b = beamformer_from_estimate(10.0 * est)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)

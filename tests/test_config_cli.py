@@ -896,6 +896,21 @@ class TestCli:
         assert "'exclusion_m'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_vanishing_own_cell_gain_is_named(self, tmp_path, capsys):
+        # every path gain underflows to 0 at this radius, and the optimal
+        # perfect-CSI beam, the preset's first curve, divides by its own
+        args = ["fig2-cdf-perfect", "--set", "radius_m=1e200", "--set", "num_large=2"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: zero own-cell gain at E_dbw = 10 in realization 0 (master seed 1)\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_no_seed_option(self, tmp_path):
+        # the master seed is set like any key: --set master_seed=N
+        with pytest.raises(SystemExit) as err:
+            main(["fig2-cdf-perfect", "--seed", "3", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -941,8 +956,8 @@ class TestCli:
                 "fig3/4-cdf-schemes",
                 "--set",
                 "num_large=5",
-                "--seed",
-                "123",
+                "--set",
+                "master_seed=123",
                 "--out",
                 str(out1),
             ]

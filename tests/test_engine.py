@@ -61,7 +61,7 @@ class TestEmpiricalCdf:
 class TestDownlinkSinr:
     def make_state(self, rng, n=3, k=2, m=24):
         beta = rng.lognormal(0, 1, (n, n, k)) * 1e-12
-        h = complex_gaussian(rng, (n, n, k, m))
+        h = complex_gaussian([rng], (n, n, k, m))[0]
         return ChannelState(beta=beta, h=h)
 
     def test_single_cell_formula(self):
@@ -161,7 +161,7 @@ def public_route(config, scheme, t, small_seed):
     beta = scalar_large_scale(config, t)
     n, k, m = config.cells, config.users_per_cell, config.antennas
     rng = np.random.default_rng(small_seed)
-    cs = ChannelState(beta=beta, h=complex_gaussian(rng, (n, n, k, m)))
+    cs = ChannelState(beta=beta, h=complex_gaussian([rng], (n, n, k, m))[0])
     directions = route_directions(config, scheme, cs, config.pilot_noise_power_w, rng)
     if scheme == "perfect-optimal":
         beams = [
@@ -235,11 +235,14 @@ def fading_draw(ctx, m, small_seed):
     CSI)."""
     n, _, k = ctx.weights.shape
     rng = np.random.default_rng(small_seed)
-    h = complex_gaussian(rng, (n, n, k, m))
+    h = complex_gaussian([rng], (n, n, k, m))[0]
     if ctx.noise_combiner is None:
         return h, None
     length = ctx.noise_combiner.shape[1]
-    noise = [complex_gaussian(rng, (m, length), ctx.sigma_p2) @ ctx.noise_combiner[i] for i in range(n)]
+    noise = [
+        complex_gaussian([rng], (m, length), ctx.sigma_p2)[0] @ ctx.noise_combiner[i]
+        for i in range(n)
+    ]
     return h, np.stack(noise)
 
 
@@ -318,7 +321,7 @@ class TestGramRoute:
         config = replace(gram_route_config(antennas), num_large=3)
         u = engine._beam_directions(context(config, scheme, large_scale_batch(config)))
         rng = np.random.default_rng(antennas)
-        x = complex_gaussian(rng, u.shape[:-1] + (antennas, u.shape[-1]))  # (T, N, M, K+1)
+        x = complex_gaussian([rng], u.shape[:-1] + (antennas, u.shape[-1]))[0]  # (T, N, M, K+1)
         xu = np.einsum("...mp,...p->...m", x, u)
         norm = np.linalg.norm(xu, axis=-1)
         t = np.einsum("...mp,...m->...p", x.conj(), xu) / norm[..., None]
@@ -350,8 +353,8 @@ class TestGramRoute:
         amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
         explicit = sinrs(config, beta, amplitudes)
         directions = engine._beam_directions(ctx)
-        g, z = draw_beam_fading(np.random.default_rng(41), 16, directions.shape, draws)
-        sampled = sinrs(config, beta, project_beam_fading(16, directions, g, z))
+        g, z = draw_beam_fading([np.random.default_rng(41)], 16, directions.shape, draws)
+        sampled = sinrs(config, beta, project_beam_fading(16, directions, g[0], z[0]))
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
     @settings(max_examples=60, deadline=None)
@@ -494,8 +497,8 @@ class TestRunExperiment:
             ctx = context(config, "composite", beta)
             directions = engine._beam_directions(ctx)
             rng = np.random.default_rng([config.master_seed, engine._FADING_STREAM, t])
-            g, z = draw_beam_fading(rng, 16, directions.shape, 3)
-            amplitudes = project_beam_fading(16, directions, g, z)
+            g, z = draw_beam_fading([rng], 16, directions.shape, 3)
+            amplitudes = project_beam_fading(16, directions, g[0], z[0])
             acc = sum(sinrs(config, beta, amplitudes[s]).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
@@ -693,7 +696,7 @@ class TestAsymptoticBatch:
         ctx = context(config, scheme, beta)
         u = engine._beam_directions(ctx)
         m = 8
-        x = complex_gaussian(np.random.default_rng(5), u.shape[:-1] + (m, u.shape[-1]))
+        x = complex_gaussian([np.random.default_rng(5)], u.shape[:-1] + (m, u.shape[-1]))[0]
         q, _ = np.linalg.qr(x)
         xu = np.sqrt(m) * (q @ u[..., None])
         amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
@@ -1207,14 +1210,13 @@ class TestNonFiniteSinr:
     def test_zero_noise_or_gain_raises_no_warning_first(self, overrides, scheme):
         # a zero noise power or zero gains divide by zero on the way to the
         # SINRs, infinite gains overflow, and the pilot power-control rule
-        # divides by each own-cell gain; the documented error comes without a
-        # RuntimeWarning
+        # and the perfect-CSI optimal beam divide by each own-cell gain; the
+        # documented error comes without a RuntimeWarning
         # zero offsets: the asynchronous pilots arrive in sync
         synchronous = NetworkConfig(
             num_large=3, async_offsets_s=(0.0,) * 21, pilot_symbol_s=1e-6
         )
-        controlled = scheme != "perfect-optimal"
-        if controlled and "pathloss_intercept_db" in overrides:
+        if "pathloss_intercept_db" in overrides:
             what = "zero own-cell gain"
         else:
             what = "non-finite SINR"
@@ -1259,9 +1261,12 @@ class TestConvergenceProperties:
         for m in (100, 400, 1600):
             ratios = []
             for trial in range(30):
-                users = drop_users(centers, 1000.0, 2, 100.0, 1000 + trial)
-                beta = large_scale_tensor(centers, users, config, 2000 + trial)
-                h = complex_gaussian(np.random.default_rng(3000 + trial), beta.shape + (m,))
+                drop, shadowing, fading = (
+                    np.random.default_rng(seed + trial) for seed in (1000, 2000, 3000)
+                )
+                users = drop_users(centers, 1000.0, 2, 100.0, [drop])[0]
+                beta = large_scale_tensor(centers, users, config, shadowing)
+                h = complex_gaussian([fading], beta.shape + (m,))[0]
                 cs = ChannelState(beta=beta, h=h)
                 beams = [
                     optimal_beamformer_perfect(

@@ -61,7 +61,8 @@ class TestBuildHexLayout:
                 build_hex_layout(7, radius_m)
             # an infinite radius would draw users without end
             with pytest.raises(ValueError, match="radius_m must be positive and finite"):
-                drop_users(build_hex_layout(1, 1000.0), radius_m, 3, 100.0, rng_seed=0)
+                rngs = [np.random.default_rng(0)]
+                drop_users(build_hex_layout(1, 1000.0), radius_m, 3, 100.0, rngs)
 
     def test_radius_bound_keeps_the_drop_box_finite(self):
         # the drop's bounding box spans 2 * radius_m: finite at the bound,
@@ -69,7 +70,8 @@ class TestBuildHexLayout:
         # never returned
         assert np.isfinite(2 * MAX_RADIUS_M)
         assert np.isfinite(build_hex_layout(7, MAX_RADIUS_M)).all()
-        pos = drop_users(build_hex_layout(1, MAX_RADIUS_M), MAX_RADIUS_M, 3, 100.0, rng_seed=0)
+        rngs = [np.random.default_rng(0)]
+        pos = drop_users(build_hex_layout(1, MAX_RADIUS_M), MAX_RADIUS_M, 3, 100.0, rngs)
         assert np.isfinite(pos).all()
         for radius_m in (np.nextafter(MAX_RADIUS_M, np.inf), 9e307):
             with pytest.raises(ValueError, match="radius_m must be positive and finite"):
@@ -98,7 +100,8 @@ class TestDropUsers:
     def test_is_the_uniform_rejection_loop(self, cells, users, exclusion_m):
         centers = build_hex_layout(cells, 1000.0)
         for seed in (0, 5, 2**63 + 11):
-            got = drop_users(centers, 1000.0, users, exclusion_m, seed)
+            rngs = [np.random.default_rng(seed)]
+            got = drop_users(centers, 1000.0, users, exclusion_m, rngs)[0]
             expected = uniform_rejection_drop(centers, 1000.0, users, exclusion_m, seed)
             assert np.array_equal(got, expected)
 
@@ -107,20 +110,23 @@ class TestDropUsers:
     def test_rows_of_a_seed_sequence_are_the_single_seed_drops(self, cells, users, exclusion_m):
         centers = build_hex_layout(cells, 1000.0)
         seeds = [0, 5, 2**63 + 11, 5]
-        stacked = drop_users(centers, 1000.0, users, exclusion_m, seeds)
+        stacked = drop_users(
+            centers, 1000.0, users, exclusion_m, [np.random.default_rng(s) for s in seeds]
+        )
         assert stacked.shape == (len(seeds), cells, users, 2)
         for row, seed in zip(stacked, seeds):
-            assert np.array_equal(row, drop_users(centers, 1000.0, users, exclusion_m, seed))
+            alone = drop_users(centers, 1000.0, users, exclusion_m, [np.random.default_rng(seed)])
+            assert np.array_equal(row, alone[0])
 
     def test_same_seed_is_bit_identical(self):
         centers = build_hex_layout(7, 1000.0)
-        a = drop_users(centers, 1000.0, 3, 100.0, rng_seed=123)
-        b = drop_users(centers, 1000.0, 3, 100.0, rng_seed=123)
+        a = drop_users(centers, 1000.0, 3, 100.0, [np.random.default_rng(123)])
+        b = drop_users(centers, 1000.0, 3, 100.0, [np.random.default_rng(123)])
         assert np.array_equal(a, b)
 
     def test_respects_hexagon_and_exclusion_disk(self):
         centers = build_hex_layout(7, 1000.0)
-        users = drop_users(centers, 1000.0, 200, 100.0, rng_seed=5)
+        users = drop_users(centers, 1000.0, 200, 100.0, [np.random.default_rng(5)])[0]
         for i, center in enumerate(centers):
             inside = hexagon_contains(users[i], center, 1000.0)
             assert np.all(inside)
@@ -129,7 +135,7 @@ class TestDropUsers:
 
     def test_halves_are_balanced(self):
         centers = build_hex_layout(1, 1000.0)
-        users = drop_users(centers, 1000.0, 100_000, 100.0, rng_seed=17)
+        users = drop_users(centers, 1000.0, 100_000, 100.0, [np.random.default_rng(17)])[0]
         xy = users[0]
         assert np.mean(xy[:, 0] > 0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(xy[:, 1] > 0) == pytest.approx(0.5, abs=0.01)
@@ -139,7 +145,7 @@ class TestDropUsers:
         # region indicator; independent of the sampler under test
         radius, r0, n = 1000.0, 100.0, 100_000
         centers = build_hex_layout(1, radius)
-        pts = drop_users(centers, radius, n, r0, rng_seed=29)[0]
+        pts = drop_users(centers, radius, n, r0, [np.random.default_rng(29)])[0, 0]
         apothem = SQRT3 / 2 * radius
         bins = 10
         xs = np.linspace(-radius, radius, 2001)
@@ -175,8 +181,9 @@ class TestDropUsers:
         # leaves only the corners, and the rejection rounds grow without bound
         centers = build_hex_layout(1, 1000.0)
         with pytest.raises(ValueError, match="inscribed radius"):
-            drop_users(centers, 1000.0, 3, exclusion_m, rng_seed=0)
-        assert drop_users(centers, 1000.0, 3, 866.0, rng_seed=0).shape == (1, 3, 2)
+            drop_users(centers, 1000.0, 3, exclusion_m, [np.random.default_rng(0)])
+        widest = drop_users(centers, 1000.0, 3, 866.0, [np.random.default_rng(0)])
+        assert widest.shape == (1, 1, 3, 2)
 
 
 class TestDistance:

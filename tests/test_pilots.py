@@ -25,7 +25,7 @@ from reference_route import (
 
 def random_channels(rng, n, k, m, beta_scale=1.0):
     beta = beta_scale * rng.lognormal(0.0, 1.0, (n, n, k))
-    h = complex_gaussian(rng, (n, n, k, m))
+    h = complex_gaussian([rng], (n, n, k, m))[0]
     return ChannelState(beta=beta, h=h)
 
 

@@ -133,8 +133,9 @@ class TestNoSeedSequenceOnTheEngineRoute:
         return built
 
     def test_the_counter_sees_the_scalar_route(self, sequences):
-        shadowing_db(8.0, 3, 5)
-        drop_users(build_hex_layout(3, 1000.0), 1000.0, 2, 100.0, [6, 7])
+        shadowing_db(8.0, 3, [np.random.default_rng(5)])
+        rngs = [np.random.default_rng(6), np.random.default_rng(7)]
+        drop_users(build_hex_layout(3, 1000.0), 1000.0, 2, 100.0, rngs)
         assert len(sequences) == 3
 
     def test_large_scale_batch(self, sequences):

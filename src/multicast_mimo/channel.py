@@ -7,13 +7,12 @@ symmetric complex Gaussian vector with unit per-entry variance.  Only the
 reference route in ``tests/reference_route.py`` draws ``h``; the
 finite-antenna fast path does not: per BS and draw it draws one
 gamma and one complex normal per channel (``draw_beam_fading``), which do
-not depend on the beam, and projects them onto the beam's direction to get
-the normalized amplitudes that its unit beam delivers along each channel
-(``project_beam_fading``), which computes into one complex result array
-in place.  The three samplers take a sequence of T generators, as
-``seeding.make_rngs`` returns them, and stack one row per generator: row t
-is what generator t alone gives, and only the draws stay per realization.
-The engine gives realization t one generator per stream,
+not depend on the beam, and turns them into the power gains that its unit
+beam delivers along each user's channel (``beam_gains``).  The three
+samplers take a sequence of T generators, as ``seeding.make_rngs`` returns
+them, and stack one row per generator: row t is what generator t alone
+gives, and only the draws stay per realization.  The engine gives
+realization t one generator per stream,
 ``np.random.default_rng([master_seed, s, t])``: s = 2 for its shadowing
 (``shadowing_db``) and s = 3 for its fast fading.
 
@@ -50,7 +49,7 @@ def draw_beam_fading(rngs, m: int, shape, count: int):
     ``g ~ Gamma(m, 1)`` has shape ``(T, count, *shape[:-1])`` and is drawn
     first; ``z ~ CN(0, I)`` has shape ``(T, count, *shape)``.  Nothing here
     depends on the beam directions, so one draw serves every beam of that
-    shape; ``project_beam_fading`` turns it into amplitudes.
+    shape; ``beam_gains`` turns it into gains.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -60,29 +59,25 @@ def draw_beam_fading(rngs, m: int, shape, count: int):
     return g, complex_gaussian(rngs, (count,) + tuple(shape))
 
 
-def project_beam_fading(m: int, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Normalized amplitudes of unit beams ``u`` from the raw draws ``(g, z)``.
+def beam_gains(u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Power gains ``|t_k|^2`` of unit beams ``u`` along the user columns k <
+    p - 1 from the raw draws ``(g, z)``: M times the squared normalized
+    amplitudes at M antennas.
 
-    For a unit vector ``u`` of length p on the last axis, a draw is ``t /
-    sqrt(m)`` with ``t = X^H X u / ||X u||`` for an m x p matrix ``X`` of
-    i.i.d. CN(0, 1) entries: entry k is what column k of ``X`` picks up from
-    the unit beam ``X u / ||X u||``.  Because ``X u ~ CN(0, I_m)`` is
-    independent of ``X (I - u u^H)`` (Goodman 1963), ``t = sqrt(g) u + (I - u
-    u^H) z`` with ``g ~ Gamma(m, 1)`` and ``z ~ CN(0, I_p)`` independent, as
+    For a unit vector ``u`` of length p on the last axis, ``t = X^H X u /
+    ||X u||`` for an M x p matrix ``X`` of i.i.d. CN(0, 1) entries: entry k
+    is what column k of ``X`` picks up from the unit beam ``X u / ||X u||``.
+    Because ``X u ~ CN(0, I_M)`` is independent of ``X (I - u u^H)``
+    (Goodman 1963), ``t = sqrt(g) u + (I - u u^H) z = z + u (sqrt(g) - u^H
+    z)`` with ``g ~ Gamma(M, 1)`` and ``z ~ CN(0, I_p)`` independent, as
     ``draw_beam_fading`` draws them: one gamma and p complex normals at any
-    m.  ``u`` broadcasts against ``z``, so a stack of draws is projected at
-    once.  The result is ``(sqrt(g) u + (z - u (u^H z))) / sqrt(m)`` bit for
-    bit, computed in place in one new complex array; ``u``, ``g`` and ``z``
-    are only read, so they may be read-only cached draws.
+    M.  The last column is the residual, which no user receives.  ``u``, real
+    or complex, broadcasts against ``z``, so a stack of draws is evaluated at
+    once; the inputs are only read.
     """
-    out = np.empty(np.broadcast_shapes(u.shape, z.shape), dtype=np.result_type(u, z))
-    np.multiply(u.conj(), z, out=out)
-    along = np.sum(out, axis=-1, keepdims=True)  # u^H z
-    np.multiply(u, along, out=out)
-    np.subtract(z, out, out=out)  # (I - u u^H) z
-    out += np.sqrt(g)[..., None] * u
-    out /= np.sqrt(m)
-    return out
+    c = np.sqrt(g) - np.einsum("...p,...p->...", u.conj(), z)
+    t = z[..., :-1] + u[..., :-1] * c[..., None]
+    return t.real**2 + t.imag**2
 
 
 def shadowing_db(sigma_db: float, num_cells: int, rngs) -> np.ndarray:

@@ -8,19 +8,20 @@ only in BS power, on the (T, N, N, K) batch of large-scale realizations.  In
 the basis of BS j's channels to the evaluated cell's users plus one
 independent residual (other-cell channels and pilot noise), the beam has a
 unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
-SINRs depend on the fast fading only through the beam's normalized
-amplitude along each of those channels.  As M grows the amplitudes tend to
-``u_j``.  So one loop over blocks of realizations evaluates both modes.
-Each block starts from ``u_j``, the large-antenna limit; with finite
-antennas the block's amplitudes are drawn directly, at any antenna count:
-one gamma and K+1 complex normals per BS and draw
-(``channel.draw_beam_fading``), projected onto ``u_j``
-(``channel.project_beam_fading``).  One evaluator,
-``sinr_from_amplitudes``, gives the SINRs of either from the amplitudes and
-three plain arguments, which each group computes once and each block slices:
-the large-scale amplitudes toward the evaluated cell (cell 0,
-``_EVAL_CELL``), the group's BS powers and the noise power.  The tests hold
-the limit to the paper's closed forms in ``tests/closed_forms.py``.
+SINRs depend on the fast fading only through the power gain the beam
+delivers along each user's channel.  M times the gain of user k is
+``|t_jk|^2`` for the beam's amplitudes ``t_j``, whose limit over M as M
+grows is ``|u_jk|^2``.  So one loop over blocks of realizations evaluates
+both modes.  The large-antenna limit takes the gains ``|u_jk|^2`` once per
+group; with finite antennas each block draws one gamma and K+1 complex
+normals per BS and draw (``channel.draw_beam_fading``), at any antenna
+count, and ``channel.beam_gains`` turns them into ``|t_jk|^2`` under
+``u_j``, the BS powers divided by M.  One evaluator, ``sinr_from_gains``,
+gives the SINRs of either from the gains and three plain arguments, which
+each group computes once and each block slices: the large-scale amplitudes
+toward the evaluated cell (cell 0, ``_EVAL_CELL``), the group's BS powers
+and the noise power.  The tests hold the limit to the paper's closed forms
+in ``tests/closed_forms.py``.
 
 An experiment's only input is its resolved config: the config with the
 call's scheme applied.  Not every key is read: ``_experiment_key`` resets
@@ -42,11 +43,9 @@ The batch is built with array operations, and at finite M the draws of a
 block of realizations fill one array.  Realization t of stream s draws from
 one generator, ``np.random.default_rng([master_seed, s, t])``: its user
 positions (s = 1), its shadowing (s = 2) and, at finite M, its fast fading
-(s = 3).  A batch's or block's generators of one stream come from one array
-call (``seeding.make_rngs``), equal state for state to those, so no
-``SeedSequence`` is built per realization.  Only the draws from each
-realization's own generators stay per realization, so no row depends on
-another and block edges change no result.  A block's raw draws come from
+(s = 3).  A batch's or block's generators of one stream come from one call
+(``seeding.make_rngs``).  No row depends on another, so block edges change
+no result.  A block's raw draws come from
 ``_draw_block``, which keeps the last few blocks for other schemes.
 
 The async scheme's weights carry the (N, N, K) pilot correlations that
@@ -71,13 +70,13 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    beam_gains,
     # Not used here.  perfbench/tests/test_harness.py::
     # test_wrappers_are_installed_where_looked_up_and_restored checks that the
     # tracer wraps this module's binding of it.
     complex_gaussian,  # noqa: F401
     draw_beam_fading,
     large_scale_gains,
-    project_beam_fading,
     shadowing_db,
 )
 from .config import ConfigError, NetworkConfig, serialize_config, validate_config
@@ -148,7 +147,7 @@ class _TrialContext:
     of power ``sigma_p2`` per entry, combined by ``noise_combiner[j]``, where
     h_jlk is the small-scale channel of user (l, k).  Leading axes of
     ``weights`` are realizations.  Nothing here depends on the antenna
-    count, the BS power or the data noise: ``sinr_from_amplitudes`` takes
+    count, the BS power or the data noise: ``sinr_from_gains`` takes
     those as arguments.
     """
 
@@ -157,12 +156,13 @@ class _TrialContext:
     sigma_p2: float
 
 
-def _nonzero_own_gains(config: NetworkConfig, own: np.ndarray) -> np.ndarray:
+def _nonzero_own_gains(config: NetworkConfig, own: np.ndarray, first: int = 0) -> np.ndarray:
     """The (..., N, K) own-cell gains ``own`` of a rule that divides by each
-    of them; one that underflowed to 0 raises, naming its realization."""
+    of them, row i being realization ``first + i``; one that underflowed to 0
+    raises, naming its realization."""
     zero = ~np.all(own > 0, axis=(-2, -1))
     if np.any(zero):
-        raise _sinr_error(config, "zero own-cell gain", int(np.flatnonzero(zero)[0]))
+        raise _sinr_error(config, "zero own-cell gain", first + int(np.flatnonzero(zero)[0]))
     return own
 
 
@@ -236,24 +236,23 @@ def _beam_directions(ctx: _TrialContext) -> np.ndarray:
     return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
-def sinr_from_amplitudes(amplitudes, eval_amp, bs_power_w, sigma2) -> np.ndarray:
-    """(..., K) linear SINRs of the evaluated cell from (..., N, K+1)
-    normalized beam amplitudes, the (..., N, K) large-scale amplitudes
-    ``eval_amp = sqrt(beta[..., :, _EVAL_CELL, :])`` toward the evaluated
-    cell's users, the BS power E and the noise power ``sigma2``.
+def sinr_from_gains(gains, eval_amp, bs_power_w, sigma2) -> np.ndarray:
+    """(..., K) linear SINRs of the evaluated cell from (..., N, K) beam
+    gains, the (..., N, K) large-scale amplitudes ``eval_amp =
+    sqrt(beta[..., :, _EVAL_CELL, :])`` toward the evaluated cell's users,
+    the BS power E and the noise power ``sigma2``.
 
-    ``amplitudes[..., j, k]`` is ``X_j^H b_j / sqrt(M)`` at entry k < K for
-    BS j's unit beam ``b_j = X_j u_j / ||X_j u_j||`` (see ``_beam_directions``),
-    so user k receives ``|amplitudes[..., j, k]|^2 beta_jk E`` from BS j, and
-    its SINR is the serving BS's power over the other BSs' power plus noise.
-    Exact for every scheme, whatever the amplitudes hold:
-    ``channel.project_beam_fading`` makes them at finite M, and their
-    limit as M grows, ``u_j`` itself, gives the large-antenna SINRs, BS j
-    giving user k the share ``|u_jk|^2`` of its power.  An array
-    ``bs_power_w`` broadcasts: powers of shape (P, 1, ..., 1), one more axis
-    than ``eval_amp``, give (P, ..., K) SINRs, row p at power p.
+    User k receives ``gains[..., j, k] beta_jk E`` from BS j, and its SINR
+    is the serving BS's power over the other BSs' power plus noise.  Exact
+    for every scheme, whatever the gains hold: at finite M,
+    ``channel.beam_gains`` gives ``|t_jk|^2``, M times the gain of BS j's
+    unit beam ``X_j u_j / ||X_j u_j||`` (see ``_beam_directions``), with
+    E / M as the power; their limit over M as M grows, ``|u_jk|^2``, gives
+    the large-antenna SINRs at power E.  An array ``bs_power_w``
+    broadcasts: powers of shape (P, 1, ..., 1), one more axis than
+    ``eval_amp``, give (P, ..., K) SINRs, row p at power p.
     """
-    received = (bs_power_w * eval_amp**2) * np.abs(amplitudes[..., :-1]) ** 2
+    received = (bs_power_w * eval_amp**2) * gains
     signal = received[..., _EVAL_CELL, :]
     return signal / (received.sum(axis=-2) - signal + sigma2)
 
@@ -292,6 +291,13 @@ def _sinr_error(config: NetworkConfig, what: str, t: int, draw: int | None = Non
         where += f", draw {draw}"
     power = f"E_dbw = {config.E_dbw[0]:g}"
     return ArithmeticError(f"{what} at {power} in {where})")
+
+
+def _realization_error(config: NetworkConfig, beta: np.ndarray, what: str, t: int, draw=None):
+    """The error of realization t of the batch ``beta``, which failed a check
+    on its SINRs: its zero own-cell gain, if it has one, else ``what``."""
+    _nonzero_own_gains(config, np.einsum("...jjk->...jk", beta[t : t + 1]), first=t)
+    return _sinr_error(config, what, t, draw)
 
 
 def large_scale_batch(config: NetworkConfig) -> np.ndarray:
@@ -360,7 +366,7 @@ def _draw_block(config: NetworkConfig, lo: int, hi: int):
     count, the beam shape, the draw count and the master seed of ``config``
     select them.  The process keeps the last ``_DRAW_CACHE_SIZE`` blocks
     (about 1 MiB), so the other schemes of a comparison at the same M
-    project the same draws without running a generator; only a block whose
+    evaluate the same draws without running a generator; only a block whose
     single realization holds more than ``_BLOCK_AMPLITUDES`` amplitudes is
     drawn and dropped, which bounds what a large ``num_small`` keeps."""
     width = config.users_per_cell + 1
@@ -427,9 +433,9 @@ def run_experiments(configs) -> list[SinrReport]:
     is drawn and ``num_small`` only counts towards validation.  With finite antennas
     realization t takes ``num_small`` draws from one generator,
     ``default_rng([master_seed, FADING, t])``, a block's generators built
-    with one array call: the raw draws of ``channel.draw_beam_fading``, row s
-    being draw s, projected onto the scheme's beam directions
-    (``channel.project_beam_fading``); ``_draw_block`` gives the raw draws.
+    with one call: the raw draws of ``channel.draw_beam_fading``, row s
+    being draw s, turned into gains under the scheme's beam directions
+    (``channel.beam_gains``); ``_draw_block`` gives the raw draws.
     Each realization's minimum SINR is averaged over its draws in linear
     scale before conversion to dB.  Realization t's generators depend only
     on the master seed and t, never on execution order.  A non-finite SINR
@@ -437,7 +443,9 @@ def run_experiments(configs) -> list[SinrReport]:
     the master seed and, at finite M, the draw; so does a realization whose
     mean minimum SINR is zero, which has no dB value, or overflows, and one
     with a zero own-cell gain, which the pilot power-control rule and the
-    perfect-CSI optimal beam divide by.
+    perfect-CSI optimal beam divide by.  A realization that fails either
+    check with a zero own-cell gain is reported as such, whatever the
+    scheme.
     """
     configs = list(configs)
     for config in configs:
@@ -468,31 +476,34 @@ def _run_power_group(key: NetworkConfig, configs: list) -> list[SinrReport]:
     config = configs[0]
     beta = _batch(config)
     ctx = _build_trial_context(config, beta)
-    directions = _beam_directions(ctx)
-    # (realization, 1, N, K): a length-one draw axis, as in the amplitudes
+    directions = _beam_directions(ctx)[:, None]  # a length-one draw axis
     eval_amp = np.sqrt(beta[..., :, _EVAL_CELL, :])[:, None]
-    # (P, 1, 1, 1, 1): ahead of a block's (realization, draw, N, K) amplitudes
+    # (P, 1, 1, 1, 1): ahead of a block's (realization, draw, N, K) gains
     powers = np.array([c.bs_power_w[0] for c in configs]).reshape(-1, 1, 1, 1, 1)
+    if config.antennas is None:
+        limit_gains = np.abs(directions[..., :-1]) ** 2
+    else:
+        powers = powers / config.antennas
     sigma2 = config.noise_power_w
     block = _realizations_per_block(config)
     samples = np.empty((len(configs), config.num_large))
     for lo in range(0, config.num_large, block):
         hi = min(lo + block, config.num_large)
-        amplitudes = directions[lo:hi, None]  # the limit, as one draw
-        if config.antennas is not None:
-            g, z = _draw_block(config, lo, hi)
-            amplitudes = project_beam_fading(config.antennas, amplitudes, g, z)
-        sinr = sinr_from_amplitudes(amplitudes, eval_amp[lo:hi], powers, sigma2)
+        if config.antennas is None:
+            gains = limit_gains[lo:hi]
+        else:
+            gains = beam_gains(directions[lo:hi], *_draw_block(config, lo, hi))
+        sinr = sinr_from_gains(gains, eval_amp[lo:hi], powers, sigma2)
         bad = _first_non_finite(sinr)
         if bad is not None:
             p, t, draw = bad
-            raise _sinr_error(configs[p], "non-finite SINR", lo + t, draw)
+            raise _realization_error(configs[p], beta, "non-finite SINR", lo + t, draw)
         mean = sinr.min(axis=-1).mean(axis=-1)  # (P, realizations)
         in_range = (mean > 0) & (mean < np.inf)
         if not in_range.all():
             p, t = np.argwhere(~in_range)[0].tolist()
             what = "zero" if mean[p, t] == 0 else "overflowing"
-            raise _sinr_error(configs[p], f"{what} mean min-SINR", lo + t)
+            raise _realization_error(configs[p], beta, f"{what} mean min-SINR", lo + t)
         samples[:, lo:hi] = 10.0 * np.log10(mean)
     samples.flags.writeable = False  # so each report's row is read-only too
     key_text = serialize_config(key)

@@ -2,7 +2,7 @@
 of every CSI scheme.
 
 The package does not call them: the engine reads the limit off each scheme's
-beam coefficients (``sinr_from_amplitudes`` at ``engine._beam_directions``),
+beam coefficients (``sinr_from_gains`` at ``engine._beam_directions``),
 and the tests hold that limit to these expressions, which the acceptance
 criteria test in turn.
 

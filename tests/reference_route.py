@@ -6,10 +6,10 @@
 The package does not call it, nor its pilot books (``PilotBook``) and
 arrival-delay profiles (``AsyncProfile``): the engine reads every scheme's
 beam off its large-scale coefficients (``engine._beam_directions``) and
-samples the beam amplitudes directly.  The tests tie
-``engine.sinr_from_amplitudes`` to this route exactly on the amplitudes of
-the same vectors, the projection to explicit draws exactly, and the law of
-the sampler's raw draws to explicit draws by KS tests.
+samples the beams' gains directly.  The tests tie ``engine.sinr_from_gains``
+to this route exactly on the gains of the same vectors, ``channel.beam_gains``
+to explicit draws exactly, and the law of the sampler's raw draws to explicit
+draws by KS tests.
 """
 
 from dataclasses import dataclass
@@ -310,8 +310,8 @@ def downlink_sinr(
 
     ``beamformers`` holds one unit-norm beam per cell, ``powers`` the per-cell
     transmit powers in Watts.  This is the direct per-user evaluation that
-    ``engine.sinr_from_amplitudes`` must reproduce on the amplitudes of the
-    same vectors.
+    ``engine.sinr_from_gains`` must reproduce on the gains of the same
+    vectors.
     """
     n = channels.num_cells
     if len(beamformers) != n or len(powers) != n:

@@ -3,9 +3,9 @@ import pytest
 from scipy import stats
 
 from multicast_mimo.channel import (
+    beam_gains,
     complex_gaussian,
     draw_beam_fading,
-    project_beam_fading,
     shadowing_db,
 )
 from multicast_mimo.config import NetworkConfig
@@ -144,22 +144,28 @@ class TestSmallScale:
         assert h.imag.var() == pytest.approx(0.5, rel=0.02)
 
 
-# Amplitude-sampler checks: significance and bands fixed before the first run.
+# Beam-gain sampler checks: significance and bands fixed before the first run.
 KS_ALPHA = 1e-3  # per two-sample KS test
 MOMENT_SE = 5.0  # standard errors allowed per moment
 AMPLITUDE_DRAWS = 20_000
 AMPLITUDE_USERS = 3  # p = K + 1 = 4
+# five schemes have real beam directions, composite-async complex ones
+DIRECTIONS = pytest.mark.parametrize("real", [True, False], ids=["real-u", "complex-u"])
 
 
-def unit_direction(p, seed=7):
-    u = complex_gaussian([np.random.default_rng(seed)], (p,))[0]
-    return u / np.linalg.norm(u)
+def unit_direction(shape, real, seed=7):
+    """Unit directions of ``shape`` along the last axis, real or complex."""
+    u = complex_gaussian([np.random.default_rng(seed)], shape)[0]
+    if real:
+        u = np.abs(u)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
-def sample_amplitudes(rng, m, u, count):
-    """``(count, *u.shape)`` amplitudes: the raw draws, projected onto ``u``."""
+def sample_gains(rng, m, u, count):
+    """``(count, *u.shape[:-1], p - 1)`` beam gains of ``u`` over m: the
+    squared normalized amplitudes of its users, from the raw draws."""
     g, z = draw_beam_fading([rng], m, u.shape, count)
-    return project_beam_fading(m, u, g[0], z[0])
+    return beam_gains(u, g[0], z[0]) / m
 
 
 def explicit_amplitudes(rng, m, u, count, chunk=2_000):
@@ -174,18 +180,26 @@ def explicit_amplitudes(rng, m, u, count, chunk=2_000):
     return np.concatenate(out)
 
 
+def read_only_draws(u, m, seed):
+    """Six raw draws of ``u``'s shape, all three inputs read-only."""
+    g, z = draw_beam_fading([np.random.default_rng(seed)], m, u.shape[-2:], 6)
+    inputs = (u, g[0], z[0])
+    for a in inputs:
+        a.flags.writeable = False
+    return inputs
+
+
 class TestSampleBeamAmplitudes:
     def test_shape_and_deterministic(self):
-        u = complex_gaussian([np.random.default_rng(1)], (2, 3, 4))[0]
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        a = sample_amplitudes(np.random.default_rng(1), 16, u, 5)
-        assert a.shape == (5, 2, 3, 4)
-        assert np.array_equal(a, sample_amplitudes(np.random.default_rng(1), 16, u, 5))
+        u = unit_direction((2, 3, 4), real=False, seed=1)
+        a = sample_gains(np.random.default_rng(1), 16, u, 5)
+        assert a.shape == (5, 2, 3, 3)
+        assert np.array_equal(a, sample_gains(np.random.default_rng(1), 16, u, 5))
 
     def test_rejects_fewer_than_one_antenna(self):
         for m in (0, -1):
             with pytest.raises(ValueError):
-                draw_beam_fading([np.random.default_rng(0)], m, unit_direction(4).shape, 1)
+                draw_beam_fading([np.random.default_rng(0)], m, (4,), 1)
 
     def test_draws_do_not_depend_on_the_beam(self):
         g, z = draw_beam_fading([np.random.default_rng(3)], 16, (2, 4), 5)
@@ -193,56 +207,63 @@ class TestSampleBeamAmplitudes:
         again = draw_beam_fading([np.random.default_rng(3)], 16, (2, 4), 5)
         assert np.array_equal(g, again[0]) and np.array_equal(z, again[1])
 
-    def test_stacked_projection_equals_projection_row_by_row(self):
-        # the engine projects a block of realizations at once; each row must
-        # be bit-identical to projecting that realization alone
-        u = complex_gaussian([np.random.default_rng(2)], (3, 1, 2, 4))[0]
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    @DIRECTIONS
+    def test_stacked_gains_equal_gains_row_by_row(self, real):
+        # the engine evaluates a block of realizations at once; each row must
+        # be bit-identical to evaluating that realization alone
+        u = unit_direction((3, 1, 2, 4), real, seed=2)
         g, z = draw_beam_fading([np.random.default_rng(4)], 16, (3, 5, 2, 4), 1)
-        stacked = project_beam_fading(16, u, g[0, 0], z[0, 0])
+        stacked = beam_gains(u, g[0, 0], z[0, 0])
         for t in range(3):
-            alone = project_beam_fading(16, u[t, 0], g[0, 0, t], z[0, 0, t])
+            alone = beam_gains(u[t, 0], g[0, 0, t], z[0, 0, t])
             assert np.array_equal(stacked[t], alone)
 
-    @pytest.mark.parametrize("real", [True, False], ids=["real-u", "complex-u"])
-    def test_projection_is_the_written_formula_bit_for_bit(self, real):
-        # five schemes have real beam directions, composite-async complex ones
-        m = 16
-        u = complex_gaussian([np.random.default_rng(8)], (3, 1, 2, 4))[0]
-        if real:
-            u = np.abs(u)
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        g, z = draw_beam_fading([np.random.default_rng(9)], m, (2, 4), 6)
-        g, z = g[0], z[0]
-        inputs = (u, g, z)
+    @DIRECTIONS
+    def test_gains_are_the_written_formula_bit_for_bit(self, real):
+        u = unit_direction((3, 1, 2, 4), real, seed=8)
+        inputs = read_only_draws(u, 16, 9)
         copies = [a.copy() for a in inputs]
-        for a in inputs:
-            a.flags.writeable = False
-        got = project_beam_fading(m, u, g, z)
-        projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
-        expected = (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
-        assert got.shape == expected.shape == (3, 6, 2, 4)
-        assert got.dtype == expected.dtype
+        got = beam_gains(*inputs)
+        u, g, z = copies
+        c = np.sqrt(g) - np.einsum("...p,...p->...", u.conj(), z)
+        t = z[..., :-1] + u[..., :-1] * c[..., None]
+        expected = t.real**2 + t.imag**2
+        assert got.shape == expected.shape == (3, 6, 2, 3)
+        assert got.dtype == expected.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
         for a, copy in zip(inputs, copies):
             assert a.tobytes() == copy.tobytes()
 
-    @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
-    def test_moments(self, m):
-        # E|t_k|^2 / M = |u_k|^2 + (1 - |u_k|^2) / M, entry by entry
-        u = unit_direction(AMPLITUDE_USERS + 1)
-        a = sample_amplitudes(np.random.default_rng(100 + m), m, u, AMPLITUDE_DRAWS)
-        power = np.abs(a) ** 2
-        target = np.abs(u) ** 2 + (1.0 - np.abs(u) ** 2) / m
-        se = power.std(axis=0) / np.sqrt(AMPLITUDE_DRAWS)
-        assert np.all(np.abs(power.mean(axis=0) - target) <= MOMENT_SE * se)
+    @DIRECTIONS
+    def test_gains_are_m_times_the_written_projection(self, real):
+        # the projection t / sqrt(m) = (sqrt(g) u + (I - u u^H) z) / sqrt(m)
+        # as written, squared along the user columns
+        m = 16
+        u, g, z = read_only_draws(unit_direction((3, 1, 2, 4), real, seed=8), m, 9)
+        projected = z - u * np.sum(u.conj() * z, axis=-1, keepdims=True)
+        amplitudes = (np.sqrt(g)[..., None] * u + projected) / np.sqrt(m)
+        expected = m * np.abs(amplitudes[..., :-1]) ** 2
+        got = beam_gains(u, g, z)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
+    @DIRECTIONS
     @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
-    def test_beam_gains_match_explicit_vectors(self, m):
-        u = unit_direction(AMPLITUDE_USERS + 1)
-        sampled = sample_amplitudes(np.random.default_rng(200 + m), m, u, AMPLITUDE_DRAWS)
+    def test_moments(self, m, real):
+        # E|t_k|^2 / M = |u_k|^2 + (1 - |u_k|^2) / M, user by user
+        u = unit_direction((AMPLITUDE_USERS + 1,), real)
+        gains = sample_gains(np.random.default_rng(100 + m), m, u, AMPLITUDE_DRAWS)
+        share = np.abs(u[:-1]) ** 2
+        target = share + (1.0 - share) / m
+        se = gains.std(axis=0) / np.sqrt(AMPLITUDE_DRAWS)
+        assert np.all(np.abs(gains.mean(axis=0) - target) <= MOMENT_SE * se)
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("m", [1, 2, AMPLITUDE_USERS + 1, 16, 300])
+    def test_beam_gains_match_explicit_vectors(self, m, real):
+        u = unit_direction((AMPLITUDE_USERS + 1,), real)
+        sampled = sample_gains(np.random.default_rng(200 + m), m, u, AMPLITUDE_DRAWS)
         explicit = explicit_amplitudes(np.random.default_rng(300 + m), m, u, AMPLITUDE_DRAWS)
-        gains = [np.abs(a[:, :-1]) ** 2 for a in (sampled, explicit)]
+        gains = [sampled, np.abs(explicit[:, :-1]) ** 2]
         for f in (lambda g: g[:, 0], lambda g: g.min(axis=-1)):
             assert stats.ks_2samp(*(f(g) for g in gains)).pvalue > KS_ALPHA
 

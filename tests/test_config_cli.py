@@ -553,17 +553,17 @@ class TestScenarios:
 
     def test_non_finite_curve_writes_nothing(self, monkeypatch, tmp_path):
         # the third of the four curves, composite, goes non-finite
-        original = engine.sinr_from_amplitudes
+        original = engine.sinr_from_gains
         calls = []
 
-        def nan_in_third_curve(amplitudes, eval_amp, bs_power_w, sigma2):
-            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
+        def nan_in_third_curve(gains, eval_amp, bs_power_w, sigma2):
+            out = original(gains, eval_amp, bs_power_w, sigma2)
             calls.append(None)
             if len(calls) == 3:
                 out[0, 0, 0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_third_curve)
+        monkeypatch.setattr(engine, "sinr_from_gains", nan_in_third_curve)
         config = apply_overrides(NetworkConfig(), {"num_large": "2"})
         out = tmp_path / "out"
         with pytest.raises(ArithmeticError, match="non-finite SINR"):
@@ -1031,6 +1031,32 @@ class TestPackage:
         expected = multicast_mimo.large_scale_batch(config)[t]
         assert namespace["beta"].shape == expected.shape
         assert namespace["beta"].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["perfect-optimal", "composite-async"])
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_readme_reproduces_one_finite_m_sample_alone(self, t, scheme):
+        # the README's two recipe blocks, run as written one after the other
+        text = (ROOT / "README.md").read_text()
+        blocks = []
+        for marker in ("To reproduce realization `t` alone:", "To reproduce its finite-M sample"):
+            after = text.split(marker, 1)[1]
+            blocks.append(after.split("```python\n", 1)[1].split("```", 1)[0])
+        config = NetworkConfig(
+            cells=3,
+            users_per_cell=4,
+            num_large=5,
+            master_seed=3,
+            antennas=16,
+            num_small=3,
+            scheme=scheme,
+            async_offsets_s=tuple(np.linspace(0.0, 0.9e-6, 12)),
+            pilot_symbol_s=1e-6,
+        )
+        namespace = {"config": config, "t": t}
+        for block in blocks:
+            exec(block, namespace)
+        expected = multicast_mimo.run_experiment(config).samples_db[t]
+        assert namespace["sample_db"].tobytes() == expected.tobytes()
 
     def test_test_extras_cover_the_suite_imports(self):
         # and the package itself imports only its runtime dependencies, so a

@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import closed_forms as asymptotic
+import multicast_mimo.channel as channel
 import multicast_mimo.engine as engine
 from closed_forms import optimal_lambdas
 from oracles import scalar_large_scale
-from multicast_mimo.channel import (
-    complex_gaussian,
-    draw_beam_fading,
-    project_beam_fading,
-)
+from multicast_mimo.channel import beam_gains, complex_gaussian, draw_beam_fading
 from multicast_mimo.config import SCHEMES, ConfigError, NetworkConfig
 from multicast_mimo.engine import (
     SinrReport,
     empirical_cdf,
     large_scale_batch,
     run_experiment,
-    sinr_from_amplitudes,
+    sinr_from_gains,
 )
 from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.pilots import async_kappas, optimal_pilot_powers
@@ -215,17 +212,25 @@ def context(config, scheme, beta):
     return engine._build_trial_context(replace(config, scheme=scheme), beta)
 
 
-def sinrs(config, beta, amplitudes):
-    """The engine's evaluator on ``amplitudes``, as one experiment of
-    ``config`` on gains ``beta`` calls it: toward the evaluated cell's users,
-    at the config's BS power and noise power."""
+def user_gains(amplitudes):
+    """``|amplitude|^2`` of the users' columns of (..., K+1) normalized beam
+    amplitudes."""
+    return np.abs(amplitudes[..., :-1]) ** 2
+
+
+def sinrs(config, beta, gains, antennas=1):
+    """The engine's evaluator on beam ``gains``, M times the squared
+    normalized amplitudes for M = ``antennas``, as one experiment of
+    ``config`` on large-scale gains ``beta`` calls it: toward the evaluated
+    cell's users, at the config's BS power over M and its noise power."""
     eval_amp = np.sqrt(beta[..., :, engine._EVAL_CELL, :])
-    return sinr_from_amplitudes(amplitudes, eval_amp, config.bs_power_w[0], config.noise_power_w)
+    power = config.bs_power_w[0] / antennas
+    return sinr_from_gains(gains, eval_amp, power, config.noise_power_w)
 
 
 def limit_sinrs(config, beta, ctx):
     """The engine's large-antenna SINRs: its evaluator at the beam directions."""
-    return sinrs(config, beta, engine._beam_directions(ctx))
+    return sinrs(config, beta, user_gains(engine._beam_directions(ctx)))
 
 
 def fading_draw(ctx, m, small_seed):
@@ -309,15 +314,16 @@ class TestGramRoute:
         ctx = context(config, scheme, beta)
         for small_seed in (21, 22, 23):
             expected, cs, directions = public_route(config, scheme, 11, small_seed)
-            got = sinrs(config, beta, route_amplitudes(config, scheme, ctx, cs, directions))
+            amplitudes = route_amplitudes(config, scheme, ctx, cs, directions)
+            got = sinrs(config, beta, user_gains(amplitudes))
             assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("antennas", [1, 2, 4, 16, 300])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_projection_is_the_gram_route_on_explicit_vectors(self, scheme, antennas):
         # given explicit X, g = ||X u||^2 and z = t - sqrt(g) u with
-        # t = X^H X u / ||X u|| are draws that the projection turns into
-        # t / sqrt(M); the KS tests then check only the law of (g, z)
+        # t = X^H X u / ||X u|| are draws that beam_gains turns into the
+        # users' |t_k|^2; the KS tests then check only the law of (g, z)
         config = replace(gram_route_config(antennas), num_large=3)
         u = engine._beam_directions(context(config, scheme, large_scale_batch(config)))
         rng = np.random.default_rng(antennas)
@@ -327,9 +333,9 @@ class TestGramRoute:
         t = np.einsum("...mp,...m->...p", x.conj(), xu) / norm[..., None]
         g = norm**2
         z = t - np.sqrt(g)[..., None] * u
-        expected = t / np.sqrt(antennas)
-        got = project_beam_fading(antennas, u, g, z)
-        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-12
+        expected = user_gains(t)
+        got = beam_gains(u, g, z)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_residual_column_has_unit_variance(self, scheme):
@@ -351,10 +357,10 @@ class TestGramRoute:
         beta = scalar_large_scale(config, 11)
         ctx = context(config, scheme, beta)
         amplitudes = np.stack([explicit_amplitudes(ctx, 16, 40_000 + s) for s in range(draws)])
-        explicit = sinrs(config, beta, amplitudes)
+        explicit = sinrs(config, beta, user_gains(amplitudes))
         directions = engine._beam_directions(ctx)
         g, z = draw_beam_fading([np.random.default_rng(41)], 16, directions.shape, draws)
-        sampled = sinrs(config, beta, project_beam_fading(16, directions, g[0], z[0]))
+        sampled = sinrs(config, beta, beam_gains(directions, g[0], z[0]), 16)
         assert stats.ks_2samp(sampled.min(axis=-1), explicit.min(axis=-1)).pvalue > 1e-3
 
     @settings(max_examples=60, deadline=None)
@@ -381,8 +387,8 @@ class TestGramRoute:
         assert np.allclose(
             limit_sinrs(config, beta, scaled), limit_sinrs(config, beta, ctx), rtol=1e-9, atol=0
         )
-        expected = sinrs(config, beta, explicit_amplitudes(ctx, 16, seed))
-        got = sinrs(config, beta, explicit_amplitudes(scaled, 16, seed))
+        expected = sinrs(config, beta, user_gains(explicit_amplitudes(ctx, 16, seed)))
+        got = sinrs(config, beta, user_gains(explicit_amplitudes(scaled, 16, seed)))
         assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
 
@@ -498,8 +504,8 @@ class TestRunExperiment:
             directions = engine._beam_directions(ctx)
             rng = np.random.default_rng([config.master_seed, engine._FADING_STREAM, t])
             g, z = draw_beam_fading([rng], 16, directions.shape, 3)
-            amplitudes = project_beam_fading(16, directions, g[0], z[0])
-            acc = sum(sinrs(config, beta, amplitudes[s]).min() for s in range(3))
+            gains = beam_gains(directions, g[0], z[0])
+            acc = sum(sinrs(config, beta, gains[s], 16).min() for s in range(3))
             assert report.samples_db[t] == pytest.approx(
                 10 * np.log10(acc / 3), rel=1e-9
             )
@@ -702,7 +708,10 @@ class TestAsymptoticBatch:
         amplitudes = np.sqrt(m) * (q.conj().swapaxes(-1, -2) @ xu)[..., 0]
         amplitudes /= np.linalg.norm(xu[..., 0], axis=-1, keepdims=True) * np.sqrt(m)
         assert np.allclose(
-            limit_sinrs(config, beta, ctx), sinrs(config, beta, amplitudes), rtol=1e-12, atol=0
+            limit_sinrs(config, beta, ctx),
+            sinrs(config, beta, user_gains(amplitudes)),
+            rtol=1e-12,
+            atol=0,
         )
 
 
@@ -843,6 +852,21 @@ class TestSharedDraws:
             g[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             z[0, 0, 0, 0] = 1.0
+
+    def test_fast_fading_is_drawn_through_the_hooked_name(self, monkeypatch):
+        # perfbench's tracer counts the finite-M normals by wrapping
+        # channel.complex_gaussian and engine's binding of it
+        assert engine.complex_gaussian is channel.complex_gaussian
+        calls = []
+        original = channel.complex_gaussian
+
+        def counting(rngs, shape, variance=1.0):
+            calls.append(len(rngs))
+            return original(rngs, shape, variance)
+
+        monkeypatch.setattr(channel, "complex_gaussian", counting)
+        run_experiment(NetworkConfig(antennas=8, num_large=3, num_small=2))
+        assert calls == [3]
 
     def test_key_is_exactly_the_draw_fields(self):
         names = [f.name for f in fields(NetworkConfig)]
@@ -992,12 +1016,11 @@ class TestRunExperiments:
         config = NetworkConfig(num_large=5, scheme="composite")
         beta = large_scale_batch(config)
         ctx = engine._build_trial_context(config, beta)
-        amplitudes = engine._beam_directions(ctx)[:, None]
+        gains = user_gains(engine._beam_directions(ctx)[:, None])
         eval_amp = np.sqrt(beta[..., :, 0, :])[:, None]
         powers = np.array([0.3, 10.0, 1e3])
         sigma2 = config.noise_power_w
-        got = sinr_from_amplitudes(amplitudes, eval_amp, powers.reshape(-1, 1, 1, 1, 1), sigma2)
-        gains = np.abs(amplitudes[..., :-1]) ** 2
+        got = sinr_from_gains(gains, eval_amp, powers.reshape(-1, 1, 1, 1, 1), sigma2)
         for row, power in zip(got, powers):
             received = power * eval_amp**2 * gains
             signal = received[..., 0, :]
@@ -1114,14 +1137,14 @@ class TestExperimentKey:
 
 class TestNonFiniteSinr:
     def test_asymptotic_mode_names_realization_and_seed(self, monkeypatch):
-        original = engine.sinr_from_amplitudes
+        original = engine.sinr_from_gains
 
-        def nan_in_row_2(amplitudes, eval_amp, bs_power_w, sigma2):
-            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
+        def nan_in_row_2(gains, eval_amp, bs_power_w, sigma2):
+            out = original(gains, eval_amp, bs_power_w, sigma2)
             out[0, 2, 0, 1] = np.nan  # the group's one power, realization 2
             return out
 
-        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_row_2)
+        monkeypatch.setattr(engine, "sinr_from_gains", nan_in_row_2)
         config = NetworkConfig(num_large=4, master_seed=5)
         match = r"realization 2 \(master seed 5\)"
         with pytest.raises(ArithmeticError, match=match) as err:
@@ -1132,34 +1155,34 @@ class TestNonFiniteSinr:
         # one block holds every realization; realization 1's draw 1 comes
         # before realization 2's draw 0 in realization order
         config = NetworkConfig(antennas=8, cells=3, num_large=3, num_small=2, master_seed=6)
-        original = engine.sinr_from_amplitudes
+        original = engine.sinr_from_gains
         calls = []
 
-        def nan_in_draw_1_of_realization_1(amplitudes, eval_amp, bs_power_w, sigma2):
-            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
-            calls.append(amplitudes)
+        def nan_in_draw_1_of_realization_1(gains, eval_amp, bs_power_w, sigma2):
+            out = original(gains, eval_amp, bs_power_w, sigma2)
+            calls.append(gains)
             out[0, 1, 1, 0] = np.nan
             out[0, 2, 0, 1] = np.nan
             return out
 
-        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_in_draw_1_of_realization_1)
+        monkeypatch.setattr(engine, "sinr_from_gains", nan_in_draw_1_of_realization_1)
         with pytest.raises(
             ArithmeticError,
             match=r"realization 1 \(master seed 6, draw 1\)",
         ):
             run_experiment(config, scheme="composite")
         assert len(calls) == 1
-        assert calls[0].shape == (3, 2, 3, 4)
+        assert calls[0].shape == (3, 2, 3, 3)
 
     def test_names_the_one_power_of_a_group_that_fails(self, monkeypatch):
-        original = engine.sinr_from_amplitudes
+        original = engine.sinr_from_gains
 
-        def nan_at_power_1(amplitudes, eval_amp, bs_power_w, sigma2):
-            out = original(amplitudes, eval_amp, bs_power_w, sigma2)
+        def nan_at_power_1(gains, eval_amp, bs_power_w, sigma2):
+            out = original(gains, eval_amp, bs_power_w, sigma2)
             out[1, 2, 0, 1] = np.nan
             return out
 
-        monkeypatch.setattr(engine, "sinr_from_amplitudes", nan_at_power_1)
+        monkeypatch.setattr(engine, "sinr_from_gains", nan_at_power_1)
         config = NetworkConfig(num_large=4, master_seed=5, scheme="composite")
         with pytest.raises(
             ArithmeticError, match=r"at E_dbw = 20 in realization 2 \(master seed 5\)"
@@ -1224,6 +1247,40 @@ class TestNonFiniteSinr:
             ArithmeticError, match=rf"{what} at E_dbw = 10 in realization 0 \(master seed 1\)"
         ):
             run_experiment(replace(synchronous, **overrides), scheme=scheme)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("antennas", [None, 16])
+    @pytest.mark.parametrize(
+        "scheme, overrides",
+        [(scheme, {}) for scheme in SCHEMES]
+        + [("composite-async", {"async_power_control": False})],
+    )
+    def test_vanishing_gains_name_the_zero_own_cell_gain(self, scheme, overrides, antennas):
+        # at this radius the path loss drives every gain to 0; a scheme that
+        # does not divide by the own-cell gains reached a non-finite or zero
+        # SINR first, which blamed the BS power
+        config = async_config(
+            radius_m=1e200, antennas=antennas, num_large=2, num_small=2, **overrides
+        )
+        with pytest.raises(
+            ArithmeticError,
+            match=r"zero own-cell gain at E_dbw = 10 in realization 0 \(master seed 1\)",
+        ):
+            run_experiment(config, scheme=scheme)
+
+    @pytest.mark.parametrize("antennas", [None, 16])
+    def test_zero_own_cell_gain_is_named_in_its_realization(self, monkeypatch, antennas):
+        # only realization 2's gains vanish, so realization 2 is the one that
+        # fails (perfect-equal divides by no own-cell gain)
+        config = NetworkConfig(antennas=antennas, num_large=4, num_small=2, master_seed=5)
+        beta = large_scale_batch(config).copy()
+        beta[2] = 0.0
+        monkeypatch.setattr(engine, "_batch", lambda _config: beta)
+        with pytest.raises(
+            ArithmeticError, match=r"zero own-cell gain at E_dbw = 10 in realization 2 \("
+        ):
+            run_experiment(config, scheme="perfect-equal")
 
 
 class TestConvergenceProperties:

@@ -1,4 +1,4 @@
-"""The array generator construction is held to numpy's ``default_rng`` exactly."""
+"""The generators of an array of realizations are numpy's ``default_rng``."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multicast_mimo.engine as engine
-from multicast_mimo.channel import shadowing_db
-from multicast_mimo.config import NetworkConfig
-from multicast_mimo.engine import large_scale_batch, run_experiment
-from multicast_mimo.geometry import build_hex_layout, drop_users
 from multicast_mimo.seeding import make_rngs
 
 # Master seeds of one, two, three and seven entropy words: with the stream
@@ -82,23 +78,6 @@ class TestMakeRngs:
         assert a is not b and a.bit_generator is not b.bit_generator
         assert np.array_equal(a.random(3), b.random(3))
 
-    def test_preset_state_answers_shorter_requests_exactly(self):
-        (rng,) = make_rngs(2**32 + 5, 2, [9])
-        preset = rng.bit_generator.seed_seq
-        sequence = np.random.SeedSequence([2**32 + 5, 2, 9])
-        for n in range(1, 9):
-            assert np.array_equal(preset.generate_state(n), sequence.generate_state(n))
-        for n in range(1, 5):
-            assert np.array_equal(
-                preset.generate_state(n, np.uint64), sequence.generate_state(n, np.uint64)
-            )
-        with pytest.raises(ValueError):
-            preset.generate_state(9)
-        for dtype in (np.int64, np.int32, np.uint16):
-            for source in (sequence, preset):
-                with pytest.raises(ValueError, match="only support uint32 or uint64"):
-                    source.generate_state(2, dtype)
-
     @settings(max_examples=60, deadline=None)
     @given(
         master_seed=st.integers(0, 2**160),
@@ -109,43 +88,3 @@ class TestMakeRngs:
         rngs = make_rngs(master_seed, stream, np.array(indices, dtype=np.uint64))
         assert_numpy_generators(rngs, master_seed, stream, indices)
 
-
-class TestNoSeedSequenceOnTheEngineRoute:
-    @pytest.fixture
-    def sequences(self, monkeypatch):
-        """Count the ``SeedSequence`` objects built through numpy's public
-        names, including the one ``default_rng`` builds for a seed."""
-        built = []
-        original = np.random.SeedSequence
-
-        class Counting(original):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        def default_rng(seed=None):
-            if isinstance(seed, np.random.Generator):
-                return seed
-            return np.random.Generator(np.random.PCG64(Counting(seed)))
-
-        monkeypatch.setattr(np.random, "SeedSequence", Counting)
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
-        return built
-
-    def test_the_counter_sees_the_scalar_route(self, sequences):
-        shadowing_db(8.0, 3, [np.random.default_rng(5)])
-        rngs = [np.random.default_rng(6), np.random.default_rng(7)]
-        drop_users(build_hex_layout(3, 1000.0), 1000.0, 2, 100.0, rngs)
-        assert len(sequences) == 3
-
-    def test_large_scale_batch(self, sequences):
-        large_scale_batch(NetworkConfig(num_large=7, master_seed=2))
-        assert sequences == []
-
-    def test_finite_antenna_experiment(self, sequences, monkeypatch):
-        # blocks of two realizations, so several blocks build their generators
-        config = NetworkConfig(antennas=8, num_large=5, num_small=3, master_seed=2)
-        per_realization = config.num_small * config.cells * (config.users_per_cell + 1)
-        monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", 2 * per_realization)
-        run_experiment(config, scheme="composite")
-        assert sequences == []

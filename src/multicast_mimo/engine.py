@@ -1,27 +1,35 @@
 """Monte Carlo engine: finite-antenna and large-antenna experiments.
 
-Every scheme's beam at BS j is a linear combination of BS j's channels with
-coefficients that depend only on the large-scale gains.  Both evaluation
-modes share one context holding that recipe and nothing else
-(``_build_trial_context``), built once per group of experiments that differ
-only in BS power, on the (T, N, N, K) batch of large-scale realizations.  In
-the basis of BS j's channels to the evaluated cell's users plus one
-independent residual (other-cell channels and pilot noise), the beam has a
-unit direction ``u_j`` (``_beam_directions``), and the evaluated cell's
-SINRs depend on the fast fading only through the power gain the beam
-delivers along each user's channel.  M times the gain of user k is
-``|t_jk|^2`` for the beam's amplitudes ``t_j``, whose limit over M as M
-grows is ``|u_jk|^2``.  So one loop over blocks of realizations evaluates
-both modes.  The large-antenna limit takes the gains ``|u_jk|^2`` once per
-group; with finite antennas each block draws one gamma and K+1 complex
-normals per BS and draw (``channel.draw_beam_fading``), at any antenna
-count, and ``channel.beam_gains`` turns them into ``|t_jk|^2`` under
-``u_j``, the BS powers divided by M.  One evaluator, ``sinr_from_gains``,
-gives the SINRs of either from the gains and three plain arguments, which
-each group computes once and each block slices: the large-scale amplitudes
-toward the evaluated cell (cell 0, ``_EVAL_CELL``), the group's BS powers
-and the noise power.  The tests hold the limit to the paper's closed forms
-in ``tests/closed_forms.py``.
+Every scheme's beam at BS j is a linear combination of BS j's channels,
+``sum_{l,k} weights[..., j, l, k] h_jlk`` plus combined pilot noise, and one
+formula gives every scheme's weights (``_build_trial_context``)::
+
+    weights[..., j, l, k] = a[..., l, k] * sqrt(beta[..., j, l, k]) * C[j, l, k]
+
+for a per-user coefficient ``a`` and the strength ``C`` with which user
+(l, k)'s pilot enters what BS j combines (p, s and kappa as defined there):
+
+scheme                 a_lk          C_jlk                noise combiner
+---------------------  ------------  -------------------  ---------------
+perfect-optimal        1 / beta_llk  delta_jl             none
+perfect-equal          1             delta_jl             none
+individual-pilot       sqrt(p_u L)   1                    sum_k conj(s_k)
+composite (all three)  sqrt(p_lk L)  delta_jl, or kappa   conj(s_j)
+
+Both evaluation modes share one context holding that recipe and nothing
+else, built once per group of experiments that differ only in BS power, on
+the (T, N, N, K) batch of large-scale realizations.  In the basis of BS j's
+channels to the evaluated cell's users plus one independent residual, the
+beam has a unit direction ``u_j`` (``_beam_directions``), and the SINRs
+depend on the fast fading only through the gains ``|t_jk|^2`` it delivers
+along each user's channel, M times the power gain: ``|u_jk|^2`` in the
+large-antenna limit, taken once per group, or at finite M one gamma and K+1
+complex normals per BS and draw (``channel.draw_beam_fading``) turned into
+``|t_jk|^2`` (``channel.beam_gains``), at the BS powers divided by M.  One
+evaluator, ``sinr_from_gains``, takes either with the amplitudes toward the
+evaluated cell (``_EVAL_CELL``), the BS powers and the noise power, so one
+loop over blocks of realizations evaluates both modes.  The tests hold the
+limit to the paper's closed forms in ``tests/closed_forms.py``.
 
 An experiment's only input is its resolved config: the config with the
 call's scheme applied.  Not every key is read: ``_experiment_key`` resets
@@ -37,25 +45,21 @@ for bit.  The report's fingerprint hashes the package version, that group
 key, serialized once per group, and the config's power, so two calls that
 run the same experiment share a fingerprint.
 
-A group evaluates the large-scale batch of its geometry, which
-``large_scale_batch`` builds and keeps.
-The batch is built with array operations, and at finite M the draws of a
-block of realizations fill one array.  Realization t of stream s draws from
-one generator, ``np.random.default_rng([master_seed, s, t])``: its user
-positions (s = 1), its shadowing (s = 2) and, at finite M, its fast fading
-(s = 3).  A batch's or block's generators of one stream come from one call
-(``seeding.make_rngs``).  No row depends on another, so block edges change
-no result.  A block's raw draws come from
-``_draw_block``, which keeps the last few blocks for other schemes.
+A group evaluates the large-scale batch of its geometry
+(``large_scale_batch``), built with array operations; at finite M the draws
+of a block of realizations fill one array.  Realization t of stream s draws
+from ``np.random.default_rng([master_seed, s, t])``: its user positions
+(s = 1), its shadowing (s = 2) and its fast fading (s = 3), the generators
+of a batch's or block's stream coming from one ``seeding.make_rngs`` call.
+No row depends on another, so block edges change no result.  The process
+keeps the last few batches and raw draw blocks for other curves, each cache
+keyed by the config reduced to its own keys (``_only``).
 
-The async scheme's weights carry the (N, N, K) pilot correlations that
-``pilots.async_kappas`` computes straight from the config's offsets, symbol
-duration and pilot length; they do not depend on the realization.  The
-explicit vector route (``ChannelState`` -> ``uplink_rx`` -> estimator ->
-beam -> ``downlink_sinr``), with its pilot books and arrival-delay profiles,
-is the reference that the finite-antenna fast path and the correlations are
-tested against; no package code calls it, so it lives beside the tests in
-``tests/reference_route.py``.
+The explicit vector route (``ChannelState`` -> ``uplink_rx`` -> estimator
+-> beam -> ``downlink_sinr``), with its pilot books and arrival-delay
+profiles, is the reference that the finite-antenna fast path and the
+weights are tested against; no package code calls it, so it lives beside
+the tests in ``tests/reference_route.py``.
 
 Every result is a function of the resolved config and its master seed alone:
 any realization can be reproduced in isolation from its generators, and
@@ -141,14 +145,12 @@ def empirical_cdf(samples) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _TrialContext:
-    """One scheme's beam recipe on a large-scale realization or a batch of them.
-
-    BS j's beam is sum_{l,k} weights[..., j, l, k] h_jlk plus its pilot noise,
-    of power ``sigma_p2`` per entry, combined by ``noise_combiner[j]``, where
-    h_jlk is the small-scale channel of user (l, k).  Leading axes of
-    ``weights`` are realizations.  Nothing here depends on the antenna
-    count, the BS power or the data noise: ``sinr_from_gains`` takes
-    those as arguments.
+    """One scheme's beam recipe (``_build_trial_context``): BS j's beam is
+    sum_{l,k} weights[..., j, l, k] h_jlk, h_jlk the small-scale channel of
+    user (l, k), plus its pilot noise, of power ``sigma_p2`` per entry,
+    combined by ``noise_combiner[j]``.  Leading axes of ``weights`` are
+    realizations.  The antenna count, the BS power and the data noise are
+    ``sinr_from_gains``' arguments, not part of the recipe.
     """
 
     weights: np.ndarray  # (..., N, N, K) float, complex for async: incl. sqrt(beta)
@@ -166,50 +168,58 @@ def _nonzero_own_gains(config: NetworkConfig, own: np.ndarray, first: int = 0) -
     return own
 
 
-def _scheme_pilot_powers(config: NetworkConfig, own: np.ndarray, controlled: bool):
-    """(..., N, K) uplink pilot powers: closed-form rule per cell, or all-peak."""
-    p_u = config.peak_pilot_power_w
-    if not controlled:
-        return np.full(own.shape, p_u)
-    return optimal_pilot_powers(_nonzero_own_gains(config, own), p_u)
-
-
 def _build_trial_context(config: NetworkConfig, beta: np.ndarray) -> _TrialContext:
     """Beam recipe of ``config.scheme`` on ``beta``: one (N, N, K) realization
     or a (..., N, N, K) batch such as ``large_scale_batch``; row t of a batch
-    is the context of ``beta[t]``.  The config is taken as validated."""
+    is the context of ``beta[t]``.  The config is taken as validated.
+
+    The weights are ``a[..., l, k] sqrt(beta[..., j, l, k]) C[j, l, k]``:
+
+    scheme                 a_lk          C_jlk                noise combiner
+    ---------------------  ------------  -------------------  ---------------
+    perfect-optimal        1 / beta_llk  delta_jl             none
+    perfect-equal          1             delta_jl             none
+    individual-pilot       sqrt(p_u L)   1                    sum_k conj(s_k)
+    composite (all three)  sqrt(p_lk L)  delta_jl, or kappa   conj(s_j)
+
+    Per-user pilots reuse K sequences ``s_k`` of length L in every cell;
+    per-cell pilots give cell j the sequence ``s_j``, at the peak power p_u
+    or at ``optimal_pilot_powers`` (``composite-power-controlled``, and
+    ``composite-async`` with ``async_power_control``).  Asynchronous arrival
+    replaces ``delta_jl`` by the realization-free ``async_kappas``.
+    """
     scheme = config.scheme
     n, k = config.cells, config.users_per_cell
     length = config.pilot_length
     own = np.einsum("...jjk->...jk", beta)  # (..., N, K)
-    sqrt_beta = np.sqrt(beta)
     p_u = config.peak_pilot_power_w
-    cells = np.arange(n)
-
-    weights = np.zeros(beta.shape)
+    coupling = np.eye(n)[:, :, None]
     noise_combiner = None
     if scheme == "perfect-optimal":
-        weights[..., cells, cells, :] = 1.0 / np.sqrt(_nonzero_own_gains(config, own))
+        a = 1.0 / _nonzero_own_gains(config, own)
     elif scheme == "perfect-equal":
-        weights[..., cells, cells, :] = np.sqrt(own)
+        a = np.ones(own.shape)
     elif scheme == "individual-pilot":
-        weights = np.sqrt(p_u * length) * sqrt_beta
+        a, coupling = np.full(own.shape, np.sqrt(p_u * length)), 1.0
         combiner = make_orthogonal_pilots(k, length).conj().sum(axis=0)
         noise_combiner = np.broadcast_to(combiner, (n, length))
-    elif scheme in ("composite", "composite-power-controlled"):
-        powers = _scheme_pilot_powers(
-            config, own, controlled=(scheme == "composite-power-controlled")
-        )
-        weights[..., cells, cells, :] = np.sqrt(powers * length * own)
-        noise_combiner = make_orthogonal_pilots(n, length).conj()
-    elif scheme == "composite-async":
-        powers = _scheme_pilot_powers(config, own, config.async_power_control)
-        kappas = async_kappas(
-            np.reshape(config.async_offsets_s, (n, k)), config.pilot_symbol_s, length
-        )
-        weights = np.sqrt(powers * length)[..., None, :, :] * sqrt_beta * kappas
+    else:  # composite, composite-power-controlled, composite-async
+        asynchronous = scheme == "composite-async"
+        if scheme == "composite-power-controlled" or (asynchronous and config.async_power_control):
+            powers = optimal_pilot_powers(_nonzero_own_gains(config, own), p_u)
+        else:
+            powers = np.full(own.shape, p_u)
+        a = np.sqrt(powers * length)
+        if asynchronous:
+            offsets = np.reshape(config.async_offsets_s, (n, k))
+            coupling = async_kappas(offsets, config.pilot_symbol_s, length)
         noise_combiner = make_orthogonal_pilots(n, length).conj()
 
+    # sqrt(beta) only where C != 0: a gain that overflowed to infinity on a
+    # link that BS j does not combine gives 0, not 0 * inf.  The product with
+    # ``a`` reuses that buffer, one (..., N, N, K) allocation fewer.
+    root = np.sqrt(beta, out=np.zeros(beta.shape), where=coupling != 0)
+    weights = np.multiply(a[..., None, :, :], root, out=root) * coupling
     return _TrialContext(weights, noise_combiner, config.pilot_noise_power_w)
 
 
@@ -259,6 +269,18 @@ def sinr_from_gains(gains, eval_amp, bs_power_w, sigma2) -> np.ndarray:
 
 _DEFAULT_CONFIG = NetworkConfig()
 
+# The keys that select a large-scale batch and a block of raw finite-M draws.
+_BATCH_KEYS = (
+    "cells", "radius_m", "users_per_cell", "exclusion_m", "pathloss_intercept_db",
+    "pathloss_slope", "shadow_sigma_db", "penetration_loss_db", "num_large", "master_seed",
+)
+_DRAW_KEYS = ("antennas", "cells", "users_per_cell", "num_small", "master_seed")
+
+
+def _only(config: NetworkConfig, keys) -> NetworkConfig:
+    """``config`` with every key but ``keys`` reset to its default."""
+    return NetworkConfig(**{key: getattr(config, key) for key in keys})
+
 
 def _experiment_key(config: NetworkConfig) -> NetworkConfig:
     """The resolved config with every key that its experiment cannot read
@@ -290,7 +312,7 @@ def _sinr_error(config: NetworkConfig, what: str, t: int, draw: int | None = Non
     if config.antennas is not None and draw is not None:
         where += f", draw {draw}"
     power = f"E_dbw = {config.E_dbw[0]:g}"
-    return ArithmeticError(f"{what} at {power} in {where})")
+    return ArithmeticError(f"{what} at {power} in {where}) for scheme {config.scheme}")
 
 
 def _realization_error(config: NetworkConfig, beta: np.ndarray, what: str, t: int, draw=None):
@@ -310,15 +332,13 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
     t])``, which is the reference route's ``large_scale_tensor``.  So no row
     depends on another, and a batch is a prefix of any longer one.  The
     generators of all rows come from one array call per stream.  Only the
-    geometry fields (cells, radius, users per cell, exclusion radius and the
-    four path-loss and shadowing keys), ``num_large`` and ``master_seed`` of
-    ``config`` enter, and the process keeps the last ``_BATCH_CACHE_SIZE``
-    batches: a config that differs only in powers, noise keys, pilot
-    settings, scheme, antennas or draw count gets the same array back.  So
-    every experiment in a process that shares a geometry, the engine's
-    groups included (``_batch``), evaluates one batch, drawn once, as if it
-    were drawn per curve.  ``config`` is validated first, so an invalid one
-    raises ConfigError naming its key.
+    ``_BATCH_KEYS`` of ``config`` enter, and the process keeps the last
+    ``_BATCH_CACHE_SIZE`` batches: a config that differs only in powers,
+    noise keys, pilot settings, scheme, antennas or draw count gets the same
+    array back.  So every experiment in a process that shares a geometry,
+    the engine's groups included (``_batch``), evaluates one batch, drawn
+    once, as if it were drawn per curve.  ``config`` is validated first, so
+    an invalid one raises ConfigError naming its key.
     """
     validate_config(config)
     return _batch(config)
@@ -326,27 +346,21 @@ def large_scale_batch(config: NetworkConfig) -> np.ndarray:
 
 def _batch(config: NetworkConfig) -> np.ndarray:
     """``large_scale_batch`` of a validated config."""
-    return _cached_batch(
-        config.cells, config.radius_m, config.users_per_cell, config.exclusion_m,
-        config.pathloss_intercept_db, config.pathloss_slope, config.shadow_sigma_db,
-        config.penetration_loss_db, config.num_large, config.master_seed,
-    )
+    return _cached_batch(_only(config, _BATCH_KEYS))
 
 
 @functools.lru_cache(maxsize=_BATCH_CACHE_SIZE)
-def _cached_batch(
-    cells, radius_m, users_per_cell, exclusion_m,
-    intercept_db, slope, sigma_db, penetration_db, num_large, master_seed,
-) -> np.ndarray:
-    centers = build_hex_layout(cells, radius_m)
-    realizations = np.arange(num_large)
-    positions_rngs = make_rngs(master_seed, _POSITIONS_STREAM, realizations)
-    positions = drop_users(centers, radius_m, users_per_cell, exclusion_m, positions_rngs)
-    shadowing_rngs = make_rngs(master_seed, _SHADOWING_STREAM, realizations)
-    shadow_db = shadowing_db(sigma_db, cells, shadowing_rngs)
-    beta = large_scale_gains(
-        centers, positions, shadow_db, intercept_db, slope, penetration_db
+def _cached_batch(key: NetworkConfig) -> np.ndarray:
+    centers = build_hex_layout(key.cells, key.radius_m)
+    realizations = np.arange(key.num_large)
+    positions_rngs = make_rngs(key.master_seed, _POSITIONS_STREAM, realizations)
+    positions = drop_users(
+        centers, key.radius_m, key.users_per_cell, key.exclusion_m, positions_rngs
     )
+    shadowing_rngs = make_rngs(key.master_seed, _SHADOWING_STREAM, realizations)
+    shadow_db = shadowing_db(key.shadow_sigma_db, key.cells, shadowing_rngs)
+    loss_db = (key.pathloss_intercept_db, key.pathloss_slope, key.penetration_loss_db)
+    beta = large_scale_gains(centers, positions, shadow_db, *loss_db)
     beta.flags.writeable = False
     return beta
 
@@ -362,32 +376,24 @@ def _realizations_per_block(config: NetworkConfig) -> int:
 def _draw_block(config: NetworkConfig, lo: int, hi: int):
     """Read-only raw draws ``(g, z)`` of realizations lo..hi-1, stacked:
     ``(hi - lo, num_small, N)`` gammas and ``(hi - lo, num_small, N, K+1)``
-    complex normals.  They do not depend on the scheme: only the antenna
-    count, the beam shape, the draw count and the master seed of ``config``
-    select them.  The process keeps the last ``_DRAW_CACHE_SIZE`` blocks
-    (about 1 MiB), so the other schemes of a comparison at the same M
-    evaluate the same draws without running a generator; only a block whose
-    single realization holds more than ``_BLOCK_AMPLITUDES`` amplitudes is
-    drawn and dropped, which bounds what a large ``num_small`` keeps."""
-    width = config.users_per_cell + 1
+    complex normals.  They do not depend on the scheme: only the
+    ``_DRAW_KEYS`` of ``config`` select them.  The process keeps the last
+    ``_DRAW_CACHE_SIZE`` blocks (about 1 MiB), so the other schemes of a
+    comparison at the same M evaluate the same draws without running a
+    generator; only a block whose single realization holds more than
+    ``_BLOCK_AMPLITUDES`` amplitudes is drawn and dropped, which bounds what
+    a large ``num_small`` keeps."""
     draws = _cached_draws
-    if config.num_small * config.cells * width > _BLOCK_AMPLITUDES:
+    if config.num_small * config.cells * (config.users_per_cell + 1) > _BLOCK_AMPLITUDES:
         draws = _cached_draws.__wrapped__
-    return draws(
-        config.antennas,
-        config.cells,
-        width,
-        config.num_small,
-        lo,
-        hi,
-        config.master_seed,
-    )
+    return draws(_only(config, _DRAW_KEYS), lo, hi)
 
 
 @functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
-def _cached_draws(antennas, cells, width, num_small, lo, hi, master_seed):
-    rngs = make_rngs(master_seed, _FADING_STREAM, np.arange(lo, hi))
-    g, z = draw_beam_fading(rngs, antennas, (cells, width), num_small)
+def _cached_draws(key: NetworkConfig, lo: int, hi: int):
+    rngs = make_rngs(key.master_seed, _FADING_STREAM, np.arange(lo, hi))
+    shape = (key.cells, key.users_per_cell + 1)
+    g, z = draw_beam_fading(rngs, key.antennas, shape, key.num_small)
     g.flags.writeable = False
     z.flags.writeable = False
     return g, z
@@ -427,25 +433,19 @@ def run_experiments(configs) -> list[SinrReport]:
 
     A group's context is built on its large-scale batch
     (``large_scale_batch``), and one loop evaluates it over blocks of up to
-    ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations.  A block starts
-    from the beam directions, the large-antenna limit, which is all that
-    asymptotic mode (``config.antennas is None``) evaluates: no fast fading
-    is drawn and ``num_small`` only counts towards validation.  With finite antennas
-    realization t takes ``num_small`` draws from one generator,
-    ``default_rng([master_seed, FADING, t])``, a block's generators built
-    with one call: the raw draws of ``channel.draw_beam_fading``, row s
-    being draw s, turned into gains under the scheme's beam directions
-    (``channel.beam_gains``); ``_draw_block`` gives the raw draws.
-    Each realization's minimum SINR is averaged over its draws in linear
-    scale before conversion to dB.  Realization t's generators depend only
-    on the master seed and t, never on execution order.  A non-finite SINR
-    raises ``ArithmeticError`` naming the power, the first bad realization,
-    the master seed and, at finite M, the draw; so does a realization whose
-    mean minimum SINR is zero, which has no dB value, or overflows, and one
-    with a zero own-cell gain, which the pilot power-control rule and the
-    perfect-CSI optimal beam divide by.  A realization that fails either
-    check with a zero own-cell gain is reported as such, whatever the
-    scheme.
+    ``_BLOCK_AMPLITUDES`` amplitudes' worth of realizations, as the module
+    docstring describes; asymptotic mode (``config.antennas is None``) draws
+    no fast fading, and there ``num_small`` only counts towards validation.
+    With finite antennas realization t takes ``num_small`` draws from
+    ``default_rng([master_seed, FADING, t])`` (``_draw_block``), and its
+    minimum SINR is averaged over them in linear scale before conversion to
+    dB.  A non-finite SINR raises ``ArithmeticError`` naming the power, the
+    first bad realization, the master seed, at finite M the draw, and the
+    scheme; so does a realization whose mean minimum SINR is zero, which has
+    no dB value, or overflows, and one with a zero own-cell gain, which the
+    pilot power-control rule and the perfect-CSI optimal beam divide by.  A
+    realization that fails either check with a zero own-cell gain is
+    reported as such, whatever the scheme.
     """
     configs = list(configs)
     for config in configs:

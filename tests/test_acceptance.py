@@ -125,7 +125,13 @@ def test_criterion_03_identity_chain():
 
 def test_criterion_04_contamination_ceiling_vs_composite_growth():
     """Shared-pilot estimates cap the SINR at high power; the composite scheme
-    keeps gaining exactly 10 dB per power decade."""
+    keeps gaining exactly 10 dB per power decade.
+
+    Observed over 200 runs (README, "False-alarm rates of the statistical
+    tests"): 0 failures; the largest per-realization move of
+    ``individual-pilot`` from 80 to 90 dBW reached 0.091 of its 0.1 dB
+    bound.
+    """
     config = NetworkConfig()
     sigma2 = config.noise_power_w
     sigma_p2 = config.pilot_noise_power_w
@@ -184,7 +190,13 @@ def test_criterion_05_composite_estimate_contamination_free():
 
 def test_criterion_06_optimal_vs_equal_combining_gain():
     """Median CDF gain of optimal over equal combining: about 10 dB at K=3,
-    larger at K=10."""
+    larger at K=10.
+
+    Observed over 200 runs (README, "False-alarm rates of the statistical
+    tests"): 1 failure, at K = 3 (13.31 dB).  The K = 3 gain had mean
+    10.24 dB and sd 0.78 dB, so the band's upper edge lies 3.5 sd above the
+    mean.  The K = 10 ordering failed in none.
+    """
     gains = {}
     for k in (3, 10):
         config = NetworkConfig(antennas=None, users_per_cell=k, num_large=200)
@@ -198,7 +210,12 @@ def test_criterion_06_optimal_vs_equal_combining_gain():
 
 def test_criterion_07_finite_antenna_convergence():
     """Measured power-controlled composite SINR approaches its closed form:
-    the gap shrinks with the antenna count and sits in the expected band."""
+    the gap shrinks with the antenna count and sits in the expected band.
+
+    Observed over 200 runs (README, "False-alarm rates of the statistical
+    tests"): 0 failures; the gap read 0.95-1.22 dB at M = 300 and
+    0.75-0.97 dB at M = 500.
+    """
     base = dict(users_per_cell=3, cells=7, p_u_dbw=2.0, E_dbw=(20.0,), num_large=100)
     asym = run_experiment(
         NetworkConfig(antennas=None, **base), scheme="composite-power-controlled"

@@ -902,7 +902,22 @@ class TestCli:
         args = ["fig2-cdf-perfect", "--set", "radius_m=1e200", "--set", "num_large=2"]
         assert main(args + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: zero own-cell gain at E_dbw = 10 in realization 0 (master seed 1)\n"
+        assert err == (
+            "error: zero own-cell gain at E_dbw = 10 in realization 0 (master seed 1)"
+            " for scheme perfect-optimal\n"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_sinr_error_names_its_scheme(self, tmp_path, capsys):
+        # of the preset's four curves only individual-pilot fails at this
+        # shadowing; the message says which
+        args = ["fig3/4-cdf-schemes", "--set", "shadow_sigma_db=1000", "--set", "num_large=5"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: zero mean min-SINR at E_dbw = 10 in realization 2 (master seed 1)"
+            " for scheme individual-pilot\n"
+        )
         assert not any(tmp_path.iterdir())
 
     def test_no_seed_option(self, tmp_path):

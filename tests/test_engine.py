@@ -1282,6 +1282,25 @@ class TestNonFiniteSinr:
         ):
             run_experiment(config, scheme="perfect-equal")
 
+    @pytest.mark.parametrize("antennas", [None, 16])
+    @pytest.mark.parametrize(
+        "scheme", ["perfect-optimal", "perfect-equal", "composite", "composite-power-controlled"]
+    )
+    def test_infinite_gain_that_no_beam_combines_changes_nothing(
+        self, monkeypatch, scheme, antennas
+    ):
+        # BS 1's gain to user 0 of cell 2 overflowed to infinity.  These
+        # schemes' BS 1 combines only cell 1's users, and cell 0's users do
+        # not receive over that link, so every sample stays as it was
+        config = NetworkConfig(
+            antennas=antennas, num_large=3, num_small=2, master_seed=5, scheme=scheme
+        )
+        expected = run_experiment(config)
+        beta = large_scale_batch(config).copy()
+        beta[:, 1, 2, 0] = np.inf
+        monkeypatch.setattr(engine, "_batch", lambda _config: beta)
+        assert run_experiment(config).samples_db.tobytes() == expected.samples_db.tobytes()
+
 
 class TestConvergenceProperties:
     def test_gap_to_asymptote_shrinks_with_antennas(self):
